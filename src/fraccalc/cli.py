@@ -14,6 +14,7 @@ computation error (domain or assumption violation), 3 self-test failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import List, Optional, Sequence
@@ -22,15 +23,7 @@ import numpy as np
 
 from . import __version__
 from .critical import critical_points, dilation_scenario, r_alpha_curve
-from .errors import (
-    AssumptionError,
-    DomainError,
-    FracCalcError,
-    HypothesisError,
-    MeanValueNotFoundError,
-    ParseError,
-    SolverError,
-)
+from .errors import FracCalcError, ParseError
 from .expr import parse
 from .fracops import (
     FractionalParams,
@@ -436,7 +429,9 @@ def _add_common(sp, *, f_default=None, alpha_default=None):
     sp.add_argument("--seed", type=int, default=0)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     top = _Parser(prog="fraccalc", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -539,14 +534,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        DomainError,
-        AssumptionError,
-        HypothesisError,
-        MeanValueNotFoundError,
-        SolverError,
-        FracCalcError,
-    ) as exc:
+    except FracCalcError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
 

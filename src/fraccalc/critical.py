@@ -1,6 +1,7 @@
 """Fractional critical points: roots of x -> D^alpha f(x).
 
-The module locates such roots by a sign scan plus bisection, realises
+The module locates such roots (a sign scan read off one sample of f',
+each bracket refined by Brent's method on the pointwise rule), realises
 the existence construction (every interior zero of f is preceded by a
 zero of its fractional derivative), probes the order-duality identity
 for monotone functions, and traces the migration curve r(alpha): the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,8 +31,9 @@ from .fracops import (
     _kernel_quad_grid,
     _prime_sampler,
     _sampler,
+    integral_on_grid,
 )
-from .meanval import _bisect, check_strictly_monotone, mean_value
+from .meanval import _find_roots, _sign_brackets, check_strictly_monotone, mean_value
 
 __all__ = [
     "CriticalPointReport",
@@ -97,23 +99,32 @@ class DilationResult:
     xi_residual: Optional[float]
 
 
-def _d_alpha_factory(
+def _d_alpha(
     f: FuncLike,
     p: FractionalParams,
     *,
     fprime: Optional[FuncLike] = None,
     allow_nonzero_base: bool = False,
-) -> Callable[[float], float]:
-    """Fast x -> D^alpha f(x) with the base-value check done once."""
+) -> tuple:
+    """Fast x -> D^alpha f(x) with the base-value check done once, and
+    ``scan(b, n)``: the nodes a + (b - a) i / n, i = 1..n, with D^alpha f
+    there from one f' sample on k n >= grid_n panels, in O(k n^2) work."""
     base_value(f, p.a, allow_nonzero=allow_nonzero_base)
     fp = _prime_sampler(f, fprime)
     mu = 1.0 - p.alpha
-    n = p.grid_n
 
     def d(x: float) -> float:
-        return _kernel_quad_grid(fp, p.a, x, mu, n)[0]
+        return _kernel_quad_grid(fp, p.a, x, mu, p.grid_n)[0]
 
-    return d
+    def scan(b: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        k = -(-p.grid_n // n)
+        h = (b - p.a) / (k * n)
+        ts = p.a + h * np.arange(k * n + 1)
+        ts[-1] = b
+        xs = p.a + (b - p.a) * np.arange(1, n + 1) / n
+        return xs, integral_on_grid(fp(ts), h, mu, at=k * np.arange(1, n + 1))
+
+    return d, scan
 
 
 def critical_points(
@@ -126,25 +137,14 @@ def critical_points(
     allow_nonzero_base: bool = False,
     bracket_rel: float = 1e-10,
 ) -> CriticalPointReport:
-    """Roots of D^alpha f on (a, b], bracketed on a scan and bisected."""
+    """Roots of D^alpha f on (a, b], bracketed on a scan and refined by Brent."""
     if not b > p.a:
         raise ValueError(f"need b > a, got b={b!r}, a={p.a!r}")
     if scan_n < 4:
         raise ValueError("scan_n must be >= 4")
-    d = _d_alpha_factory(f, p, fprime=fprime, allow_nonzero_base=allow_nonzero_base)
-    xs = p.a + (b - p.a) * np.arange(1, scan_n + 1) / scan_n
-    vals = np.asarray([d(float(x)) for x in xs])
-    tol = bracket_rel * (b - p.a)
-    roots: List[float] = []
-    for i in range(scan_n):
-        if vals[i] == 0.0:
-            roots.append(float(xs[i]))
-    for i in range(scan_n - 1):
-        if vals[i] == 0.0 or vals[i + 1] == 0.0:
-            continue
-        if (vals[i] > 0.0) != (vals[i + 1] > 0.0):
-            roots.append(_bisect(d, float(xs[i]), float(xs[i + 1]), float(vals[i]), tol))
-    roots = sorted(roots)
+    d, scan = _d_alpha(f, p, fprime=fprime, allow_nonzero_base=allow_nonzero_base)
+    xs, vals = scan(b, scan_n)
+    roots = _find_roots(xs, vals, d, bracket_rel * (b - p.a), exact=False)
     residuals = tuple(abs(d(r)) for r in roots)
     return CriticalPointReport(p.alpha, tuple(roots), residuals, p.grid_n)
 
@@ -192,24 +192,19 @@ def derivative_zero_before(
     fx = float(_sampler(f)(np.asarray([x_zero]))[0])
     if abs(fx) > zero_tol:
         raise HypothesisError(f"f(x_zero) = {fx!r} is not 0 within {zero_tol!r}")
-    d = _d_alpha_factory(f, p, fprime=fprime)
+    d, scan = _d_alpha(f, p, fprime=fprime)
     span = x_zero - p.a
 
     n = scan_n
     best_x, best_val = None, math.inf
     for _ in range(max_refinements + 1):
-        xs = p.a + span * np.arange(1, n + 1) / n
-        vals = np.asarray([d(float(x)) for x in xs])
+        xs, vals = scan(x_zero, n)
         scale = float(np.max(np.abs(vals)))
         if scale <= 1e-13:
             return DerivativeZeroResult(float(xs[0]), abs(float(vals[0])), degenerate=True)
-        hits = [float(xs[i]) for i in range(n) if vals[i] == 0.0]
-        for i in range(n - 1):
-            if vals[i] != 0.0 and vals[i + 1] != 0.0 and (vals[i] > 0.0) != (vals[i + 1] > 0.0):
-                hits.append(_bisect(d, float(xs[i]), float(xs[i + 1]), float(vals[i]), 1e-12 * span))
+        hits = _find_roots(xs, vals, d, 1e-12 * span, exact=False)
         if hits:
-            xi = max(hits)
-            return DerivativeZeroResult(xi, abs(d(xi)))
+            return DerivativeZeroResult(hits[-1], abs(d(hits[-1])))
         k = int(np.argmin(np.abs(vals)))
         if abs(float(vals[k])) < best_val:
             best_x, best_val = float(xs[k]), abs(float(vals[k]))
@@ -217,7 +212,7 @@ def derivative_zero_before(
     # no sign change anywhere: accept a tangent root at the endpoint scale,
     # otherwise report the resolution failure (existence is not in doubt)
     if best_x is not None and best_val <= 1e-8 * scale:
-        return DerivativeZeroResult(best_x, best_val)
+        return DerivativeZeroResult(best_x, abs(d(best_x)))
     raise SolverError(
         f"no root of D^alpha f found on ({p.a!r}, {x_zero!r}] after refining "
         f"to {n // 4} scan points; existence is guaranteed, so this is a "
@@ -241,11 +236,8 @@ def _verify_single_extremum_and_root(
         dvals = (sample(ts + h) - sample(ts - h)) / (2.0 * h)
 
     def zero_events(arr: np.ndarray) -> List[float]:
-        locs = [float(ts[i]) for i in range(len(arr)) if arr[i] == 0.0]
-        for i in range(len(arr) - 1):
-            if arr[i] != 0.0 and arr[i + 1] != 0.0 and (arr[i] > 0.0) != (arr[i + 1] > 0.0):
-                locs.append(float(0.5 * (ts[i] + ts[i + 1])))
-        return sorted(locs)
+        zeros, changes = _sign_brackets(arr)  # located to half a sample step
+        return sorted(np.concatenate((ts[zeros], 0.5 * (ts[changes] + ts[changes + 1]))).tolist())
 
     ext = zero_events(dvals)
     roots = zero_events(vals)
@@ -329,23 +321,17 @@ def dilation_scenario(
     ts = [float(t) for t in t_grid]
     if any(t <= p.a for t in ts):
         raise ValueError("t_grid must lie strictly right of the base point")
-    d = _d_alpha_factory(v, p, fprime=fprime)
+    d, _ = _d_alpha(v, p, fprime=fprime)
     rows = tuple((t, d(t)) for t in ts)
 
     sample = _sampler(v)
-    vvals = np.asarray([float(sample(np.asarray([t]))[0]) for t in ts])
-    zero_time = None
+    vvals = sample(np.asarray(ts))
     vscale = float(np.max(np.abs(vvals))) or 1.0
-    for i, t in enumerate(ts):
-        if abs(vvals[i]) <= 1e-10 * vscale:
-            zero_time = t
-            break
-        if i and (vvals[i - 1] > 0.0) != (vvals[i] > 0.0):
-            fn = lambda s: float(sample(np.asarray([s]))[0])  # noqa: E731
-            zero_time = _bisect(fn, ts[i - 1], t, float(vvals[i - 1]), 1e-12 * (ts[-1] - p.a))
-            break
-    if zero_time is None:
+    vvals[np.abs(vvals) <= 1e-10 * vscale] = 0.0  # a grid point where v vanishes
+    zeros = _find_roots(ts, vvals, lambda s: float(sample(np.asarray([s]))[0]), 1e-12 * (ts[-1] - p.a))
+    if not zeros:
         return DilationResult(rows, None, None, None)
+    zero_time = zeros[0]
     res = derivative_zero_before(
         v, p, zero_time, fprime=fprime, zero_tol=max(1e-10, 1e-9 * vscale)
     )

@@ -6,11 +6,12 @@ Two quadrature backends compute the weakly singular convolution
 
 ``product_trapezoid``
     The piecewise-linear interpolant of f on a uniform grid is integrated
-    exactly against the kernel (an L1-type product rule).  Because the
-    error estimate already requires the same sum on the half and quarter
-    grids, the backend also performs a measured-order Richardson
-    refinement of the fine-grid value; the reported ``est_error`` is the
-    conservative grid-pair difference.
+    exactly against the kernel (an L1-type product rule).  f is sampled
+    once, on grid_n panels rounded up to a multiple of 4, and the same sum
+    on its half and quarter grids (slices of that sample) gives the error
+    estimate and a measured-order Richardson refinement of the fine-grid
+    value; the reported ``est_error`` is the conservative grid-pair
+    difference.
 
 ``adaptive_oracle``
     Adaptive Gauss-Kronrod quadrature (QUADPACK).  The singular panel
@@ -35,10 +36,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
 from .errors import AssumptionError, DomainError
 from .expr import Expression, derivative_values
@@ -217,13 +217,14 @@ def _l1_sum(samples: np.ndarray, h: float, mu: float) -> float:
     return h**mu / gamma(mu + 2.0) * float(_l1_weights(n, mu) @ samples)
 
 
-def integral_on_grid(samples: np.ndarray, h: float, mu: float) -> np.ndarray:
+def integral_on_grid(samples: np.ndarray, h: float, mu: float, at: Optional[Sequence[int]] = None) -> np.ndarray:
     """I^mu of gridded data at every node of its own uniform grid.
 
     ``samples[j]`` are function values at a + j*h; entry i of the result
     is the product-trapezoid value of I^mu at a + i*h (entry 0 is 0).
     The inner sum is a discrete convolution, so the whole sweep costs one
-    ``np.convolve`` instead of n separate quadratures.
+    ``np.convolve`` instead of n separate quadratures.  Given node indices
+    ``at`` (>= 1), only those entries are returned, in O(len(at) * n) work.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples) - 1
@@ -238,10 +239,13 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float) -> np.ndarray:
         v[1:] = mp[2 : n + 1] - 2.0 * mp[1:n] + mp[0 : n - 1]
     i = m[1:]
     e = mp[0:n] - mp[1 : n + 1] + p * i**mu  # weight of the j = 0 node
+    scale = h**mu / gamma(mu + 2.0)
+    if at is not None:
+        return scale * np.array([e[j - 1] * samples[0] + v[j - 1 :: -1] @ samples[1 : j + 1] for j in at])
     conv = np.convolve(samples[1:], v)[:n]
     out = np.empty(n + 1)
     out[0] = 0.0
-    out[1:] = h**mu / gamma(mu + 2.0) * (e * samples[0] + conv)
+    out[1:] = scale * (e * samples[0] + conv)
     return out
 
 
@@ -251,26 +255,21 @@ def _kernel_quad_grid(
     """Refined product-trapezoid value of I^mu over [a, x] plus error bound."""
     if not x > a:
         raise ValueError(f"need x > a, got x={x!r}, a={a!r}")
-
-    def one(n: int) -> float:
-        h = (x - a) / n
-        ts = a + h * np.arange(n + 1)
-        ts[-1] = x
-        return _l1_sum(sample(ts), h, mu)
-
-    n = int(grid_n)
-    if n < 8:
-        v = one(n)
-        coarse = one(max(2, n // 2)) if n >= 4 else one(2 * n)
-        return v, abs(v - coarse) + 1e-14 * (1.0 + abs(v))
-    v1, v2, v4 = one(n), one(n // 2), one(n // 4)
+    n = -(-int(grid_n) // 4) * 4
+    h = (x - a) / n
+    ts = a + h * np.arange(n + 1)
+    ts[-1] = x
+    fv = sample(ts)
+    # nested grids for every grid_n; contiguous copies give the same sums as
+    # separately sampled half and quarter grids, bit for bit
+    v1, v2, v4 = (_l1_sum(np.ascontiguousarray(fv[::k]), k * h, mu) for k in (1, 2, 4))
     d1, d2 = v1 - v2, v2 - v4
     scale = max(abs(v1), abs(v2), 1.0)
     floor = 1e-15 * scale
     est = abs(d1) + floor
     if abs(d1) <= floor or abs(d2) <= abs(d1):
         return v1, est
-    order = math.log(abs(d2) / abs(d1)) / math.log((n / 2) / (n / 4))
+    order = math.log(abs(d2) / abs(d1)) / math.log(2.0)
     if not (0.9 <= order <= 2.5):
         return v1, est
     return v1 + d1 / (2.0**order - 1.0), est
@@ -286,6 +285,7 @@ def _kernel_quad_oracle(
     """(1/Gamma(mu)) * integral_a^x f(t)(x-t)^(mu-1) dt, adaptively."""
     if not x > a:
         raise ValueError(f"need x > a, got x={x!r}, a={a!r}")
+    from scipy import integrate as _scipy_integrate  # only the oracle needs scipy
 
     def f_scalar(t: float) -> float:
         return float(sample(np.asarray([t]))[0])

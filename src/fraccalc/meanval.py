@@ -11,8 +11,9 @@ equivalently f(xi) = g(x) where g is the kernel-weighted average
 
 The full preimage f^(-1){g(x)} can be infinite; this module reports the
 finite subset it can certify: every root bracketed by a uniform sign
-scan, refined by bisection (bracketing is used instead of Newton because
-the crossings can be arbitrarily flat).  ``xi_sup`` is the largest one.
+scan, refined by Brent's method (bracketing is used instead of Newton
+because the crossings can be arbitrarily flat).  ``xi_sup`` is the
+largest one.  Every root search in the package uses this ``_find_roots``.
 
 For smooth f the supremum near a is also approximated by the roots of an
 explicit polynomial in (xi - a) built from the Taylor coefficients of f
@@ -87,42 +88,73 @@ class PolynomialEstimate:
 
 
 def _bisect(fn: Callable[[float], float], lo: float, hi: float, flo: float, tol: float) -> float:
-    """Sign-change bisection; assumes fn(lo) = flo and fn(hi) opposes it."""
+    """Brent's method (Brent 1973, ch. 4) on a bracket; assumes fn(lo) = flo
+    and fn(hi) opposes it.  Locates the root to within tol/2, as a bisection
+    stopped at width tol does, mostly by secant and inverse quadratic steps."""
+    a, fa, b, fb = lo, flo, hi, fn(hi)
+    c, fc, d, e = a, fa, b - a, b - a
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol or mid == lo or mid == hi:
+        if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
+            c, fc, d, e = a, fa, b - a, b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol1 = 4.0 * math.ulp(b) + 0.25 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0.0:
             break
-        fmid = fn(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        interpolate = abs(e) >= tol1 and abs(fa) > abs(fb)
+        if interpolate:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), (-q if p > 0.0 else q)
+            interpolate = 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q))
+        e, d = (d, p / q) if interpolate else (m, m)  # else bisect
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = fn(b)
+    return float(b)
 
 
-def _scan_roots(
-    fn_vec: Callable[[np.ndarray], np.ndarray],
-    fn_scalar: Callable[[float], float],
-    lo: float,
-    hi: float,
-    n_points: int,
-    tol: float,
+def _sign_brackets(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Indices i with vals[i] == 0, and i with a sign change from vals[i] to vals[i + 1]."""
+    sign = np.sign(vals)
+    return np.flatnonzero(sign == 0.0), np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+
+
+def _find_roots(
+    xs: np.ndarray, vals: np.ndarray, fn: Callable[[float], float], tol: float, *, exact: bool = True
 ) -> List[float]:
-    """Roots of fn on the open interval (lo, hi) found by scan + bisection."""
-    ts = lo + (hi - lo) * np.arange(1, n_points + 1) / (n_points + 1)
-    vals = fn_vec(ts)
-    roots: List[float] = []
-    for i in range(len(ts)):
-        if vals[i] == 0.0:
-            roots.append(float(ts[i]))
-    for i in range(len(ts) - 1):
-        if vals[i] == 0.0 or vals[i + 1] == 0.0:
-            continue
-        if (vals[i] > 0.0) != (vals[i + 1] > 0.0):
-            roots.append(_bisect(fn_scalar, float(ts[i]), float(ts[i + 1]), float(vals[i]), tol))
-    return sorted(roots)
+    """Roots of fn bracketed by its sign scan ``vals`` at ascending ``xs``,
+    each refined by :func:`_bisect`.  With ``exact=False`` the scan comes
+    from a cheaper rule than fn: zeros and bracket ends are checked with fn,
+    an end whose sign disagrees with the scan moves one step outwards (the
+    bracket is dropped if fn still shows no sign change), and a root reached
+    from two brackets is reported once."""
+    xs, vals = np.asarray(xs, dtype=float), np.array(vals, dtype=float)
+    known = dict(enumerate(vals)) if exact else {}
+    at = lambda j: known[j] if j in known else known.setdefault(j, fn(float(xs[j])))  # noqa: E731
+    same = lambda i, j: np.sign(at(i)) == np.sign(at(j)) != 0.0  # noqa: E731
+    zeros = _sign_brackets(vals)[0]
+    vals[zeros] = [at(j) for j in zeros]
+    zeros, changes = _sign_brackets(vals)
+    roots = [float(xs[j]) for j in zeros]
+    for lo in changes:
+        hi = lo + 1
+        if same(lo, hi):
+            lo, hi = (lo - 1, hi) if np.sign(at(lo)) != np.sign(vals[lo]) else (lo, hi + 1)
+            if lo < 0 or hi == len(xs) or same(lo, hi):
+                continue
+        if at(lo) == 0.0 or at(hi) == 0.0:
+            roots.append(float(xs[lo] if at(lo) == 0.0 else xs[hi]))
+        else:
+            roots.append(_bisect(fn, float(xs[lo]), float(xs[hi]), at(lo), tol))
+    roots.sort()
+    return [r for k, r in enumerate(roots) if k == 0 or r - roots[k - 1] > tol]
 
 
 def mean_value(
@@ -149,16 +181,14 @@ def mean_value(
     iv = rl_integral(f, p, 1.0 - p.alpha, x, backend=backend)
     g = gamma(2.0 - p.alpha) * iv.value * (x - p.a) ** (p.alpha - 1.0)
 
-    fn_vec = lambda ts: sample(ts) - g  # noqa: E731
     fn_scalar = lambda s: float(sample(np.asarray([s]))[0]) - g  # noqa: E731
 
     ts = p.a + (x - p.a) * np.arange(1, scan_n + 2) / (scan_n + 2)
-    vals = fn_vec(ts)
-    level_scale = 1.0 + abs(g)
-    if float(np.max(np.abs(vals))) <= degenerate_rel * level_scale:
+    vals = sample(ts) - g
+    if float(np.max(np.abs(vals))) <= degenerate_rel * (1.0 + abs(g)):
         return MeanValueResult(g, (), (), None, degenerate=True)
 
-    roots = _scan_roots(fn_vec, fn_scalar, p.a, x, scan_n + 1, bisect_rel * (x - p.a))
+    roots = _find_roots(ts, vals, fn_scalar, bisect_rel * (x - p.a))
     if not roots:
         raise MeanValueNotFoundError(
             f"no crossing of the level g(x)={g!r} found on ({p.a!r}, {x!r}) "
@@ -216,9 +246,9 @@ def mean_value_polynomial(
         )
 
     carr = np.asarray(coeffs)
-    poly_vec = lambda xs: np.polynomial.polynomial.polyval(xs, carr)  # noqa: E731
     poly_scalar = lambda s: float(np.polynomial.polynomial.polyval(s, carr))  # noqa: E731
-    roots = _scan_roots(poly_vec, poly_scalar, 0.0, delta, scan_n, 1e-14 * delta)
+    ts = delta * np.arange(1, scan_n + 1) / (scan_n + 1)
+    roots = _find_roots(ts, np.polynomial.polynomial.polyval(ts, carr), poly_scalar, 1e-14 * delta)
     return PolynomialEstimate(tuple(coeffs), remainder, tuple(roots), n, delta, reliable)
 
 
@@ -303,12 +333,5 @@ def mean_path_witness(
         lo, hi = reparam(x_arr)
         return d - (hi - lo) / (2.0 * s)
 
-    vals = [residual(float(x)) for x in xs]
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            return float(xs[i])
-        if (vals[i] > 0.0) != (vals[i + 1] > 0.0):
-            return _bisect(residual, float(xs[i]), float(xs[i + 1]), vals[i], 1e-10 * (xs[-1] - a))
-    if vals[-1] == 0.0:
-        return float(xs[-1])
-    return None
+    roots = _find_roots(xs, [residual(float(x)) for x in xs], residual, 1e-10 * (xs[-1] - a))
+    return roots[0] if roots else None

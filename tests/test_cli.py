@@ -209,3 +209,39 @@ def test_selftest_infeasible_tolerance_distinguished():
     code, out, _ = capture(["selftest", "--tol", "1e-15"])
     assert code == 3
     assert "INFEASIBLE-TOL" in out
+
+
+def test_parser_reuse_matches_fresh_parser():
+    # the parser is built once per process; a usage error in between must not
+    # leave state behind that changes later runs
+    import fraccalc.cli as cli
+
+    argvs = [
+        ["fracderiv", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1", "--output", "csv"],
+        ["fracint", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--x", "1"],
+        ["fracint", "--f", "t^2", "--alpha", "0.5", "--x", "1"],  # usage error: no --a
+        ["critpoints", "--f", "sin(t)", "--alpha", "0.3:0.7:2", "--a", "0", "--b", "3.2",
+         "--grid-n", "256", "--output", "csv"],
+        ["nosuchcommand"],
+        ["meanvalue", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1", "--scan-n", "32"],
+    ]
+    alone = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        alone.append(capture(argv))
+    in_a_row = [capture(argv) for argv in argvs]
+    assert [c for c, _, _ in alone] == [0, 0, 1, 0, 1, 0]
+    assert [(c, out) for c, out, _ in in_a_row] == [(c, out) for c, out, _ in alone]
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    import os
+    import subprocess
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fraccalc.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -235,3 +235,53 @@ def test_dilation_high_order_matches_classical_rate():
     res = dilation_scenario(parse("sin(t)"), p, list(np.linspace(0.3, 3.0, 8)))
     for t, val in res.rows:
         assert abs(val - math.cos(t)) <= 0.02
+
+
+# --- one-sample scan with Brent refinement ------------------------------------------
+
+
+def test_root_on_a_scan_node_found_once():
+    # the root 2.7 of D^0.3 (t^3 - 3t^2) is scan node 72 of 96 on [0, 3.6], where
+    # the scan and the pointwise rule disagree in sign
+    rep = critical_points(parse("t^3-3*t^2"), FractionalParams(0.3, 0.0, 2048), 3.6)
+    assert len(rep.roots) == 1
+    assert abs(rep.roots[0] - 2.7) <= 1e-9
+
+
+def test_one_scan_sample_per_order_and_few_quadratures_per_root():
+    calls = []
+
+    def fprime(ts):
+        ts = np.asarray(ts, dtype=float)
+        calls.append(ts.size)
+        return 1.2 * np.cos(1.2 * ts)
+
+    f = parse("sin(1.2*t)")
+    b = 4.712 / 1.2
+    for al in (0.1, 0.3, 0.5, 0.7, 0.9):
+        calls.clear()
+        rep = critical_points(f, FractionalParams(al, 0.0, 2048), b, fprime=fprime)
+        assert len(rep.roots) == 1
+        scans = [n for n in calls if n > 2049]  # the scan grid has k * 96 >= 2048 panels
+        assert len(scans) == 1
+        assert len(calls) - len(scans) <= 15 * len(rep.roots)
+
+
+def test_fine_grid_gives_same_root():
+    f = parse("sin(t)")
+    mid = critical_points(f, FractionalParams(0.5, 0.0, 8192), 4.7)
+    fine = critical_points(f, FractionalParams(0.5, 0.0, 32768), 4.7)
+    assert len(mid.roots) == len(fine.roots) == 1
+    assert abs(mid.roots[0] - fine.roots[0]) <= 1e-9
+
+
+def test_disagreeing_scan_brackets_give_one_root():
+    # a scan that is wrong at two nodes next to the root 0.5 brackets it three
+    # times; each bracket is repaired with the exact function, and the root is
+    # reported once
+    from fraccalc.meanval import _find_roots
+
+    xs = np.array([0.2, 0.4, 0.6, 0.8])
+    roots = _find_roots(xs, np.array([-1.0, 1.0, -1.0, 1.0]), lambda x: x - 0.5, 1e-12, exact=False)
+    assert len(roots) == 1
+    assert abs(roots[0] - 0.5) <= 1e-12

@@ -335,6 +335,16 @@ def test_integral_on_grid_matches_pointwise_rule():
         assert sweep[i] == pytest.approx(_l1_sum(fv[: i + 1], h, 0.35), rel=1e-13)
 
 
+def test_integral_on_grid_at_selected_nodes_matches_full_sweep():
+    n = 96
+    h = 2.0 / n
+    fv = np.cos(h * np.arange(n + 1)) + 0.5
+    nodes = [1, 2, 24, 47, 96]
+    sweep = integral_on_grid(fv, h, 0.35)
+    picked = integral_on_grid(fv, h, 0.35, at=nodes)
+    np.testing.assert_allclose(picked, sweep[nodes], rtol=1e-13)
+
+
 # --- limit behaviour ----------------------------------------------------------
 
 
@@ -394,3 +404,15 @@ def test_windowed_rebase_is_window_invariant():
     for x0 in (0.0, 1.3, 2.6):
         out = windowed_derivative(f, WindowSpec(x0, 0.5), 0.5, 512, rebase=True)
         assert out.value == pytest.approx(ref, rel=1e-9)
+
+
+def test_grid_parity_does_not_matter():
+    # the Richardson grids are nested for every grid_n, so an odd grid is no
+    # worse than the even one below it
+    exact = power_integral(2.0, 0.5, 1.0)
+
+    def err(n):
+        return abs(rl_integral(parse("t^2"), FractionalParams(0.5, 0.0, n), 0.5, 1.0).value - exact)
+
+    assert err(17) <= 2.0 * err(16)
+    assert err(33) <= 2.0 * err(32)

@@ -230,3 +230,17 @@ def test_witness_constant_sign_residual_gives_none():
     p = FractionalParams(0.5, 0.0, 512)
     out = mean_path_witness(parse("t"), parse("5"), p, np.linspace(1.0, 2.0, 9))
     assert out is None
+
+
+def test_bracket_refinement_is_fast_and_within_half_tolerance():
+    from fraccalc.meanval import _bisect
+
+    evals = []
+
+    def fn(x):
+        evals.append(x)
+        return math.cos(x) - x
+
+    root = _bisect(fn, 0.0, 1.0, 1.0, 1e-12)
+    assert abs(root - 0.7390851332151607) <= 0.5e-12
+    assert len(evals) <= 12  # bisection to the same width takes 40
