@@ -118,6 +118,8 @@ def _alpha_list(text: str, *, sweep_ok: bool) -> List[float]:
             count = int(parts[2])
         except ValueError:
             raise _UsageError(f"bad alpha sweep {text!r}") from None
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise _UsageError(f"alpha sweep ends must be finite, got {text!r}")
         if count < 1:
             raise _UsageError("alpha sweep count must be >= 1")
         lo, hi = ALPHA_CLIP
@@ -425,8 +427,17 @@ def _add_common(sp, *, f_default=None, alpha_default=None):
         sp.add_argument("--alpha", default=alpha_default, help="order in (0,1) or sweep start:stop:count")
     sp.add_argument("--grid-n", type=int, default=2048, dest="grid_n")
     sp.add_argument("--output", choices=("table", "csv"), default="table")
-    sp.add_argument("--tol", type=float, default=None, help="tolerance override")
-    sp.add_argument("--seed", type=int, default=0)
+
+
+def _finite(text: str) -> float:
+    """argparse type of every real-valued flag: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -437,81 +448,82 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("fracint", help="fractional integral I^alpha f(x)")
     _add_common(sp)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--a", type=_finite, required=True)
+    sp.add_argument("--x", type=_finite, required=True)
     sp.set_defaults(handler=_cmd_fracint)
 
     sp = sub.add_parser("fracderiv", help="fractional derivative D^alpha f(x)")
     _add_common(sp)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--a", type=_finite, required=True)
+    sp.add_argument("--x", type=_finite, required=True)
     sp.add_argument("--allow-nonzero-base", action="store_true", dest="allow_nonzero_base")
     sp.set_defaults(handler=_cmd_fracderiv)
 
     sp = sub.add_parser("meanvalue", help="fractional mean values over (a, x)")
     _add_common(sp)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--a", type=_finite, required=True)
+    sp.add_argument("--x", type=_finite, required=True)
     sp.add_argument("--scan-n", type=int, default=128, dest="scan_n")
     sp.set_defaults(handler=_cmd_meanvalue)
 
     sp = sub.add_parser("polyxi", help="polynomial estimate of the mean value")
     _add_common(sp)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--a", type=_finite, required=True)
+    sp.add_argument("--delta", type=_finite, required=True)
     sp.add_argument("--n", type=int, required=True, help="Taylor truncation order")
     sp.set_defaults(handler=_cmd_polyxi)
 
     sp = sub.add_parser("critpoints", help="roots of D^alpha f on (a, b]")
     _add_common(sp)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
+    sp.add_argument("--a", type=_finite, required=True)
+    sp.add_argument("--b", type=_finite, required=True)
     sp.add_argument("--scan-n", type=int, default=96, dest="scan_n")
     sp.add_argument("--allow-nonzero-base", action="store_true", dest="allow_nonzero_base")
     sp.set_defaults(handler=_cmd_critpoints)
 
     sp = sub.add_parser("ralpha", help="largest critical point near x0 as alpha varies")
     _add_common(sp)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--x0", type=float, required=True, help="claimed stationary point")
-    sp.add_argument("--eps", type=float, default=0.5)
+    sp.add_argument("--a", type=_finite, required=True)
+    sp.add_argument("--b", type=_finite, required=True)
+    sp.add_argument("--x0", type=_finite, required=True, help="claimed stationary point")
+    sp.add_argument("--eps", type=_finite, default=0.5)
     sp.add_argument("--scan-n", type=int, default=96, dest="scan_n")
     sp.set_defaults(handler=_cmd_ralpha)
 
     sp = sub.add_parser("dilation", help="memory-kernel velocity table (preset: sin on [0, pi])")
     _add_common(sp, f_default="sin(t)", alpha_default="0.5")
-    sp.add_argument("--a", type=float, default=0.0)
-    sp.add_argument("--b", type=float, default=math.pi)
+    sp.add_argument("--a", type=_finite, default=0.0)
+    sp.add_argument("--b", type=_finite, default=math.pi)
     sp.add_argument("--scan-n", type=int, default=25, dest="scan_n")
     sp.set_defaults(handler=_cmd_dilation)
 
     sp = sub.add_parser("convexity", help="convexity vs sliding-window order")
     _add_common(sp)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--a", type=_finite, required=True)
+    sp.add_argument("--b", type=_finite, required=True)
+    sp.add_argument("--delta", type=_finite, required=True)
     sp.add_argument("--pairs", type=int, default=32)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the window-pair sample")
     sp.add_argument("--scan-n", type=int, default=96, dest="scan_n")
     sp.set_defaults(handler=_cmd_convexity)
 
     sp = sub.add_parser("mono", help="tau-step monotonicity certificate on [0, b]")
     _add_common(sp)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--tau", type=float, required=True)
+    sp.add_argument("--b", type=_finite, required=True)
+    sp.add_argument("--tau", type=_finite, required=True)
     sp.set_defaults(handler=_cmd_mono)
 
     sp = sub.add_parser("periodic", help="periodicity defect of D^alpha f")
     _add_common(sp)
-    sp.add_argument("--a", type=float, default=0.0, help="start of the sampled t range")
-    sp.add_argument("--b", type=float, required=True, help="end of the sampled t range")
-    sp.add_argument("--tau", type=float, required=True, help="claimed period")
+    sp.add_argument("--a", type=_finite, default=0.0, help="start of the sampled t range")
+    sp.add_argument("--b", type=_finite, required=True, help="end of the sampled t range")
+    sp.add_argument("--tau", type=_finite, required=True, help="claimed period")
     sp.add_argument("--scan-n", type=int, default=17, dest="scan_n")
     sp.set_defaults(handler=_cmd_periodic)
 
     sp = sub.add_parser("selftest", help="closed-form and identity suite")
     sp.add_argument("--grid-n", type=int, default=2048, dest="grid_n")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_finite, default=None)
     sp.set_defaults(handler=_cmd_selftest)
 
     return top

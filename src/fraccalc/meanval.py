@@ -93,6 +93,7 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float, flo: float, tol:
     stopped at width tol does, mostly by secant and inverse quadratic steps."""
     a, fa, b, fb = lo, flo, hi, fn(hi)
     c, fc, d, e = a, fa, b - a, b - a
+    half = [math.inf, math.inf]  # |c - b| / 2 two steps and one step back
     for _ in range(200):
         if (fb > 0.0) == (fc > 0.0):  # keep the root between b and c
             c, fc, d, e = a, fa, b - a, b - a
@@ -102,7 +103,9 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float, flo: float, tol:
         m = 0.5 * (c - b)
         if abs(m) <= tol1 or fb == 0.0:
             break
-        interpolate = abs(e) >= tol1 and abs(fa) > abs(fb)
+        # bisect if the bracket has not halved in two steps (flat crossings)
+        interpolate = abs(e) >= tol1 and abs(fa) > abs(fb) and abs(m) <= 0.5 * half[0]
+        half = [half[1], abs(m)]
         if interpolate:
             s = fb / fa
             if a == c:
@@ -173,13 +176,20 @@ def mean_value(
     brackets nothing and the level is not degenerate; absence is reported,
     never fabricated.
     """
+    iv = rl_integral(f, p, 1.0 - p.alpha, x, backend=backend)  # checks x > a
+    return _mean_value(f, p, x, iv.value, scan_n, bisect_rel, degenerate_rel)
+
+
+def _mean_value(
+    f: FuncLike, p: FractionalParams, x: float, iv: float, scan_n: int,
+    bisect_rel: float = 1e-12, degenerate_rel: float = 1e-12,
+) -> MeanValueResult:
+    """:func:`mean_value` given iv = I^(1-alpha) f(x) over (p.a, x], for a
+    caller that already holds that integral."""
     if scan_n < 16:
         raise ValueError("scan_n must be >= 16")
-    if not x > p.a:
-        raise ValueError(f"need x > a, got x={x!r}, a={p.a!r}")
     sample = _sampler(f)
-    iv = rl_integral(f, p, 1.0 - p.alpha, x, backend=backend)
-    g = gamma(2.0 - p.alpha) * iv.value * (x - p.a) ** (p.alpha - 1.0)
+    g = gamma(2.0 - p.alpha) * iv * (x - p.a) ** (p.alpha - 1.0)
 
     fn_scalar = lambda s: float(sample(np.asarray([s]))[0]) - g  # noqa: E731
 

@@ -14,6 +14,12 @@ so the sliding-window order agrees with the order of f' at the matched
 mean values.  All verdicts here are sampled evidence over explicit window
 pairs, never proofs, and failed checks carry quantified witnesses.
 
+Each distinct window is evaluated once.  Its integral I^(1-alpha) f' over
+[x0, x0 + delta] is both the windowed derivative of f and the level that
+locates the mean value of f' on the window, so the mean value reuses it;
+the delta-increasing, property-(P), f'(xi)-monotone and bridge verdicts
+are all read off that one table.
+
 Window convention: the operator is restarted at the window start with
 the function's own values on the window (Caputo form I^(1-alpha) f' over
 [x0, x0 + delta]).  Pass ``rebase=True`` to make each window see the
@@ -25,7 +31,7 @@ value, and it is reported for reference, not used by the equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,13 +42,13 @@ from .fracops import (
     PRODUCT_TRAPEZOID,
     FractionalParams,
     FuncLike,
-    WindowSpec,
     gamma,
     integral_on_grid,
-    windowed_derivative,
+    rl_integral,
+    _prime_sampler,
     _sampler,
 )
-from .meanval import mean_value
+from .meanval import _mean_value
 
 __all__ = [
     "WindowPairSample",
@@ -139,6 +145,71 @@ def sample_window_pairs(
     return tuple(pairs)
 
 
+def _window_table(
+    phi: Callable[[np.ndarray], np.ndarray], alpha: float, delta: float, pair_samples: Sequence[WindowPairSample],
+    grid_n: int, rebase: bool, backend: str, scan_n: Optional[int] = None,
+) -> Dict[float, tuple]:
+    """Each distinct window start x0, in pair order, mapped to I^(1-alpha) phi
+    over [x0, x0 + delta] and, given ``scan_n``, the offset xi - x0 of phi's
+    mean value on the window: None when degenerate, the
+    MeanValueNotFoundError when no crossing brackets.  The mean value reuses
+    the window integral, so each window is integrated once."""
+    table: Dict[float, tuple] = {}
+    for x0 in (x for pair in pair_samples for x in (pair.x0, pair.y0)):
+        if x0 in table:
+            continue
+        g = (lambda ts, s=x0: phi(np.asarray(ts, dtype=float) - s)) if rebase else phi
+        p = FractionalParams(alpha, x0, grid_n)
+        value = rl_integral(g, p, 1.0 - alpha, x0 + delta, backend=backend).value
+        offset = None
+        if scan_n is not None:
+            try:
+                mv = _mean_value(g, p, x0 + delta, value, scan_n)
+                offset = None if mv.degenerate else mv.xi_sup - x0
+            except MeanValueNotFoundError as exc:
+                offset = exc
+        table[x0] = (value, offset)
+    return table
+
+
+def _order_verdict(name: str, gaps: Sequence[Tuple[WindowPairSample, float, float]]) -> ShapeVerdict:
+    """Nondecreasing across the pairs unless some (pair, gap, allowance) has a
+    gap (left value minus right value) above its allowance."""
+    violations = tuple(Violation((p.x0, p.y0), gap) for p, gap, allowance in gaps if gap > allowance)
+    return ShapeVerdict(name, not violations, max([0.0] + [v.margin for v in violations]), violations)
+
+
+def _delta_increasing_verdict(table, pair_samples, tol: float = 1e-8) -> ShapeVerdict:
+    gaps = []
+    for pair in pair_samples:
+        wx, wy = table[pair.x0][0], table[pair.y0][0]
+        gaps.append((pair, wx - wy, tol * (1.0 + max(abs(wx), abs(wy)))))
+    return _order_verdict("delta_increasing", gaps)
+
+
+def _property_P_verdict(table, pair_samples, tol: float) -> ShapeVerdict:
+    violations: List[Violation] = []
+    inconclusive = 0
+    worst = 0.0
+    for pair in pair_samples:
+        ox, oy = table[pair.x0][1], table[pair.y0][1]
+        if isinstance(ox, Exception) or isinstance(oy, Exception):
+            inconclusive += 1
+        elif ox is not None and oy is not None:  # a degenerate level fits any offset
+            diff = abs(ox - oy)
+            worst = max(worst, diff)
+            if diff > tol:
+                violations.append(Violation((pair.x0, pair.y0), diff))
+    if violations:
+        return ShapeVerdict("property_P", False, worst, tuple(violations))
+    if inconclusive:
+        return ShapeVerdict(
+            "property_P", None, worst,
+            note=f"{inconclusive} pair(s) inconclusive: no mean value bracketed",
+        )
+    return ShapeVerdict("property_P", True, worst)
+
+
 def delta_increasing_check(
     f: FuncLike,
     alpha: float,
@@ -152,54 +223,8 @@ def delta_increasing_check(
     backend: str = PRODUCT_TRAPEZOID,
 ) -> ShapeVerdict:
     """Is the windowed derivative nondecreasing across the sampled pairs?"""
-    violations: List[Violation] = []
-    worst = 0.0
-    cache: Dict[float, float] = {}
-
-    def wd(x0: float) -> float:
-        if x0 not in cache:
-            cache[x0] = windowed_derivative(
-                f, WindowSpec(x0, delta), alpha, grid_n,
-                fprime=fprime, rebase=rebase, backend=backend,
-            ).value
-        return cache[x0]
-
-    for pair in pair_samples:
-        wx, wy = wd(pair.x0), wd(pair.y0)
-        scale = 1.0 + max(abs(wx), abs(wy))
-        gap = wx - wy  # positive gap means the order is violated
-        if gap > tol * scale:
-            violations.append(Violation((pair.x0, pair.y0), gap))
-            worst = max(worst, gap)
-    return ShapeVerdict(
-        "delta_increasing",
-        holds=not violations,
-        defect=worst if violations else 0.0,
-        witnesses=tuple(violations),
-    )
-
-
-def _window_offset(
-    f: FuncLike,
-    alpha: float,
-    x0: float,
-    delta: float,
-    grid_n: int,
-    scan_n: int,
-    rebase: bool,
-    backend: str,
-) -> Optional[float]:
-    """Offset xi - x0 of the window mean value; None when degenerate."""
-    if rebase:
-        sample = _sampler(f)
-        g = lambda ts: sample(np.asarray(ts, dtype=float) - x0)  # noqa: E731
-    else:
-        g = f
-    p = FractionalParams(alpha, x0, grid_n)
-    mv = mean_value(g, p, x0 + delta, scan_n, backend=backend)
-    if mv.degenerate:
-        return None
-    return mv.xi_sup - x0
+    table = _window_table(_prime_sampler(f, fprime), alpha, delta, pair_samples, grid_n, rebase, backend)
+    return _delta_increasing_verdict(table, pair_samples, tol)
 
 
 def property_P_check(
@@ -223,38 +248,8 @@ def property_P_check(
     nothing and counts as satisfied; a window where no crossing brackets
     makes the pair inconclusive and the verdict None.
     """
-    if tol is None:
-        tol = 1e-6 * delta
-    violations: List[Violation] = []
-    inconclusive = 0
-    worst = 0.0
-    cache: Dict[float, Optional[float]] = {}
-
-    def offset(x0: float):
-        if x0 not in cache:
-            cache[x0] = _window_offset(f, alpha, x0, delta, grid_n, scan_n, rebase, backend)
-        return cache[x0]
-
-    for pair in pair_samples:
-        try:
-            ox, oy = offset(pair.x0), offset(pair.y0)
-        except MeanValueNotFoundError:
-            inconclusive += 1
-            continue
-        if ox is None or oy is None:
-            continue  # degenerate level: any offset works
-        diff = abs(ox - oy)
-        worst = max(worst, diff)
-        if diff > tol:
-            violations.append(Violation((pair.x0, pair.y0), diff))
-    if violations:
-        return ShapeVerdict("property_P", False, worst, tuple(violations))
-    if inconclusive:
-        return ShapeVerdict(
-            "property_P", None, worst,
-            note=f"{inconclusive} pair(s) inconclusive: no mean value bracketed",
-        )
-    return ShapeVerdict("property_P", True, worst)
+    table = _window_table(_sampler(f), alpha, delta, pair_samples, grid_n, rebase, backend, scan_n)
+    return _property_P_verdict(table, pair_samples, 1e-6 * delta if tol is None else tol)
 
 
 def convexity_equivalence(
@@ -277,11 +272,9 @@ def convexity_equivalence(
     property-(P) gate; otherwise it is returned as None (inconclusive).
     """
     fp_vals = lambda ts: derivative_values(f, np.asarray(ts, dtype=float), 1)  # noqa: E731
-
-    gate = property_P_check(
-        fp_vals, alpha, delta, pair_samples,
-        grid_n=grid_n, scan_n=scan_n, backend=backend,
-    )
+    # windowed derivative of f and mean value of f' on every window, once
+    table = _window_table(fp_vals, alpha, delta, pair_samples, grid_n, False, backend, scan_n)
+    gate = _property_P_verdict(table, pair_samples, 1e-6 * delta)
 
     lo = min(p.x0 for p in pair_samples)
     hi = max(p.y0 + p.delta for p in pair_samples)
@@ -299,14 +292,13 @@ def convexity_equivalence(
             break
 
     k = 1.0 / gamma(2.0 - alpha) * delta ** (1.0 - alpha)
-    violations: List[Violation] = []
+    gaps = []
     bridge_max = 0.0
-    worst = 0.0
     for pair in pair_samples:
-        wx = windowed_derivative(f, WindowSpec(pair.x0, delta), alpha, grid_n, backend=backend).value
-        wy = windowed_derivative(f, WindowSpec(pair.y0, delta), alpha, grid_n, backend=backend).value
-        ox = _window_offset(fp_vals, alpha, pair.x0, delta, grid_n, scan_n, False, backend)
-        oy = _window_offset(fp_vals, alpha, pair.y0, delta, grid_n, scan_n, False, backend)
+        (wx, ox), (wy, oy) = table[pair.x0], table[pair.y0]
+        for offset in (ox, oy):
+            if isinstance(offset, Exception):
+                raise offset
         if ox is None or oy is None:
             # constant f' on the window: both sides of the bridge are equal
             bridge_max = max(bridge_max, abs(wx - wy))
@@ -314,26 +306,22 @@ def convexity_equivalence(
         fpx = float(fp_vals([pair.x0 + ox])[0])
         fpy = float(fp_vals([pair.y0 + oy])[0])
         bridge_max = max(bridge_max, abs((wx - wy) - k * (fpx - fpy)))
-        gap = fpx - fpy
-        if gap > tol * (1.0 + abs(fpx) + abs(fpy)):
-            violations.append(Violation((pair.x0, pair.y0), gap))
-            worst = max(worst, gap)
-    fxi = ShapeVerdict(
-        "fprime_xi_monotone",
-        holds=not violations,
-        defect=worst if violations else 0.0,
-        witnesses=tuple(violations),
-    )
-
-    dinc = delta_increasing_check(
-        f, alpha, delta, pair_samples, grid_n, backend=backend,
-    )
+        gaps.append((pair, fpx - fpy, tol * (1.0 + abs(fpx) + abs(fpy))))
+    fxi = _order_verdict("fprime_xi_monotone", gaps)
+    dinc = _delta_increasing_verdict(table, pair_samples)
 
     if gate.holds:
         equivalence = (convex == dinc.holds) and (convex == fxi.holds)
     else:
         equivalence = None
     return ConvexityReport(convex, dinc, fxi, gate, bridge_max, equivalence)
+
+
+def _derivative_on_grid(f: Expression, alpha: float, end: float, npts: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes of np.linspace(0, end, npts + 1) and D^alpha f = I^(1-alpha) f'
+    at every one of them: one f' sample and one convolution sweep."""
+    grid = np.linspace(0.0, end, npts + 1)
+    return grid, integral_on_grid(derivative_values(f, grid, 1), end / npts, 1.0 - alpha)
 
 
 def monotonicity_certificate(
@@ -385,10 +373,7 @@ def monotonicity_certificate(
         )
 
     # hypothesis: the tau-difference of D^alpha f is nonnegative on the grid
-    fp_all = derivative_values(f, np.linspace(0.0, b, 2 * m + 1), 1)
-    hb = b / (2 * m)
-    d_all = integral_on_grid(fp_all, hb, 1.0 - alpha)  # D^alpha f on [0, b]
-    grid_b = hb * np.arange(2 * m + 1)
+    grid_b, d_all = _derivative_on_grid(f, alpha, b, 2 * m)
     d_at = lambda pts: np.interp(pts, grid_b, d_all)  # noqa: E731
     delta_d = d_at(xs + tau) - d_at(xs)
     bad = np.nonzero(delta_d < -hypothesis_tol * (1.0 + np.max(np.abs(d_all))))[0]
@@ -457,10 +442,8 @@ def comparison_check(
             f"comparison needs f(0) = g(0) = 0, got f(0)={f0!r}, g(0)={g0!r}"
         )
     npts = 2 * int(grid_n)
-    hb = b / npts
-    grid_b = hb * np.arange(npts + 1)
-    df = integral_on_grid(derivative_values(f, grid_b, 1), hb, 1.0 - alpha)
-    dg = integral_on_grid(derivative_values(g, grid_b, 1), hb, 1.0 - alpha)
+    grid_b, df = _derivative_on_grid(f, alpha, b, npts)
+    dg = _derivative_on_grid(g, alpha, b, npts)[1]
     xs_idx = np.linspace(1, npts, points).round().astype(int)
     xs = grid_b[xs_idx]
     hyp_margin = dg[xs_idx] - df[xs_idx]
@@ -507,6 +490,8 @@ def periodicity_defect(
     periodicity of the derivative is not expected at finite times even
     though the defect fades as t grows.
     """
+    if not tau > 0.0:
+        raise ValueError(f"period tau must be > 0, got tau={tau!r}")
     ts = np.asarray([float(t) for t in t_grid])
     if np.any(ts <= 0.0):
         raise ValueError("t_grid must be positive (operators are based at 0)")
@@ -517,11 +502,7 @@ def periodicity_defect(
     if np.max(np.abs(fv_shift - fv)) > periodicity_tol * fscale:
         raise HypothesisError(f"input is not periodic with period {tau!r} on the sampled range")
 
-    end = float(ts[-1]) + tau
-    npts = 2 * int(grid_n)
-    hb = end / npts
-    grid_b = hb * np.arange(npts + 1)
-    d_all = integral_on_grid(derivative_values(f, grid_b, 1), hb, 1.0 - alpha)
+    grid_b, d_all = _derivative_on_grid(f, alpha, float(ts[-1]) + tau, 2 * int(grid_n))
     d_at = lambda pts: np.interp(pts, grid_b, d_all)  # noqa: E731
     defects = np.abs(d_at(ts + tau) - d_at(ts))
     info = {f"defect@{t:.6g}": float(v) for t, v in zip(ts, defects)}

@@ -245,3 +245,39 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_dead_flags_are_rejected():
+    # --tol belongs to selftest and --seed to convexity; elsewhere they did nothing
+    for extra in (["--tol", "1e-3"], ["--seed", "3"]):
+        code, out, err = capture(["fracint", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1"] + extra)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "unrecognized arguments" in err
+    code, out, _ = capture(["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4",
+                            "--delta", "0.5", "--seed", "7", "--grid-n", "64", "--pairs", "4",
+                            "--output", "csv"])
+    assert code == 0
+    config = [ln for ln in out.splitlines() if ln.startswith("# config")][0]
+    assert "seed=7" in config and "tol=" not in config
+
+
+@pytest.mark.parametrize("argv", [
+    ["fracint", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "inf"],
+    ["fracderiv", "--f", "t", "--alpha", "0.5", "--a", "nan", "--x", "1"],
+    ["critpoints", "--f", "t", "--alpha", "0.5", "--a", "0", "--b", "inf"],
+    ["mono", "--f", "t", "--alpha", "0.5", "--tau", "0.1", "--b", "inf"],
+    ["ralpha", "--f", "t", "--alpha", "0.5", "--a", "0", "--b", "2", "--x0", "1", "--eps=-inf"],
+    ["polyxi", "--f", "t", "--alpha", "0.5", "--a", "0", "--delta", "nan", "--n", "1"],
+    ["periodic", "--f", "sin(t)", "--alpha", "0.5", "--b", "12", "--tau", "inf"],
+    ["periodic", "--f", "sin(t)", "--alpha", "0.5", "--b", "12", "--tau", "0"],
+    ["fracint", "--f", "t", "--alpha", "0.1:inf:3", "--a", "0", "--x", "1"],
+])
+def test_nonfinite_numbers_and_nonpositive_period_are_usage_errors(argv):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = capture(argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert ("must be finite" in err) or ("period tau must be > 0" in err)

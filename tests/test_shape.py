@@ -300,3 +300,56 @@ def test_sine_defect_measured_and_decaying():
 def test_wrong_period_rejected():
     with pytest.raises(HypothesisError):
         periodicity_defect(parse("sin(t)"), 0.5, math.pi, [7.0, 8.0], grid_n=256)
+
+
+# --- one window table behind the sliding-window verdicts ---------------------------
+
+
+def test_convexity_integrates_each_window_once(monkeypatch):
+    import fraccalc.fracops as fracops
+
+    calls = []
+    oracle = fracops._kernel_quad_oracle
+
+    def counted(*args):
+        calls.append(args[1:4])
+        return oracle(*args)
+
+    monkeypatch.setattr(fracops, "_kernel_quad_oracle", counted)
+    pairs = sample_window_pairs(0.0, 4.0, 0.45, n_pairs=8, seed=0)
+    convexity_equivalence(parse("exp(0.6*t)"), 0.75, 0.45, pairs, grid_n=2048)
+    # 8 pairs have 16 distinct windows; each window's integral is both the
+    # windowed derivative of f and the mean-value level of f'
+    assert len(calls) == 16
+    assert len(set(calls)) == 16
+
+
+@pytest.mark.parametrize("src", ["t^2", "-t^2", "exp(t)-1-t"])
+def test_convexity_verdicts_match_standalone_checks(pairs8, src):
+    from fraccalc import ADAPTIVE_ORACLE, derivative_values
+
+    f = parse(src)
+    fprime = lambda ts: derivative_values(f, np.asarray(ts, dtype=float), 1)  # noqa: E731
+    rc = convexity_equivalence(f, 0.5, 0.5, pairs8, grid_n=512)
+    assert rc.delta_incr == delta_increasing_check(f, 0.5, 0.5, pairs8, 512, backend=ADAPTIVE_ORACLE)
+    assert rc.property_P_fprime == property_P_check(fprime, 0.5, 0.5, pairs8, grid_n=512, backend=ADAPTIVE_ORACLE)
+
+
+def test_unbracketed_window_raises_in_convexity_inconclusive_in_gate(pairs8):
+    # f' is a narrow doublet at t = 2.6 that falls between the 17 scan points
+    # of the windows around it, so their mean value of f' is never bracketed
+    from fraccalc import MeanValueNotFoundError, derivative_values
+
+    f = parse("exp(-((t-2.6)/0.01)^2)")
+    with pytest.raises(MeanValueNotFoundError, match=f"on \\({pairs8[0].x0!r}, "):
+        convexity_equivalence(f, 0.5, 0.5, pairs8, grid_n=512, scan_n=16, backend="product_trapezoid")
+    fprime = lambda ts: derivative_values(f, np.asarray(ts, dtype=float), 1)  # noqa: E731
+    verdict = property_P_check(fprime, 0.5, 0.5, pairs8, grid_n=512, scan_n=16)
+    assert verdict.holds is None
+    assert verdict.note == "2 pair(s) inconclusive: no mean value bracketed"
+
+
+def test_periodicity_rejects_nonpositive_period():
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError, match="period tau must be > 0"):
+            periodicity_defect(parse("sin(t)"), 0.5, tau, [1.0, 2.0], grid_n=64)
