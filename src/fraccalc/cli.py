@@ -425,7 +425,7 @@ def _add_common(sp, *, f_default=None, alpha_default=None):
         sp.add_argument("--alpha", required=True, help="order in (0,1) or sweep start:stop:count")
     else:
         sp.add_argument("--alpha", default=alpha_default, help="order in (0,1) or sweep start:stop:count")
-    sp.add_argument("--grid-n", type=int, default=2048, dest="grid_n")
+    sp.add_argument("--grid-n", type=_count(2), default=2048, dest="grid_n")
     sp.add_argument("--output", choices=("table", "csv"), default="table")
 
 
@@ -438,6 +438,21 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
+
+
+def _count(minimum: int):
+    """argparse type of an integer-count flag: an int >= minimum."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return count
 
 
 @functools.lru_cache(maxsize=None)
@@ -463,21 +478,21 @@ def _build_parser() -> _Parser:
     _add_common(sp)
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--x", type=_finite, required=True)
-    sp.add_argument("--scan-n", type=int, default=128, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1), default=128, dest="scan_n")
     sp.set_defaults(handler=_cmd_meanvalue)
 
     sp = sub.add_parser("polyxi", help="polynomial estimate of the mean value")
     _add_common(sp)
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--delta", type=_finite, required=True)
-    sp.add_argument("--n", type=int, required=True, help="Taylor truncation order")
+    sp.add_argument("--n", type=_count(1), required=True, help="Taylor truncation order")
     sp.set_defaults(handler=_cmd_polyxi)
 
     sp = sub.add_parser("critpoints", help="roots of D^alpha f on (a, b]")
     _add_common(sp)
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--b", type=_finite, required=True)
-    sp.add_argument("--scan-n", type=int, default=96, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1), default=96, dest="scan_n")
     sp.add_argument("--allow-nonzero-base", action="store_true", dest="allow_nonzero_base")
     sp.set_defaults(handler=_cmd_critpoints)
 
@@ -487,14 +502,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--b", type=_finite, required=True)
     sp.add_argument("--x0", type=_finite, required=True, help="claimed stationary point")
     sp.add_argument("--eps", type=_finite, default=0.5)
-    sp.add_argument("--scan-n", type=int, default=96, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1), default=96, dest="scan_n")
     sp.set_defaults(handler=_cmd_ralpha)
 
     sp = sub.add_parser("dilation", help="memory-kernel velocity table (preset: sin on [0, pi])")
     _add_common(sp, f_default="sin(t)", alpha_default="0.5")
     sp.add_argument("--a", type=_finite, default=0.0)
     sp.add_argument("--b", type=_finite, default=math.pi)
-    sp.add_argument("--scan-n", type=int, default=25, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1), default=25, dest="scan_n")
     sp.set_defaults(handler=_cmd_dilation)
 
     sp = sub.add_parser("convexity", help="convexity vs sliding-window order")
@@ -502,9 +517,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--b", type=_finite, required=True)
     sp.add_argument("--delta", type=_finite, required=True)
-    sp.add_argument("--pairs", type=int, default=32)
+    sp.add_argument("--pairs", type=_count(1), default=32)
     sp.add_argument("--seed", type=int, default=0, help="seed of the window-pair sample")
-    sp.add_argument("--scan-n", type=int, default=96, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1), default=96, dest="scan_n")
     sp.set_defaults(handler=_cmd_convexity)
 
     sp = sub.add_parser("mono", help="tau-step monotonicity certificate on [0, b]")
@@ -518,11 +533,11 @@ def _build_parser() -> _Parser:
     sp.add_argument("--a", type=_finite, default=0.0, help="start of the sampled t range")
     sp.add_argument("--b", type=_finite, required=True, help="end of the sampled t range")
     sp.add_argument("--tau", type=_finite, required=True, help="claimed period")
-    sp.add_argument("--scan-n", type=int, default=17, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1), default=17, dest="scan_n")
     sp.set_defaults(handler=_cmd_periodic)
 
     sp = sub.add_parser("selftest", help="closed-form and identity suite")
-    sp.add_argument("--grid-n", type=int, default=2048, dest="grid_n")
+    sp.add_argument("--grid-n", type=_count(2), default=2048, dest="grid_n")
     sp.add_argument("--tol", type=_finite, default=None)
     sp.set_defaults(handler=_cmd_selftest)
 

@@ -14,10 +14,10 @@ Two quadrature backends compute the weakly singular convolution
     difference.
 
 ``adaptive_oracle``
-    Adaptive Gauss-Kronrod quadrature (QUADPACK).  The singular panel
-    next to x is tamed with the substitution u = (x - t)^mu, which turns
-    the integrand into a bounded one.  Used as an independent
-    cross-check for everything the grid backend produces.
+    Adaptive QUADPACK quadrature with the kernel as an algebraic
+    end-point weight (QAWS, modified Clenshaw-Curtis rules): f alone is
+    integrated against (x - t)^(mu - 1), with no substitution.  Used as
+    an independent cross-check for everything the grid backend produces.
 
 Derivatives come in three flavours:
 
@@ -187,7 +187,9 @@ def base_value(f: FuncLike, a: float, *, allow_nonzero: bool = False, tol: float
 # Product-trapezoid (L1-type) rule
 
 _WEIGHT_CACHE: dict = {}
-_WEIGHT_CACHE_MAX = 512
+#: total bytes of weight arrays the cache may hold; a larger array is never cached
+_WEIGHT_CACHE_MAX_BYTES = 64 << 20
+_weight_cache_bytes = 0
 
 
 def _l1_weights(n: int, mu: float) -> np.ndarray:
@@ -206,9 +208,13 @@ def _l1_weights(n: int, mu: float) -> np.ndarray:
         # difference of m^(mu+1) at distance m = n - j
         c[1:n] = (mp[2 : n + 1] - 2.0 * mp[1:n] + mp[0 : n - 1])[::-1]
     c[0] = mp[n - 1] - mp[n] + p * m[n] ** mu
-    if len(_WEIGHT_CACHE) >= _WEIGHT_CACHE_MAX:
-        _WEIGHT_CACHE.clear()
-    _WEIGHT_CACHE[key] = c
+    global _weight_cache_bytes
+    if c.nbytes <= _WEIGHT_CACHE_MAX_BYTES:
+        if not _WEIGHT_CACHE or _weight_cache_bytes + c.nbytes > _WEIGHT_CACHE_MAX_BYTES:
+            _WEIGHT_CACHE.clear()
+            _weight_cache_bytes = 0
+        _WEIGHT_CACHE[key] = c
+        _weight_cache_bytes += c.nbytes
     return c
 
 
@@ -222,9 +228,12 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float, at: Optional[Sequ
 
     ``samples[j]`` are function values at a + j*h; entry i of the result
     is the product-trapezoid value of I^mu at a + i*h (entry 0 is 0).
-    The inner sum is a discrete convolution, so the whole sweep costs one
-    ``np.convolve`` instead of n separate quadratures.  Given node indices
-    ``at`` (>= 1), only those entries are returned, in O(len(at) * n) work.
+    The inner sum is a discrete convolution: direct for the first 64 nodes,
+    then for each block of nodes [lo, 2*lo) one real FFT of the data up to
+    index 2*lo.  The sweep costs O(n log n), and each node's round-off is
+    relative to the data up to twice its index, not to the whole array.
+    Given node indices ``at`` (>= 1), only those entries are returned, in
+    O(len(at) * n) work.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples) - 1
@@ -242,7 +251,13 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float, at: Optional[Sequ
     scale = h**mu / gamma(mu + 2.0)
     if at is not None:
         return scale * np.array([e[j - 1] * samples[0] + v[j - 1 :: -1] @ samples[1 : j + 1] for j in at])
-    conv = np.convolve(samples[1:], v)[:n]
+    blocks = [np.convolve(samples[1:65], v[:64])[:64]]
+    lo = 64
+    while lo < n:  # entries past n read truncated data and are cut off below
+        spec = np.fft.rfft(samples[1 : 2 * lo + 1], 4 * lo) * np.fft.rfft(v[: 2 * lo], 4 * lo)
+        blocks.append(np.fft.irfft(spec, 4 * lo)[lo : 2 * lo])
+        lo *= 2
+    conv = np.concatenate(blocks)[:n]
     out = np.empty(n + 1)
     out[0] = 0.0
     out[1:] = scale * (e * samples[0] + conv)
@@ -276,7 +291,7 @@ def _kernel_quad_grid(
 
 
 # ---------------------------------------------------------------------------
-# Adaptive oracle (QUADPACK with a singularity-flattening substitution)
+# Adaptive oracle (QUADPACK's QAWS rule: the kernel is an algebraic weight)
 
 
 def _kernel_quad_oracle(
@@ -291,25 +306,13 @@ def _kernel_quad_oracle(
         return float(sample(np.asarray([t]))[0])
 
     g = gamma(mu)
-    mid = 0.5 * (a + x)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _scipy_integrate.IntegrationWarning)
-        if mu != 1.0:
-            # smooth panel [a, mid]
-            v1, e1 = _scipy_integrate.quad(
-                lambda t: f_scalar(t) * (x - t) ** (mu - 1.0),
-                a, mid, epsabs=tol, epsrel=tol, limit=200,
-            )
-            # singular panel [mid, x]: u = (x - t)^mu flattens the kernel
-            v2, e2 = _scipy_integrate.quad(
-                lambda u: f_scalar(x - u ** (1.0 / mu)) / mu,
-                0.0, (x - mid) ** mu, epsabs=tol, epsrel=tol, limit=200,
-            )
-        else:
-            v1, e1 = _scipy_integrate.quad(f_scalar, a, mid, epsabs=tol, epsrel=tol, limit=200)
-            v2, e2 = _scipy_integrate.quad(f_scalar, mid, x, epsabs=tol, epsrel=tol, limit=200)
-    total = (v1 + v2) / g
-    err = (e1 + e2) / abs(g) + 1e-16 * abs(total)
+        v, e = _scipy_integrate.quad(
+            f_scalar, a, x, weight="alg", wvar=(0.0, mu - 1.0), epsabs=tol, epsrel=tol, limit=200
+        )
+    total = v / g
+    err = e / abs(g) + 1e-16 * abs(total)
     return total, err
 
 

@@ -281,3 +281,42 @@ def test_nonfinite_numbers_and_nonpositive_period_are_usage_errors(argv):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert ("must be finite" in err) or ("period tau must be > 0" in err)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["periodic", "--f", "sin(t)", "--alpha", "0.5", "--b", "12", "--tau", "6.283185307179586",
+      "--scan-n", "0"], "--scan-n"),
+    (["periodic", "--f", "sin(t)", "--alpha", "0.5", "--b", "12", "--tau", "6.283185307179586",
+      "--grid-n", "0"], "--grid-n"),
+    (["mono", "--f", "t^2", "--alpha", "0.5", "--b", "2", "--tau", "0.5", "--grid-n", "0"], "--grid-n"),
+    (["mono", "--f", "t^2", "--alpha", "0.5", "--b", "2", "--tau", "0.5", "--grid-n", "-5"], "--grid-n"),
+    (["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4", "--delta", "0.5",
+      "--pairs", "0"], "--pairs"),
+    (["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4", "--delta", "0.5",
+      "--pairs", "-2"], "--pairs"),
+    (["dilation", "--scan-n", "0"], "--scan-n"),
+    (["polyxi", "--f", "t", "--alpha", "0.5", "--a", "0", "--delta", "0.5", "--n", "0"], "--n"),
+    (["fracint", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1", "--grid-n", "1"], "--grid-n"),
+    (["selftest", "--grid-n", "1.5"], "--grid-n"),
+])
+def test_bad_counts_are_usage_errors(argv, flag):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = capture(argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+def test_mono_on_a_large_grid_is_fast():
+    import time
+
+    start = time.perf_counter()
+    code, out, _ = capture(["mono", "--f", "t^2+0.5*t", "--alpha", "0.4", "--b", "3", "--tau", "0.4",
+                            "--grid-n", "131072", "--output", "csv"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert csv_rows(out)[1][0] == ["holds", "true"]
+    assert elapsed < 2.0

@@ -123,6 +123,34 @@ def test_oracle_est_error_within_requested_tolerance():
     assert out.backend == ADAPTIVE_ORACLE
 
 
+def test_oracle_samples_the_weighted_integrand_few_times():
+    from fraccalc.fracops import _kernel_quad_oracle
+
+    calls = []
+
+    def sample(ts):
+        calls.append(len(ts))
+        return 1.2 * ts + 1.5
+
+    value, _ = _kernel_quad_oracle(sample, 0.3, 0.75, 0.75, 1e-10)
+    # I^0.75 of a linear function, closed form from the base point 0.3
+    exact = (1.5 + 1.2 * 0.3) * 0.45**0.75 / math.gamma(1.75) + 1.2 * 0.45**1.75 / math.gamma(2.75)
+    assert value == pytest.approx(exact, rel=1e-13)
+    assert len(calls) <= 60
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 1.5, 2.5, 3.0])
+def test_oracle_power_law_corpus(beta):
+    f = parse(f"t^{beta}")
+    for al in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for x in (0.5, 1.0, 2.0):
+            out = rl_integral(f, FractionalParams(al, 0.0), al, x, backend=ADAPTIVE_ORACLE)
+            exact = power_integral(beta, al, x)
+            err = abs(out.value - exact)
+            assert err <= 1e-11 * exact
+            assert out.est_error >= err
+
+
 def test_integral_linearity():
     rng = np.random.RandomState(3)
     p = FractionalParams(0.4, 0.0, 512)
@@ -343,6 +371,57 @@ def test_integral_on_grid_at_selected_nodes_matches_full_sweep():
     sweep = integral_on_grid(fv, h, 0.35)
     picked = integral_on_grid(fv, h, 0.35, at=nodes)
     np.testing.assert_allclose(picked, sweep[nodes], rtol=1e-13)
+
+
+def _sweep_by_direct_convolution(samples, h, mu):
+    # the product-trapezoid sweep with its inner sum as one np.convolve
+    n = len(samples) - 1
+    m = np.arange(n + 1, dtype=float)
+    mp = m ** (mu + 1.0)
+    v = np.empty(n)
+    v[0] = 1.0
+    v[1:] = mp[2:] - 2.0 * mp[1:n] + mp[: n - 1]
+    e = mp[:n] - mp[1:] + (mu + 1.0) * m[1:] ** mu
+    out = np.zeros(n + 1)
+    out[1:] = h**mu / gamma(mu + 2.0) * (e * samples[0] + np.convolve(samples[1:], v)[:n])
+    return out
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("fn, end", [
+    (lambda t: np.exp(10.0 * t), 3.0),
+    (lambda t: t**20, 2.0),
+    (lambda t: t**6, 1.0),
+    (lambda t: np.cos(1.3 * t) + 2.0, 2.0),
+], ids=["exp10t", "t20", "t6", "cos"])
+def test_integral_on_grid_sweep_relative_error_at_every_node(fn, end, mu):
+    # round-off at each node must stay relative to the data near that node,
+    # even where the data grow by many orders of magnitude along the grid
+    for n in (1, 2, 3, 63, 64, 65, 1000, 4097, 16384):
+        h = end / n
+        fv = fn(h * np.arange(n + 1))
+        sweep = integral_on_grid(fv, h, mu)
+        ref = _sweep_by_direct_convolution(fv, h, mu)
+        assert sweep[0] == 0.0
+        np.testing.assert_allclose(sweep[1:], ref[1:], rtol=1e-8, atol=0.0)
+
+
+def test_weight_cache_is_bounded_by_bytes(monkeypatch):
+    from fraccalc import fracops
+
+    fracops._WEIGHT_CACHE.clear()
+    cap = fracops._WEIGHT_CACHE_MAX_BYTES
+    for k in range(20):
+        fracops._l1_weights(2**20, 0.05 + 0.045 * k)
+        assert sum(c.nbytes for c in fracops._WEIGHT_CACHE.values()) <= cap
+    small = fracops._l1_weights(256, 0.35)
+    for _ in range(3):
+        assert fracops._l1_weights(256, 0.35) is small
+    # an array larger than the whole cap is returned but never kept
+    monkeypatch.setattr(fracops, "_WEIGHT_CACHE_MAX_BYTES", 1024)
+    big = fracops._l1_weights(4096, 0.35)
+    assert big.nbytes > 1024 and (4096, 0.35) not in fracops._WEIGHT_CACHE
+    fracops._WEIGHT_CACHE.clear()
 
 
 # --- limit behaviour ----------------------------------------------------------
