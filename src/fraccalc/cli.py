@@ -43,6 +43,15 @@ from .shape import (
 
 ALPHA_CLIP = (0.01, 0.99)
 
+#: upper caps of the count flags, so that no single flag can ask for
+#: gigabytes; at its cap the heaviest command runs in a few seconds and
+#: under 350 MB (figures in README)
+MAX_GRID_N = 1 << 20
+MAX_SCAN_N = 1 << 14
+MAX_PAIRS = 1024
+MAX_TAYLOR_N = 64
+MAX_SWEEP = 1000
+
 
 class _UsageError(Exception):
     pass
@@ -120,8 +129,8 @@ def _alpha_list(text: str, *, sweep_ok: bool) -> List[float]:
             raise _UsageError(f"bad alpha sweep {text!r}") from None
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise _UsageError(f"alpha sweep ends must be finite, got {text!r}")
-        if count < 1:
-            raise _UsageError("alpha sweep count must be >= 1")
+        if not 1 <= count <= MAX_SWEEP:
+            raise _UsageError(f"--alpha sweep count must lie in [1, {MAX_SWEEP}], got {count}")
         lo, hi = ALPHA_CLIP
         grid = np.linspace(start, stop, count) if count > 1 else np.asarray([start])
         return [float(min(max(a, lo), hi)) for a in grid]
@@ -316,7 +325,7 @@ def _selftest_checks(grid_n: int):
     checks = []
 
     err = abs(gamma(0.5) - math.sqrt(math.pi)) / math.sqrt(math.pi)
-    checks.append(("gamma(1/2) reflection value", err, 1e-12, 1e-15))
+    checks.append(("gamma(1/2) value", err, 1e-12, 1e-15))
     err = abs(gamma(6.0) - 120.0) / 120.0
     checks.append(("gamma(6) factorial value", err, 1e-12, 1e-15))
 
@@ -425,7 +434,7 @@ def _add_common(sp, *, f_default=None, alpha_default=None):
         sp.add_argument("--alpha", required=True, help="order in (0,1) or sweep start:stop:count")
     else:
         sp.add_argument("--alpha", default=alpha_default, help="order in (0,1) or sweep start:stop:count")
-    sp.add_argument("--grid-n", type=_count(2), default=2048, dest="grid_n")
+    sp.add_argument("--grid-n", type=_count(2, MAX_GRID_N), default=2048, dest="grid_n")
     sp.add_argument("--output", choices=("table", "csv"), default="table")
 
 
@@ -440,16 +449,16 @@ def _finite(text: str) -> float:
     return value
 
 
-def _count(minimum: int):
-    """argparse type of an integer-count flag: an int >= minimum."""
+def _count(minimum: int, maximum: int):
+    """argparse type of an integer-count flag: an int in [minimum, maximum]."""
 
     def count(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        if not minimum <= value <= maximum:
+            raise argparse.ArgumentTypeError(f"must be an integer in [{minimum}, {maximum}], got {text!r}")
         return value
 
     return count
@@ -478,21 +487,21 @@ def _build_parser() -> _Parser:
     _add_common(sp)
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--x", type=_finite, required=True)
-    sp.add_argument("--scan-n", type=_count(1), default=128, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1, MAX_SCAN_N), default=128, dest="scan_n")
     sp.set_defaults(handler=_cmd_meanvalue)
 
     sp = sub.add_parser("polyxi", help="polynomial estimate of the mean value")
     _add_common(sp)
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--delta", type=_finite, required=True)
-    sp.add_argument("--n", type=_count(1), required=True, help="Taylor truncation order")
+    sp.add_argument("--n", type=_count(1, MAX_TAYLOR_N), required=True, help="Taylor truncation order")
     sp.set_defaults(handler=_cmd_polyxi)
 
     sp = sub.add_parser("critpoints", help="roots of D^alpha f on (a, b]")
     _add_common(sp)
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--b", type=_finite, required=True)
-    sp.add_argument("--scan-n", type=_count(1), default=96, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1, MAX_SCAN_N), default=96, dest="scan_n")
     sp.add_argument("--allow-nonzero-base", action="store_true", dest="allow_nonzero_base")
     sp.set_defaults(handler=_cmd_critpoints)
 
@@ -502,14 +511,14 @@ def _build_parser() -> _Parser:
     sp.add_argument("--b", type=_finite, required=True)
     sp.add_argument("--x0", type=_finite, required=True, help="claimed stationary point")
     sp.add_argument("--eps", type=_finite, default=0.5)
-    sp.add_argument("--scan-n", type=_count(1), default=96, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1, MAX_SCAN_N), default=96, dest="scan_n")
     sp.set_defaults(handler=_cmd_ralpha)
 
     sp = sub.add_parser("dilation", help="memory-kernel velocity table (preset: sin on [0, pi])")
     _add_common(sp, f_default="sin(t)", alpha_default="0.5")
     sp.add_argument("--a", type=_finite, default=0.0)
     sp.add_argument("--b", type=_finite, default=math.pi)
-    sp.add_argument("--scan-n", type=_count(1), default=25, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1, MAX_SCAN_N), default=25, dest="scan_n")
     sp.set_defaults(handler=_cmd_dilation)
 
     sp = sub.add_parser("convexity", help="convexity vs sliding-window order")
@@ -517,9 +526,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--b", type=_finite, required=True)
     sp.add_argument("--delta", type=_finite, required=True)
-    sp.add_argument("--pairs", type=_count(1), default=32)
+    sp.add_argument("--pairs", type=_count(1, MAX_PAIRS), default=32)
     sp.add_argument("--seed", type=int, default=0, help="seed of the window-pair sample")
-    sp.add_argument("--scan-n", type=_count(1), default=96, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1, MAX_SCAN_N), default=96, dest="scan_n")
     sp.set_defaults(handler=_cmd_convexity)
 
     sp = sub.add_parser("mono", help="tau-step monotonicity certificate on [0, b]")
@@ -533,11 +542,11 @@ def _build_parser() -> _Parser:
     sp.add_argument("--a", type=_finite, default=0.0, help="start of the sampled t range")
     sp.add_argument("--b", type=_finite, required=True, help="end of the sampled t range")
     sp.add_argument("--tau", type=_finite, required=True, help="claimed period")
-    sp.add_argument("--scan-n", type=_count(1), default=17, dest="scan_n")
+    sp.add_argument("--scan-n", type=_count(1, MAX_SCAN_N), default=17, dest="scan_n")
     sp.set_defaults(handler=_cmd_periodic)
 
     sp = sub.add_parser("selftest", help="closed-form and identity suite")
-    sp.add_argument("--grid-n", type=_count(2), default=2048, dest="grid_n")
+    sp.add_argument("--grid-n", type=_count(2, MAX_GRID_N), default=2048, dest="grid_n")
     sp.add_argument("--tol", type=_finite, default=None)
     sp.set_defaults(handler=_cmd_selftest)
 

@@ -28,6 +28,7 @@ from .fracops import (
     FuncLike,
     base_value,
     rl_derivative,
+    _grid,
     _kernel_quad_grid,
     _prime_sampler,
     _sampler,
@@ -118,9 +119,7 @@ def _d_alpha(
 
     def scan(b: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
         k = -(-p.grid_n // n)
-        h = (b - p.a) / (k * n)
-        ts = p.a + h * np.arange(k * n + 1)
-        ts[-1] = b
+        ts, h = _grid(p.a, b, k * n)
         xs = p.a + (b - p.a) * np.arange(1, n + 1) / n
         return xs, integral_on_grid(fp(ts), h, mu, at=k * np.arange(1, n + 1))
 

@@ -440,15 +440,20 @@ def _jet_abs(u: _Jet, node) -> _Jet:
 
 
 def _jet_powc(u: _Jet, c: float, node) -> _Jet:
-    """u^c for a non-integer constant c; base must stay positive."""
-    if not _all(u.c[0] > 0):
-        raise DomainError(f"non-positive base with exponent {c!r} in {_format(node)}")
-    out = [np.power(u.c[0], c)]
+    """u^c for a non-integer constant c and a nonnegative base; at a zero base
+    every coefficient up to the jet order is 0 if c exceeds it, else unbounded."""
+    if not _all(u.c[0] >= 0):
+        raise DomainError(f"negative base with exponent {c!r} in {_format(node)}")
+    zero = u.c[0] == 0
+    if _any(zero) and not c > u.order:
+        raise DomainError(f"unbounded derivative at zero base with exponent {c!r} in {_format(node)}")
+    base = np.where(zero, 1.0, u.c[0])  # masked: no 0/0 in the recurrence
+    out = [np.where(zero, 0.0, np.power(base, c))]
     for k in range(1, u.order + 1):
         acc = 0.0
         for j in range(1, k + 1):
             acc = acc + ((c + 1.0) * j - k) * u.c[j] * out[k - j]
-        out.append(acc / (k * u.c[0]))
+        out.append(acc / (k * base))
     return _Jet(out)
 
 

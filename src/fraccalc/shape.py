@@ -45,6 +45,7 @@ from .fracops import (
     gamma,
     integral_on_grid,
     rl_integral,
+    _grid,
     _prime_sampler,
     _sampler,
 )
@@ -318,10 +319,10 @@ def convexity_equivalence(
 
 
 def _derivative_on_grid(f: Expression, alpha: float, end: float, npts: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The nodes of np.linspace(0, end, npts + 1) and D^alpha f = I^(1-alpha) f'
+    """The npts + 1 grid nodes of [0, end] and D^alpha f = I^(1-alpha) f'
     at every one of them: one f' sample and one convolution sweep."""
-    grid = np.linspace(0.0, end, npts + 1)
-    return grid, integral_on_grid(derivative_values(f, grid, 1), end / npts, 1.0 - alpha)
+    grid, h = _grid(0.0, end, npts)
+    return grid, integral_on_grid(derivative_values(f, grid, 1), h, 1.0 - alpha)
 
 
 def monotonicity_certificate(
@@ -356,8 +357,7 @@ def monotonicity_certificate(
     if not (0.0 < tau < b):
         raise ValueError(f"need 0 < tau < b, got tau={tau!r}, b={b!r}")
     m = int(grid_n)
-    h = (b - tau) / m
-    xs = h * np.arange(m + 1)
+    xs, h = _grid(0.0, b - tau, m)
 
     fv_x = np.asarray(f.eval(xs), dtype=float)
     fv_xt = np.asarray(f.eval(xs + tau), dtype=float)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from fraccalc.cli import run
+from fraccalc.cli import MAX_GRID_N, MAX_PAIRS, MAX_SCAN_N, MAX_SWEEP, MAX_TAYLOR_N, run
 
 
 def capture(argv):
@@ -308,6 +308,60 @@ def test_bad_counts_are_usage_errors(argv, flag):
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+_COMMANDS = {
+    "fracint": ["fracint", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1"],
+    "fracderiv": ["fracderiv", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1"],
+    "meanvalue": ["meanvalue", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1"],
+    "polyxi": ["polyxi", "--f", "t", "--alpha", "0.5", "--a", "0", "--delta", "0.5", "--n", "1"],
+    "critpoints": ["critpoints", "--f", "sin(t)", "--alpha", "0.5", "--a", "0", "--b", "3"],
+    "ralpha": ["ralpha", "--f", "sin(t)", "--alpha", "0.5", "--a", "0", "--b", "4.7", "--x0", "1.57"],
+    "dilation": ["dilation"],
+    "convexity": ["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4", "--delta", "0.5"],
+    "mono": ["mono", "--f", "t^2", "--alpha", "0.5", "--b", "2", "--tau", "0.5"],
+    "periodic": ["periodic", "--f", "sin(t)", "--alpha", "0.5", "--b", "12", "--tau", "6.283185307179586"],
+    "selftest": ["selftest"],
+}
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (argv + ["--grid-n", str(MAX_GRID_N + 1)], "--grid-n") for argv in _COMMANDS.values()
+] + [
+    (_COMMANDS[cmd] + ["--scan-n", str(MAX_SCAN_N + 1)], "--scan-n")
+    for cmd in ("meanvalue", "critpoints", "ralpha", "dilation", "convexity", "periodic")
+] + [
+    (_COMMANDS["convexity"] + ["--pairs", str(MAX_PAIRS + 1)], "--pairs"),
+    (_COMMANDS["polyxi"] + ["--n", str(MAX_TAYLOR_N + 1)], "--n"),
+] + [
+    (_COMMANDS[cmd][:4] + [f"0.1:0.9:{MAX_SWEEP + 1}"] + _COMMANDS[cmd][5:], "--alpha")
+    for cmd in ("fracint", "fracderiv", "critpoints", "ralpha")
+])
+def test_counts_above_their_caps_are_usage_errors(argv, flag):
+    code, out, err = capture(argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and flag in err and "Traceback" not in err
+
+
+def test_count_caps_are_inclusive():
+    from fraccalc.cli import _count
+
+    assert _count(2, MAX_GRID_N)(str(MAX_GRID_N)) == MAX_GRID_N
+    code, out, _ = capture(["polyxi", "--f", "exp(3*t)", "--alpha", "0.5", "--a", "0", "--delta", "2",
+                            "--n", str(MAX_TAYLOR_N), "--output", "csv"])
+    assert code == 0 and "nan" not in out and "inf" not in out
+
+
+def test_fracderiv_fractional_power_at_zero_base():
+    code, out, err = capture(["fracderiv", "--f", "t^1.5", "--alpha", "0.5", "--a", "0", "--x", "1",
+                              "--output", "csv"])
+    assert code == 0 and err == ""
+    header, rows = csv_rows(out)
+    value = float(rows[0][header.index("value")])
+    assert value == pytest.approx(math.gamma(2.5) / math.gamma(2.0), rel=1e-8)
+    code, out, err = capture(["fracderiv", "--f", "t^0.5", "--alpha", "0.5", "--a", "0", "--x", "1"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "unbounded derivative at zero base" in err
 
 
 def test_mono_on_a_large_grid_is_fast():

@@ -175,6 +175,20 @@ def test_sqrt_jet_at_zero_refused():
         derivatives(parse("t^0.5"), 0.0, 1)
 
 
+def test_fractional_power_jet_at_zero_base():
+    # below the exponent every Taylor coefficient of t^c at 0 is 0; at or
+    # above it the derivative is unbounded
+    assert [float(c) for c in derivatives(parse("t^2.5"), 0.0, 2).coefficients] == [0.0, 0.0, 0.0]
+    vals = derivative_values(parse("t^1.5"), np.array([0.0, 1.0, 4.0]), 1)
+    np.testing.assert_allclose(vals, [0.0, 1.5, 3.0], rtol=1e-15)
+    with pytest.raises(DomainError, match="unbounded derivative at zero base"):
+        derivatives(parse("t^1.5"), 0.0, 2)
+    with pytest.raises(DomainError, match="unbounded derivative at zero base"):
+        derivative_values(parse("t^0.5"), np.array([0.0, 1.0]), 1)
+    with pytest.raises(DomainError, match="negative base"):
+        derivatives(parse("t^1.5"), -1.0, 1)
+
+
 def test_variable_exponent_uses_exp_log():
     e = parse("t^t")
     c = 1.7

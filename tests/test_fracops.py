@@ -242,6 +242,34 @@ def test_derivative_three_way_agreement_random_corpus():
         assert abs(c.value - b.value) <= c.est_error + b.est_error + 1e-9
 
 
+def test_direct_derivative_samples_only_inside_the_interval():
+    # the difference is one-sided: f is never sampled beyond x (or before a)
+    seen = []
+
+    def f(ts):
+        seen.append((float(np.min(ts)), float(np.max(ts))))
+        return np.sqrt(ts)
+
+    for x in (0.25, 1.0, 4.0):
+        seen.clear()
+        out = rl_derivative(f, FractionalParams(0.5, 0.0, 2048), x, method="direct")
+        assert seen and min(lo for lo, _ in seen) >= 0.0 and max(hi for _, hi in seen) <= x
+        assert out.value == pytest.approx(math.gamma(1.5), rel=1e-6)
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.5])
+def test_power_law_derivative_on_default_path(beta):
+    # f' = beta t^(beta-1) is sampled at the base point t = 0 itself
+    f = parse(f"t^{beta}")
+    for al in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for x in (0.5, 1.0, 2.0):
+            out = rl_derivative(f, FractionalParams(al, 0.0, 2048), x)
+            exact = power_derivative(beta, al, x)
+            err = abs(out.value - exact)
+            assert err <= 1e-8 * exact
+            assert out.est_error >= err
+
+
 def test_caputo_kills_constants():
     p = FractionalParams(0.7, 0.0, 128)
     out = caputo_derivative(parse("3.25"), p, 2.0)
@@ -349,6 +377,19 @@ def test_repeated_integral_matches_semigroup():
     # integer order: plain double integration of t^2
     out = repeated_integral(parse("t^2"), 0.0, 1.0, 2.0, 512)
     assert out.value == pytest.approx(power_integral(2.0, 2.0, 1.0), rel=1e-4)
+
+
+def test_repeated_integral_power_law_corpus():
+    # the nested-grid refinement applies to every order, split or not
+    for beta in (0.5, 1.0, 2.0):
+        f = parse(f"t^{beta}")
+        for order in (0.5, 1.5, 2.5, 3.25):
+            for x in (0.5, 1.0, 2.0):
+                out = repeated_integral(f, 0.0, x, order, 512)
+                exact = power_integral(beta, order, x)
+                err = abs(out.value - exact)
+                assert err <= 1e-5 * exact
+                assert out.est_error >= err
 
 
 def test_integral_on_grid_matches_pointwise_rule():
