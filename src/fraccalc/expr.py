@@ -12,10 +12,13 @@ Grammar (whitespace insignificant)::
 associative and binds tighter than unary minus, so ``-t^2`` is ``-(t^2)``
 and ``2^3^2`` is ``2^(3^2)``.
 
-Evaluation works on floats and on numpy arrays alike.  Derivatives of any
-order are produced by propagating truncated Taylor series (jets) through
-the expression tree, so a single pass yields f, f', ..., f^(n) exactly
-(up to rounding) instead of stacking finite differences.
+Evaluation works on floats and on numpy arrays alike.  Derivatives up to
+order ``MAX_ORDER`` (170; 171! overflows a float) are produced by
+propagating truncated Taylor series (jets) through the expression tree, so
+a single pass yields f, f', ..., f^(n) exactly (up to rounding) instead of
+stacking finite differences.  Each expression's jet is compiled once into
+a tree of closures with the dispatch and constant exponents resolved; a
+one-point sample (a QUADPACK callback) runs it as a jet of floats.
 
 Conventions that keep differentiation sound:
 
@@ -31,7 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import Callable, Union
 
 import numpy as np
 
@@ -40,6 +44,7 @@ from .errors import DomainError, ParseError, UnknownIdentifierError
 __all__ = ["Expression", "TaylorJet", "parse", "derivatives", "derivative_values"]
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+MAX_ORDER = 170  # highest derivative order of a jet: 171! overflows a float
 _FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 
 Scalar = Union[float, np.ndarray]
@@ -236,11 +241,11 @@ def _format(node: Node, context: int = 0) -> str:
 
 
 def _all(cond) -> bool:
-    return bool(np.all(cond))
+    return bool(cond.all() if isinstance(cond, np.ndarray) else cond)
 
 
 def _any(cond) -> bool:
-    return bool(np.any(cond))
+    return bool(cond.any() if isinstance(cond, np.ndarray) else cond)
 
 
 def _contains_var(node: Node) -> bool:
@@ -473,49 +478,52 @@ def _jet_ipow(u: _Jet, m: int, node) -> _Jet:
     return result
 
 
-def _jet_node(node: Node, var: _Jet) -> _Jet:
-    if isinstance(node, Num):
-        return _jet_const(node.value, var)
-    if isinstance(node, Const):
-        return _jet_const(_CONSTANTS[node.name], var)
+_JET_CALLS = {"sin": lambda u, node: _jet_sincos(u)[0], "cos": lambda u, node: _jet_sincos(u)[1],
+              "exp": lambda u, node: _jet_exp(u), "log": _jet_log, "sqrt": _jet_sqrt, "abs": _jet_abs}
+_JET_OPS = {"+": lambda u, v, node: u + v, "-": lambda u, v, node: u - v,
+            "*": lambda u, v, node: u * v, "/": lambda u, v, node: u.divide(v, node)}
+
+
+def _compile(node: Node) -> Callable[[_Jet], _Jet]:
+    """The map from the jet of t to the jet of ``node``: a tree of closures
+    with the node dispatch and every constant exponent resolved here, once."""
+    if isinstance(node, (Num, Const)):
+        value = node.value if isinstance(node, Num) else _CONSTANTS[node.name]
+        return lambda var: _jet_const(value, var)
     if isinstance(node, Var):
-        return var
+        return lambda var: var
     if isinstance(node, Neg):
-        return -_jet_node(node.arg, var)
+        arg = _compile(node.arg)
+        return lambda var: -arg(var)
     if isinstance(node, Call):
-        u = _jet_node(node.arg, var)
-        if node.fn == "sin":
-            return _jet_sincos(u)[0]
-        if node.fn == "cos":
-            return _jet_sincos(u)[1]
-        if node.fn == "exp":
-            return _jet_exp(u)
-        if node.fn == "log":
-            return _jet_log(u, node)
-        if node.fn == "sqrt":
-            return _jet_sqrt(u, node)
-        if node.fn == "abs":
-            return _jet_abs(u, node)
-    if isinstance(node, BinOp):
-        u = _jet_node(node.left, var)
-        if node.op == "^":
-            c = _const_exponent(node.right)
-            if c is not None and _is_int(c):
-                return _jet_ipow(u, int(c), node)
-            if c is not None:
-                return _jet_powc(u, c, node)
-            v = _jet_node(node.right, var)
-            return _jet_exp(v * _jet_log(u, node))
-        v = _jet_node(node.right, var)
-        if node.op == "+":
-            return u + v
-        if node.op == "-":
-            return u - v
-        if node.op == "*":
-            return u * v
-        if node.op == "/":
-            return u.divide(v, node)
-    raise TypeError(f"unknown node {node!r}")
+        arg, call = _compile(node.arg), _JET_CALLS[node.fn]
+        return lambda var: call(arg(var), node)
+    left = _compile(node.left)
+    if node.op != "^":
+        right, op = _compile(node.right), _JET_OPS[node.op]
+        return lambda var: op(left(var), right(var), node)
+    try:
+        c = _const_exponent(node.right)
+    except DomainError as exc:
+        error = exc
+
+        def bad_exponent(var):  # raised on use, after the base's own checks
+            left(var)
+            raise error.with_traceback(None)
+
+        return bad_exponent
+    if c is not None and _is_int(c):
+        m = int(c)
+        return lambda var: _jet_ipow(left(var), m, node)
+    if c is not None:
+        return lambda var: _jet_powc(left(var), c, node)
+    right = _compile(node.right)
+
+    def var_exponent(var):
+        u = left(var)
+        return _jet_exp(right(var) * _jet_log(u, node))
+
+    return var_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +579,11 @@ class Expression:
     def derivatives(self, center: float, n: int) -> TaylorJet:
         return derivatives(self, center, n)
 
+    @cached_property
+    def _jet(self) -> Callable[[_Jet], _Jet]:
+        """The jet map of this expression, compiled on first use (under the caller's errstate)."""
+        return _compile(self.root)
+
     def __str__(self) -> str:
         return self.pretty()
 
@@ -585,14 +598,19 @@ def parse(source: str) -> Expression:
     return Expression(_Parser(source).parse())
 
 
+def check_order(n: int) -> None:
+    """Raise ValueError unless a jet can be built to derivative order ``n``."""
+    if not 0 <= n <= MAX_ORDER:
+        raise ValueError(f"derivative order must be in [0, {MAX_ORDER}], got {n!r}")
+
+
 def derivatives(e: Expression, center: float, n: int) -> TaylorJet:
     """Taylor jet of ``e`` at ``center`` up to order ``n`` (inclusive)."""
-    if n < 0:
-        raise ValueError("derivative order must be >= 0")
+    check_order(n)
     center = float(center)
     seed = _Jet([center] + [1.0] * (1 if n >= 1 else 0) + [0.0] * max(0, n - 1))
     with np.errstate(all="ignore"):
-        jet = _jet_node(e.root, seed)
+        jet = e._jet(seed)
     coeffs = tuple(float(c) for c in jet.c)
     for c in coeffs:
         if not math.isfinite(c):
@@ -602,18 +620,15 @@ def derivatives(e: Expression, center: float, n: int) -> TaylorJet:
 
 def derivative_values(e: Expression, ts: np.ndarray, order: int) -> np.ndarray:
     """Sample f^(order) of ``e`` at every point of ``ts`` in one pass."""
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
+    check_order(order)
     ts = np.asarray(ts, dtype=float)
     if order == 0:
         return np.asarray(e.eval(ts), dtype=float)
-    zeros = np.zeros_like(ts)
-    seed = _Jet([ts, np.ones_like(ts)] + [zeros] * (order - 1))
+    point = ts.size == 1  # one point (a QUADPACK callback): a jet of floats, not of 1-element arrays
+    zeros = 0.0 if point else np.zeros_like(ts)
+    seed = _Jet([float(ts.flat[0]) if point else ts, zeros + 1.0] + [zeros] * (order - 1))
     with np.errstate(all="ignore"):
-        jet = _jet_node(e.root, seed)
-    out = np.asarray(jet.c[order], dtype=float) * math.factorial(order)
-    if out.shape != ts.shape:
-        out = out + zeros
-    if not np.all(np.isfinite(out)):
+        top = e._jet(seed).c[order] * math.factorial(order)
+    if not (math.isfinite(top) if point else np.isfinite(top).all()):
         raise DomainError(f"non-finite derivative of {_format(e.root)} on sample grid")
-    return out
+    return np.full(ts.shape, top) if point else top

@@ -18,6 +18,8 @@ Two quadrature backends compute the weakly singular convolution
     end-point weight (QAWS, modified Clenshaw-Curtis rules): f alone is
     integrated against (x - t)^(mu - 1), with no substitution.  Used as
     an independent cross-check for everything the grid backend produces.
+    QUADPACK asks for one point per callback; for f' that is a jet of
+    floats through the expression's compiled jet, not of 1-element arrays.
 
 Derivatives come in three flavours:
 

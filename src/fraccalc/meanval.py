@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import HypothesisError, MeanValueNotFoundError
-from .expr import Expression, derivative_values, derivatives
+from .expr import Expression, check_order, derivative_values, derivatives
 from .fracops import (
     PRODUCT_TRAPEZOID,
     FractionalParams,
@@ -226,6 +226,7 @@ def mean_value_polynomial(
     """
     if n < 1:
         raise ValueError("polynomial order n must be >= 1")
+    check_order(n + 1)  # the remainder samples f^(n+1)
     if not delta > 0.0:
         raise ValueError("delta must be > 0")
     a, alpha = p.a, p.alpha

@@ -2,15 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fraccalc.expr as expr_module
 from fraccalc import (
     DomainError,
+    FracCalcError,
     ParseError,
     UnknownIdentifierError,
+    convexity_equivalence,
     derivative_values,
     derivatives,
     parse,
+    sample_window_pairs,
 )
+from fraccalc.expr import MAX_ORDER, BinOp, Call, Const, Expression, Neg, Num, Var
 
 
 def test_identity_expression():
@@ -208,6 +215,102 @@ def test_derivative_values_vectorised():
     second = derivative_values(e, ts, 2)
     ref = 2 * np.cos(ts) - ts * np.sin(ts)
     assert np.allclose(second, ref, rtol=1e-12)
+
+
+def test_jet_order_limit_is_a_value_error():
+    # 171! overflows a float, so order 170 is the highest jet
+    e = parse("sin(t)")
+    assert derivatives(e, 0.3, MAX_ORDER).derivative(MAX_ORDER) == pytest.approx(-math.sin(0.3), rel=1e-12)
+    assert derivative_values(e, np.array([0.3, 0.4]), MAX_ORDER) == pytest.approx(-np.sin([0.3, 0.4]), rel=1e-12)
+    with pytest.raises(ValueError, match="170"):
+        derivatives(e, 0.3, MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="170"):
+        derivative_values(e, np.array([0.3, 0.4]), MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="170"):
+        derivative_values(e, np.array([0.3]), MAX_ORDER + 1)
+
+
+# --- one-point jets against many-point jets --------------------------------
+
+_leaves = st.one_of(
+    st.just(Var()),
+    st.sampled_from([Const("pi"), Const("e")]),
+    st.floats(0.0, 3.0).map(lambda v: Num(round(v, 2))),
+)
+
+
+def _grow(sub):
+    exponent = st.one_of(
+        st.integers(-3, 4).map(lambda k: Num(float(k))),
+        st.sampled_from([0.5, 1.5, 2.5, 3.25]).map(Num),
+        sub,  # variable, or a constant subtree
+    )
+    return st.one_of(
+        sub.map(Neg),
+        st.tuples(st.sampled_from("+-*/"), sub, sub).map(lambda a: BinOp(*a)),
+        st.tuples(sub, exponent).map(lambda a: BinOp("^", *a)),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt", "abs"]), sub).map(lambda a: Call(*a)),
+    )
+
+
+def _outcome(e, ts, order):
+    try:
+        return derivative_values(e, np.array(ts, dtype=float), order)
+    except FracCalcError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=500, derandomize=True, database=None)
+@given(
+    st.recursive(_leaves, _grow, max_leaves=8),
+    st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=5),
+    st.integers(1, 3),
+)
+def test_one_point_jet_matches_many_point_jet_bit_for_bit(root, ts, order):
+    e = Expression(root)
+    many = _outcome(e, ts, order)
+    ones = [_outcome(e, [t], order) for t in ts]
+    if isinstance(many, tuple):
+        # the first check that fails on the grid fails alone on a point of it
+        assert many in [one for one in ones if isinstance(one, tuple)]
+    else:
+        for i, one in enumerate(ones):
+            assert isinstance(one, np.ndarray) and one.tobytes() == many[i : i + 1].tobytes()
+
+
+def test_bad_constant_exponent_is_raised_after_the_base_checks():
+    # the exponent is resolved once, when the jet is compiled; its error is
+    # still raised on use, and only if the base passes its own checks
+    e = parse("log(t)^(1/0)")
+    for sample in (lambda t: derivatives(e, t, 1), lambda t: derivative_values(e, np.array([t]), 1)):
+        with pytest.raises(DomainError, match=r"log of non-positive value in log\(t\)"):
+            sample(-1.0)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="division by zero"):
+                sample(1.0)
+
+
+def test_jet_is_compiled_once_per_expression(monkeypatch):
+    roots = []
+    compile_ = expr_module._compile
+
+    def counting(node):
+        roots.append(node)
+        return compile_(node)
+
+    monkeypatch.setattr(expr_module, "_compile", counting)
+    f = parse("exp(0.6*t)")
+    pairs = sample_window_pairs(0.0, 4.0, 0.45, n_pairs=8)
+    rc = convexity_equivalence(f, 0.75, 0.45, pairs)  # thousands of oracle callbacks
+    assert rc.equivalence is True
+    assert sum(node is f.root for node in roots) == 1
+    g = parse("t*sin(t)")
+    derivatives(g, 0.5, 2)
+    compiled = g._jet
+    derivative_values(g, np.linspace(0.0, 1.0, 5), 1)
+    derivative_values(g, np.array([0.5]), 2)
+    assert g._jet is compiled
+    assert sum(node is g.root for node in roots) == 1
 
 
 # --- round-trip stability -----------------------------------------------

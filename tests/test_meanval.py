@@ -139,6 +139,13 @@ def test_polynomial_sine_small_window():
     assert est.reliable
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.5])
+def test_polynomial_order_past_the_jet_limit_is_a_value_error(alpha):
+    # the remainder needs f^(n+1), and 171! overflows a float
+    with pytest.raises(ValueError, match="170"):
+        mean_value_polynomial(parse("sin(t)"), FractionalParams(alpha, 0.0, 256), 1.0, 170)
+
+
 def test_polynomial_remainder_dominance_warning():
     # large window and tiny truncation order on a rapidly growing function:
     # the integral tail swamps the retained terms and the estimate says so
