@@ -88,16 +88,6 @@ class Report:
     def comment(self, text: str):
         self.comments.append(text)
 
-    def echo_config(self, args: argparse.Namespace):
-        skip = {"handler", "output"}
-        parts = []
-        for key in sorted(vars(args)):
-            if key in skip:
-                continue
-            parts.append(f"{key}={_fmt(getattr(args, key))}")
-        self.comment("config " + " ".join(parts))
-        self.comment(f"fraccalc {__version__}")
-
     def render(self, output: str) -> str:
         if output == "csv":
             lines = [",".join(self.columns)]
@@ -141,6 +131,10 @@ def _alpha_list(text: str, *, sweep_ok: bool) -> List[float]:
 
 
 def _emit(report: Report, args) -> int:
+    """Print the report, closed by comments echoing the flags and the version."""
+    flags = (f"{key}={_fmt(value)}" for key, value in sorted(vars(args).items()) if key not in ("handler", "output"))
+    report.comment("config " + " ".join(flags))
+    report.comment(f"fraccalc {__version__}")
     sys.stdout.write(report.render(args.output))
     return 0
 
@@ -159,7 +153,6 @@ def _cmd_fracint(args) -> int:
         worst = max(worst, out.est_error)
         rep.add(al, args.x, out.value, out.est_error)
     rep.comment(f"est_error_max {_fmt(worst)}")
-    rep.echo_config(args)
     return _emit(rep, args)
 
 
@@ -173,7 +166,6 @@ def _cmd_fracderiv(args) -> int:
         worst = max(worst, out.est_error)
         rep.add(al, args.x, out.value, out.est_error)
     rep.comment(f"est_error_max {_fmt(worst)}")
-    rep.echo_config(args)
     return _emit(rep, args)
 
 
@@ -190,7 +182,6 @@ def _cmd_meanvalue(args) -> int:
     rep.comment(f"target_g {_fmt(res.target_g)}")
     if res.xi_sup is not None:
         rep.comment(f"xi_sup {_fmt(res.xi_sup)}")
-    rep.echo_config(args)
     return _emit(rep, args)
 
 
@@ -206,7 +197,6 @@ def _cmd_polyxi(args) -> int:
         rep.add("root", i, r)
     rep.add("remainder", "", est.remainder_term)
     rep.comment(f"reliable {_fmt(est.reliable)}")
-    rep.echo_config(args)
     return _emit(rep, args)
 
 
@@ -222,7 +212,6 @@ def _cmd_critpoints(args) -> int:
             rep.comment(f"alpha={_fmt(al)}: no critical points in (a, b]")
         for root, resid in zip(report.roots, report.residuals):
             rep.add(al, root, resid)
-    rep.echo_config(args)
     return _emit(rep, args)
 
 
@@ -239,7 +228,6 @@ def _cmd_ralpha(args) -> int:
     x1, x0 = curve.limit_targets
     rep.comment(f"detected_root {_fmt(x1)} detected_stationary {_fmt(x0)}")
     rep.comment(f"gap_low_alpha {_fmt(curve.gap_low_alpha)} gap_high_alpha {_fmt(curve.gap_high_alpha)}")
-    rep.echo_config(args)
     return _emit(rep, args)
 
 
@@ -257,7 +245,6 @@ def _cmd_dilation(args) -> int:
         rep.comment(f"xi {_fmt(res.xi)} residual {_fmt(res.xi_residual)}")
     else:
         rep.comment("no vanishing time of v on the grid")
-    rep.echo_config(args)
     return _emit(rep, args)
 
 
@@ -277,7 +264,6 @@ def _cmd_convexity(args) -> int:
         rep.comment(f"witness windows {v.where} margin {_fmt(v.margin)}")
     if rc.property_P_fprime.note:
         rep.comment(rc.property_P_fprime.note)
-    rep.echo_config(args)
     return _emit(rep, args)
 
 
@@ -293,7 +279,6 @@ def _cmd_mono(args) -> int:
         rep.comment(verdict.note)
     for v in verdict.witnesses[:8]:
         rep.comment(f"witness x={v.where} margin {_fmt(v.margin)}")
-    rep.echo_config(args)
     return _emit(rep, args)
 
 
@@ -308,7 +293,6 @@ def _cmd_periodic(args) -> int:
         rep.add(float(t), verdict.info[f"defect@{float(t):.6g}"])
     rep.comment(f"max_defect {_fmt(verdict.defect)}")
     rep.comment("measurement only: the memory kernel remembers the base point")
-    rep.echo_config(args)
     return _emit(rep, args)
 
 
@@ -564,10 +548,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ValueError) as exc:
+    except (_UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FracCalcError as exc:

@@ -12,22 +12,30 @@ Grammar (whitespace insignificant)::
 associative and binds tighter than unary minus, so ``-t^2`` is ``-(t^2)``
 and ``2^3^2`` is ``2^(3^2)``.
 
-Evaluation works on floats and on numpy arrays alike.  Derivatives up to
-order ``MAX_ORDER`` (170; 171! overflows a float) are produced by
-propagating truncated Taylor series (jets) through the expression tree, so
-a single pass yields f, f', ..., f^(n) exactly (up to rounding) instead of
-stacking finite differences.  Each expression's jet is compiled once into
-a tree of closures with the dispatch and constant exponents resolved; a
-one-point sample (a QUADPACK callback) runs it as a jet of floats.
+One interpreter serves values and derivatives: truncated Taylor series
+(jets) are propagated through the expression tree, so a single pass
+yields f, f', ..., f^(n) exactly (up to rounding) instead of stacking
+finite differences, and a value is the jet of order 0.  Orders go up to
+``MAX_ORDER`` (170; 171! overflows a float).  Each expression's jet is
+compiled once into a tree of closures with the dispatch and constant
+exponents resolved.  It runs on a float or on a numpy array of points; a
+one-point sample (a QUADPACK or root-finder callback) runs as a jet of
+floats.
 
-Conventions that keep differentiation sound:
+Domain rules; a value (order 0) needs less than a derivative (order >= 1):
 
-* ``u ^ c`` with an integer literal ``c`` uses repeated multiplication and
-  is valid for any base sign; a non-integer constant exponent requires a
-  non-negative base (strictly positive when differentiating); a variable
-  exponent is rewritten as ``exp(c * log(u))`` and requires ``u > 0``.
-* ``abs`` is not differentiable at 0; asking for a jet there raises
-  :class:`~fraccalc.errors.DomainError` instead of picking a subgradient.
+* ``u ^ c`` with an integer constant ``c`` uses repeated multiplication and
+  is valid for any base sign (a negative ``c`` is ``1 / u^-c``, so it
+  refuses a zero base); a non-integer constant exponent requires a
+  non-negative base, and at a zero base coefficient k is 0 for k < c and
+  unbounded (refused) from k >= c on, so ``t^0.5`` is 0 at 0 but has no
+  derivative there and ``t^-0.5`` has no value there; a variable exponent
+  is rewritten as ``exp(c * log(u))`` and requires ``u > 0``.
+* ``sqrt`` and ``abs`` have the value 0 at 0 but no derivative there:
+  a jet of order >= 1 raises :class:`~fraccalc.errors.DomainError`
+  instead of an unbounded slope or a subgradient.
+* ``log`` requires ``u > 0`` and ``/`` a non-zero divisor at any order,
+  and every sampled result must be finite.
 """
 
 from __future__ import annotations
@@ -237,7 +245,11 @@ def _format(node: Node, context: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: Taylor jets
+#
+# A jet holds [u, u'/1!, u''/2!, ...] at a point (entries may be numpy
+# arrays so that whole sample grids run in one pass).  The jet of order 0
+# is the value alone, so values and derivatives come from one interpreter.
 
 
 def _all(cond) -> bool:
@@ -264,82 +276,11 @@ def _const_exponent(node: Node):
     """Value of a constant exponent subtree, else None."""
     if _contains_var(node):
         return None
-    return float(_eval_node(node, 0.0))
+    return float(_compile(node)(_Jet([0.0])).c[0])
 
 
 def _is_int(value: float) -> bool:
     return float(value).is_integer() and abs(value) < 2**31
-
-
-def _eval_node(node: Node, t: Scalar) -> Scalar:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
-    if isinstance(node, Var):
-        return t
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, t)
-    if isinstance(node, Call):
-        u = _eval_node(node.arg, t)
-        if node.fn == "sin":
-            return np.sin(u)
-        if node.fn == "cos":
-            return np.cos(u)
-        if node.fn == "exp":
-            return np.exp(u)
-        if node.fn == "abs":
-            return np.abs(u)
-        if node.fn == "log":
-            if not _all(u > 0):
-                raise DomainError(f"log of non-positive value in {_format(node)}")
-            return np.log(u)
-        if node.fn == "sqrt":
-            if not _all(u >= 0):
-                raise DomainError(f"sqrt of negative value in {_format(node)}")
-            return np.sqrt(u)
-    if isinstance(node, BinOp):
-        a = _eval_node(node.left, t)
-        if node.op == "^":
-            return _eval_pow(node, a, t)
-        b = _eval_node(node.right, t)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if _any(b == 0):
-                raise DomainError(f"division by zero in {_format(node)}")
-            return a / b
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _eval_pow(node: BinOp, base: Scalar, t: Scalar) -> Scalar:
-    c = _const_exponent(node.right)
-    if c is not None:
-        if _is_int(c):
-            if c < 0 and _any(base == 0):
-                raise DomainError(f"zero base with negative exponent in {_format(node)}")
-            return np.power(base, float(c))
-        if not _all(base >= 0):
-            raise DomainError(f"negative base with non-integer exponent in {_format(node)}")
-        if c < 0 and _any(base == 0):
-            raise DomainError(f"zero base with negative exponent in {_format(node)}")
-        return np.power(base, c)
-    # variable exponent: u^v = exp(v log u), needs u > 0
-    if not _all(base > 0):
-        raise DomainError(f"non-positive base with variable exponent in {_format(node)}")
-    v = _eval_node(node.right, t)
-    return np.exp(v * np.log(base))
-
-
-# ---------------------------------------------------------------------------
-# Taylor jets
-#
-# A jet holds [u, u'/1!, u''/2!, ...] at a point (entries may be numpy
-# arrays so that whole sample grids are differentiated in one pass).
 
 
 class _Jet:
@@ -426,8 +367,10 @@ def _jet_sincos(u: _Jet):
 
 
 def _jet_sqrt(u: _Jet, node) -> _Jet:
-    if not _all(u.c[0] > 0):
+    if u.order and not _all(u.c[0] > 0):
         raise DomainError(f"sqrt not differentiable at non-positive value in {_format(node)}")
+    if not _all(u.c[0] >= 0):
+        raise DomainError(f"sqrt of negative value in {_format(node)}")
     out = [np.sqrt(u.c[0])]
     for k in range(1, u.order + 1):
         acc = u.c[k]
@@ -438,10 +381,10 @@ def _jet_sqrt(u: _Jet, node) -> _Jet:
 
 
 def _jet_abs(u: _Jet, node) -> _Jet:
-    if _any(u.c[0] == 0):
+    if u.order and _any(u.c[0] == 0):
         raise DomainError(f"abs not differentiable at zero in {_format(node)}")
     s = np.sign(u.c[0])
-    return _Jet([s * a for a in u.c])
+    return _Jet([np.abs(u.c[0])] + [s * a for a in u.c[1:]])
 
 
 def _jet_powc(u: _Jet, c: float, node) -> _Jet:
@@ -451,7 +394,10 @@ def _jet_powc(u: _Jet, c: float, node) -> _Jet:
         raise DomainError(f"negative base with exponent {c!r} in {_format(node)}")
     zero = u.c[0] == 0
     if _any(zero) and not c > u.order:
-        raise DomainError(f"unbounded derivative at zero base with exponent {c!r} in {_format(node)}")
+        what = "derivative" if u.order else "value"
+        raise DomainError(f"unbounded {what} at zero base with exponent {c!r} in {_format(node)}")
+    if not u.order:  # 0^c is 0 for c > 0: no mask needed
+        return _Jet([np.power(u.c[0], c)])
     base = np.where(zero, 1.0, u.c[0])  # masked: no 0/0 in the recurrence
     out = [np.where(zero, 0.0, np.power(base, c))]
     for k in range(1, u.order + 1):
@@ -478,7 +424,8 @@ def _jet_ipow(u: _Jet, m: int, node) -> _Jet:
     return result
 
 
-_JET_CALLS = {"sin": lambda u, node: _jet_sincos(u)[0], "cos": lambda u, node: _jet_sincos(u)[1],
+_JET_CALLS = {"sin": lambda u, node: _jet_sincos(u)[0] if u.order else _Jet([np.sin(u.c[0])]),
+              "cos": lambda u, node: _jet_sincos(u)[1] if u.order else _Jet([np.cos(u.c[0])]),
               "exp": lambda u, node: _jet_exp(u), "log": _jet_log, "sqrt": _jet_sqrt, "abs": _jet_abs}
 _JET_OPS = {"+": lambda u, v, node: u + v, "-": lambda u, v, node: u - v,
             "*": lambda u, v, node: u * v, "/": lambda u, v, node: u.divide(v, node)}
@@ -558,17 +505,9 @@ class Expression:
 
     def eval(self, t: Scalar) -> Scalar:
         """Evaluate at a float or elementwise over a numpy array."""
-        with np.errstate(all="ignore"):  # finiteness is checked below
-            out = _eval_node(self.root, t)
         if isinstance(t, np.ndarray):
-            out = np.asarray(out, dtype=float) + np.zeros_like(t, dtype=float)
-            if not np.all(np.isfinite(out)):
-                raise DomainError(f"non-finite value from {_format(self.root)} on sample grid")
-            return out
-        out = float(out)
-        if not math.isfinite(out):
-            raise DomainError(f"non-finite value from {_format(self.root)} at t={t!r}")
-        return out
+            return _sample(self, np.asarray(t, dtype=float), 0, "value from", "on sample grid")[0]
+        return float(_sample(self, t, 0, "value from", "at t={!r}")[0])
 
     __call__ = eval
 
@@ -604,31 +543,36 @@ def check_order(n: int) -> None:
         raise ValueError(f"derivative order must be in [0, {MAX_ORDER}], got {n!r}")
 
 
+def _sample(e: Expression, t, order: int, what: str, where: str, jet: bool = False) -> list:
+    """One pass of ``e``'s compiled jet seeded at ``t`` to ``order``: at a
+    float, or at every point of an array, where one point (a QUADPACK or
+    root-finder callback) runs as a jet of floats, not of 1-element arrays.
+
+    Returns ``[f^(order)]``, or with ``jet`` every scaled coefficient, each
+    shaped like ``t``; raises DomainError unless all of them are finite.
+    """
+    array = isinstance(t, np.ndarray)
+    point = not array or t.size == 1
+    x = float(t.flat[0] if array else t) if point else t
+    zero = np.zeros_like(t) if order and not point else 0.0
+    seed = _Jet([x] + [zero + 1.0] * min(order, 1) + [zero] * (order - 1))
+    with np.errstate(all="ignore"):
+        coeffs = e._jet(seed).c
+        out = coeffs if jet else [coeffs[order] * math.factorial(order)]
+    if not all(math.isfinite(c) if point else np.isfinite(c).all() for c in out):
+        raise DomainError(f"non-finite {what} {_format(e.root)} " + where.format(t))
+    return [np.full(t.shape, c) for c in out] if array and point else out
+
+
 def derivatives(e: Expression, center: float, n: int) -> TaylorJet:
     """Taylor jet of ``e`` at ``center`` up to order ``n`` (inclusive)."""
     check_order(n)
     center = float(center)
-    seed = _Jet([center] + [1.0] * (1 if n >= 1 else 0) + [0.0] * max(0, n - 1))
-    with np.errstate(all="ignore"):
-        jet = e._jet(seed)
-    coeffs = tuple(float(c) for c in jet.c)
-    for c in coeffs:
-        if not math.isfinite(c):
-            raise DomainError(f"non-finite derivative of {_format(e.root)} at {center!r}")
-    return TaylorJet(center, coeffs)
+    coeffs = _sample(e, center, n, "derivative of", "at {!r}", jet=True)
+    return TaylorJet(center, tuple(float(c) for c in coeffs))
 
 
 def derivative_values(e: Expression, ts: np.ndarray, order: int) -> np.ndarray:
     """Sample f^(order) of ``e`` at every point of ``ts`` in one pass."""
     check_order(order)
-    ts = np.asarray(ts, dtype=float)
-    if order == 0:
-        return np.asarray(e.eval(ts), dtype=float)
-    point = ts.size == 1  # one point (a QUADPACK callback): a jet of floats, not of 1-element arrays
-    zeros = 0.0 if point else np.zeros_like(ts)
-    seed = _Jet([float(ts.flat[0]) if point else ts, zeros + 1.0] + [zeros] * (order - 1))
-    with np.errstate(all="ignore"):
-        top = e._jet(seed).c[order] * math.factorial(order)
-    if not (math.isfinite(top) if point else np.isfinite(top).all()):
-        raise DomainError(f"non-finite derivative of {_format(e.root)} on sample grid")
-    return np.full(ts.shape, top) if point else top
+    return _sample(e, np.asarray(ts, dtype=float), order, "derivative of", "on sample grid")[0]

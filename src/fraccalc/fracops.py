@@ -77,7 +77,10 @@ def gamma(z: float) -> float:
     z = float(z)
     if not z > 0.0:
         raise ValueError(f"gamma requires z > 0, got {z!r}")
-    return math.gamma(z)
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        raise DomainError(f"gamma({z!r}) overflows a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +187,19 @@ def _l1_weights(n: int, mu: float) -> np.ndarray:
         return cached
     p = mu + 1.0
     m = np.arange(n + 1, dtype=float)
-    mp = m**p
     w = np.empty(2 * n + 1)
     w[n] = 1.0
-    # node j is shared by panels j-1 and j; its weight is the second
-    # difference of m^(mu+1) at distance m = n - j
-    w[1:n] = (mp[2:] - 2.0 * mp[1:n] + mp[: n - 1])[::-1]
-    w[n + 1 :] = mp[:n] - mp[1:] + p * m[1:] ** mu
-    # equal to w[2n] but for the last bit in a few % of (n, mu): a scalar
-    # power rounds differently from an array one
-    w[0] = mp[n - 1] - mp[n] + p * m[n] ** mu
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mp = m**p
+        # node j is shared by panels j-1 and j; its weight is the second
+        # difference of m^(mu+1) at distance m = n - j
+        w[1:n] = (mp[2:] - 2.0 * mp[1:n] + mp[: n - 1])[::-1]
+        w[n + 1 :] = mp[:n] - mp[1:] + p * m[1:] ** mu
+        # equal to w[2n] but for the last bit in a few % of (n, mu): a scalar
+        # power rounds differently from an array one
+        w[0] = mp[n - 1] - mp[n] + p * m[n] ** mu
+    if not np.isfinite(w).all():
+        raise DomainError(f"product-trapezoid weights overflow a float: m^(mu+1) with mu={mu!r} for m up to n={n}")
     global _weight_cache_bytes
     if w.nbytes <= _WEIGHT_CACHE_MAX_BYTES:
         if not _WEIGHT_CACHE or _weight_cache_bytes + w.nbytes > _WEIGHT_CACHE_MAX_BYTES:

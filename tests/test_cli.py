@@ -1,6 +1,7 @@
 import io
 import math
 import sys
+import warnings
 
 import pytest
 
@@ -350,6 +351,18 @@ def test_count_caps_are_inclusive():
     code, out, _ = capture(["polyxi", "--f", "exp(3*t)", "--alpha", "0.5", "--a", "0", "--delta", "2",
                             "--n", str(MAX_TAYLOR_N), "--output", "csv"])
     assert code == 0 and "nan" not in out and "inf" not in out
+
+
+def test_polyxi_weight_overflow_exits_2_with_one_line():
+    # at --n 64 the remainder's weights need m^66, past a float for m > 46,000
+    # (65536 panels here: the same failure as at the --grid-n cap, at 1/16 the cost)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = capture(["polyxi", "--f", "sin(t)", "--alpha", "0.5", "--a", "0", "--delta", "1",
+                                  "--n", str(MAX_TAYLOR_N), "--grid-n", "65536", "--output", "csv"])
+    assert code == 2 and out == ""
+    assert err.startswith("computation error:") and len(err.splitlines()) == 1
+    assert "mu=65.0" in err and "n=65536" in err
 
 
 def test_fracderiv_fractional_power_at_zero_base():

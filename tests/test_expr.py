@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraccalc.expr as expr_module
@@ -276,6 +276,56 @@ def test_one_point_jet_matches_many_point_jet_bit_for_bit(root, ts, order):
     else:
         for i, one in enumerate(ones):
             assert isinstance(one, np.ndarray) and one.tobytes() == many[i : i + 1].tobytes()
+
+
+def _bits(sample):
+    try:
+        return np.asarray(sample(), dtype=float).tobytes()
+    except FracCalcError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=500, derandomize=True, database=None)
+@given(st.recursive(_leaves, _grow, max_leaves=8), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+@example(BinOp("^", Var(), Num(3.0)), [0.3, 1.3, 2.3, 2.9])  # np.power(t, 3.0) rounds differently from t*(t*t)
+def test_values_are_the_order_zero_jet_bit_for_bit(root, ts):
+    # one interpreter: a value is the order-0 coefficient of the jet, on a
+    # grid, on one float, on a 1-element array and from derivatives(e, t, 0)
+    e = Expression(root)
+    grid = _bits(lambda: e.eval(np.array(ts)))
+    points = []
+    for t in ts:
+        outcomes = {
+            _bits(lambda: e.eval(float(t))),
+            _bits(lambda: e.eval(np.array([t]))),
+            _bits(lambda: derivatives(e, t, 0).coefficients[0]),
+        }
+        assert len(outcomes) == 1
+        points += outcomes
+    if isinstance(grid, bytes):
+        assert points == [grid[8 * i : 8 * i + 8] for i in range(len(ts))]
+    else:
+        assert grid is DomainError and grid in points
+
+
+@pytest.mark.parametrize(
+    "source, value",
+    [("sqrt(t)", 0.0), ("abs(t)", 0.0), ("t^0.5", 0.0), ("t^-0.5", None), ("t^-2", None), ("log(t)", None)],
+)
+def test_domain_rules_at_zero(source, value):
+    # a value at 0 needs only the function; a derivative there needs more
+    e = parse(source)
+    if value is None:
+        for sample in (lambda: e.eval(0.0), lambda: e.eval(np.zeros(3)), lambda: derivatives(e, 0.0, 0)):
+            with pytest.raises(DomainError):
+                sample()
+        return
+    assert e.eval(0.0) == value and e.eval(np.zeros(3)).tolist() == [value] * 3
+    assert derivatives(e, 0.0, 0).coefficients == (value,)
+    with pytest.raises(DomainError):
+        derivatives(e, 0.0, 1)
+    with pytest.raises(DomainError):
+        derivative_values(e, np.zeros(3), 1)
 
 
 def test_bad_constant_exponent_is_raised_after_the_base_checks():

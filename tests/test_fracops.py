@@ -7,6 +7,7 @@ import pytest
 from fraccalc import (
     ADAPTIVE_ORACLE,
     AssumptionError,
+    DomainError,
     FractionalParams,
     WindowSpec,
     caputo_derivative,
@@ -58,6 +59,12 @@ def test_gamma_rejects_nonpositive():
         gamma(0.0)
     with pytest.raises(ValueError):
         gamma(-1.3)
+
+
+def test_gamma_overflow_is_a_domain_error():
+    assert math.isfinite(gamma(171.0))
+    with pytest.raises(DomainError, match="172"):
+        gamma(172.0)
 
 
 # --- parameter validation ---------------------------------------------------
@@ -462,6 +469,21 @@ def test_weight_cache_is_bounded_by_bytes(monkeypatch):
     monkeypatch.setattr(fracops, "_WEIGHT_CACHE_MAX_BYTES", 1024)
     big = fracops._l1_weights(4096, 0.35)
     assert big.nbytes > 1024 and (4096, 0.35) not in fracops._WEIGHT_CACHE
+    fracops._WEIGHT_CACHE.clear()
+
+
+def test_weight_overflow_is_one_domain_error_and_never_cached():
+    from fraccalc import fracops
+
+    fracops._WEIGHT_CACHE.clear()
+    w = fracops._l1_weights(1024, 101.0)  # 1024^102 = 2^1020 is a float
+    assert np.isfinite(w).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"mu=102\.0 .*n=1024"):
+                fracops._l1_weights(1024, 102.0)  # 1024^103 is not
+    assert (1024, 102.0) not in fracops._WEIGHT_CACHE
     fracops._WEIGHT_CACHE.clear()
 
 

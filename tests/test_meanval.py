@@ -6,6 +6,7 @@ import pytest
 
 from fraccalc import (
     ADAPTIVE_ORACLE,
+    DomainError,
     FractionalParams,
     HypothesisError,
     MeanValueNotFoundError,
@@ -144,6 +145,16 @@ def test_polynomial_order_past_the_jet_limit_is_a_value_error(alpha):
     # the remainder needs f^(n+1), and 171! overflows a float
     with pytest.raises(ValueError, match="170"):
         mean_value_polynomial(parse("sin(t)"), FractionalParams(alpha, 0.0, 256), 1.0, 170)
+
+
+@pytest.mark.parametrize("n", [120, 150, 169])
+def test_polynomial_past_the_float_range_is_one_domain_error(n):
+    # the remainder I^(n+2-alpha) f^(n+1) needs m^(mu+1) weights and
+    # Gamma(mu+2) with mu ~ n; where a float overflows, no nan and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow"):
+            mean_value_polynomial(parse("sin(t)"), FractionalParams(0.5, 0.0, 1024), 1.0, n)
 
 
 def test_polynomial_remainder_dominance_warning():
