@@ -22,7 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import HypothesisError, SolverError
-from .expr import Expression, derivative_values
+# bench/tracing.py wraps derivative_values at each module that binds it
+from .expr import derivative_values  # noqa: F401
 from .fracops import (
     FractionalParams,
     FuncLike,
@@ -134,7 +135,6 @@ def critical_points(
     *,
     fprime: Optional[FuncLike] = None,
     allow_nonzero_base: bool = False,
-    bracket_rel: float = 1e-10,
 ) -> CriticalPointReport:
     """Roots of D^alpha f on (a, b], bracketed on a scan and refined by Brent."""
     if not b > p.a:
@@ -143,7 +143,7 @@ def critical_points(
         raise ValueError("scan_n must be >= 4")
     d, scan = _d_alpha(f, p, fprime=fprime, allow_nonzero_base=allow_nonzero_base)
     xs, vals = scan(b, scan_n)
-    roots = _find_roots(xs, vals, d, bracket_rel * (b - p.a), exact=False)
+    roots = _find_roots(xs, vals, d, 1e-10 * (b - p.a), exact=False)
     residuals = tuple(abs(d(r)) for r in roots)
     return CriticalPointReport(p.alpha, tuple(roots), residuals, p.grid_n)
 
@@ -179,9 +179,7 @@ def derivative_zero_before(
     x_zero: float,
     *,
     fprime: Optional[FuncLike] = None,
-    scan_n: int = 96,
     zero_tol: float = 1e-10,
-    max_refinements: int = 3,
 ) -> DerivativeZeroResult:
     """A point xi in (a, x_zero] where D^alpha f vanishes, given f(x_zero) = 0.
 
@@ -194,9 +192,9 @@ def derivative_zero_before(
     d, scan = _d_alpha(f, p, fprime=fprime)
     span = x_zero - p.a
 
-    n = scan_n
+    n = 96
     best_x, best_val = None, math.inf
-    for _ in range(max_refinements + 1):
+    for _ in range(4):
         xs, vals = scan(x_zero, n)
         scale = float(np.max(np.abs(vals)))
         if scale <= 1e-13:
@@ -220,19 +218,14 @@ def derivative_zero_before(
 
 
 def _verify_single_extremum_and_root(
-    f: FuncLike, a: float, b: float, x0: float, x1: Optional[float], *, samples: int = 2048
+    f: FuncLike, a: float, b: float, x0: float, x1: Optional[float], fprime: Optional[FuncLike]
 ) -> Tuple[float, float]:
     """Sampled check that f has exactly one stationary point and one root
     in (a, b], close to the claimed x0 (and x1 when given); returns the
     detected locations."""
-    sample = _sampler(f)
-    ts = np.linspace(a, b, samples + 1)[1:]
-    vals = sample(ts)
-    if isinstance(f, Expression):
-        dvals = derivative_values(f, ts, 1)
-    else:
-        h = (b - a) / (4.0 * samples)
-        dvals = (sample(ts + h) - sample(ts - h)) / (2.0 * h)
+    ts = np.linspace(a, b, 2049)[1:]
+    vals = _sampler(f)(ts)
+    dvals = _prime_sampler(f, fprime)(ts)
 
     def zero_events(arr: np.ndarray) -> List[float]:
         zeros, changes = _sign_brackets(arr)  # located to half a sample step
@@ -281,7 +274,7 @@ def r_alpha_curve(
     """
     if not eps > 0.0:
         raise ValueError("eps must be > 0")
-    x0_ref, x1_ref = _verify_single_extremum_and_root(f, a, b, x0, x1)
+    x0_ref, x1_ref = _verify_single_extremum_and_root(f, a, b, x0, x1, fprime)
     alphas = sorted(min(max(float(al), ALPHA_MIN), ALPHA_MAX) for al in alpha_grid)
     samples: List[RAlphaSample] = []
     for al in alphas:

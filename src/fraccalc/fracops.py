@@ -65,9 +65,6 @@ __all__ = [
 PRODUCT_TRAPEZOID = "product_trapezoid"
 ADAPTIVE_ORACLE = "adaptive_oracle"
 
-#: tolerance used when checking the f(a) = 0 requirement
-BASE_VALUE_TOL = 1e-12
-
 Sampler = Callable[[np.ndarray], np.ndarray]
 FuncLike = Union[Expression, Sampler]
 
@@ -147,10 +144,10 @@ def _prime_sampler(f: FuncLike, fprime: Optional[FuncLike]) -> Sampler:
     raise TypeError("a callable f needs an explicit fprime for derivative sampling")
 
 
-def base_value(f: FuncLike, a: float, *, allow_nonzero: bool = False, tol: float = BASE_VALUE_TOL) -> float:
-    """Return f(a), enforcing |f(a)| <= tol unless ``allow_nonzero``."""
+def base_value(f: FuncLike, a: float, *, allow_nonzero: bool = False) -> float:
+    """Return f(a), enforcing |f(a)| <= 1e-12 unless ``allow_nonzero``."""
     fa = float(_sampler(f)(np.asarray([a]))[0])
-    if abs(fa) > tol:
+    if abs(fa) > 1e-12:
         if not allow_nonzero:
             raise AssumptionError(
                 f"f(a) must be 0 for this operation (got f({a!r}) = {fa!r}); "
@@ -210,9 +207,17 @@ def _l1_weights(n: int, mu: float) -> np.ndarray:
     return w
 
 
+def _power(x: float, p: float) -> float:
+    """x^p for x >= 0, raising DomainError where it overflows a float."""
+    try:
+        return math.pow(x, p)
+    except OverflowError:
+        raise DomainError(f"{x!r}^{p!r} overflows a float") from None
+
+
 def _l1_sum(samples: np.ndarray, h: float, mu: float) -> float:
     n = len(samples) - 1
-    return h**mu / gamma(mu + 2.0) * float(_l1_weights(n, mu)[: n + 1] @ samples)
+    return _power(h, mu) / gamma(mu + 2.0) * float(_l1_weights(n, mu)[: n + 1] @ samples)
 
 
 def integral_on_grid(samples: np.ndarray, h: float, mu: float, at: Optional[Sequence[int]] = None) -> np.ndarray:
@@ -232,7 +237,7 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float, at: Optional[Sequ
     if n < 1:
         return np.zeros(1)
     w = _l1_weights(n, mu)
-    scale = h**mu / gamma(mu + 2.0)
+    scale = _power(h, mu) / gamma(mu + 2.0)
     if at is not None:
         return scale * np.array([w[n + j] * samples[0] + w[n - j + 1 : n + 1] @ samples[1 : j + 1] for j in at])
     v = w[n:0:-1]  # v[d]: weight of the node at distance d from the endpoint
@@ -476,11 +481,14 @@ def repeated_integral(
         raise ValueError(f"order must be > 0, got {order!r}")
     m = math.ceil(order) - 1
     rho = order - m
+    n = -(-max(8, int(grid_n)) // 4) * 4
+    if m:  # the weights of I^m overflow a float at large m: fail before sampling f
+        _l1_weights(n, float(m))
 
     def rule(fv: np.ndarray, h: float) -> float:
         if m == 0:
             return _l1_sum(fv, h, rho)
         return _l1_sum(integral_on_grid(fv, h, rho), h, float(m))
 
-    v, est = _nested(_sampler(f), a, x, max(8, int(grid_n)), rule)
+    v, est = _nested(_sampler(f), a, x, n, rule)
     return OperatorValue(v, PRODUCT_TRAPEZOID, est)

@@ -40,6 +40,7 @@ from .fracops import (
     repeated_integral,
     rl_derivative,
     rl_integral,
+    _power,
     _sampler,
 )
 
@@ -167,8 +168,6 @@ def mean_value(
     scan_n: int = 128,
     *,
     backend: str = PRODUCT_TRAPEZOID,
-    bisect_rel: float = 1e-12,
-    degenerate_rel: float = 1e-12,
 ) -> MeanValueResult:
     """All bracketed mean values of f over (p.a, x) and their supremum.
 
@@ -177,13 +176,10 @@ def mean_value(
     never fabricated.
     """
     iv = rl_integral(f, p, 1.0 - p.alpha, x, backend=backend)  # checks x > a
-    return _mean_value(f, p, x, iv.value, scan_n, bisect_rel, degenerate_rel)
+    return _mean_value(f, p, x, iv.value, scan_n)
 
 
-def _mean_value(
-    f: FuncLike, p: FractionalParams, x: float, iv: float, scan_n: int,
-    bisect_rel: float = 1e-12, degenerate_rel: float = 1e-12,
-) -> MeanValueResult:
+def _mean_value(f: FuncLike, p: FractionalParams, x: float, iv: float, scan_n: int) -> MeanValueResult:
     """:func:`mean_value` given iv = I^(1-alpha) f(x) over (p.a, x], for a
     caller that already holds that integral."""
     if scan_n < 16:
@@ -195,10 +191,10 @@ def _mean_value(
 
     ts = p.a + (x - p.a) * np.arange(1, scan_n + 2) / (scan_n + 2)
     vals = sample(ts) - g
-    if float(np.max(np.abs(vals))) <= degenerate_rel * (1.0 + abs(g)):
+    if float(np.max(np.abs(vals))) <= 1e-12 * (1.0 + abs(g)):
         return MeanValueResult(g, (), (), None, degenerate=True)
 
-    roots = _find_roots(ts, vals, fn_scalar, bisect_rel * (x - p.a))
+    roots = _find_roots(ts, vals, fn_scalar, 1e-12 * (x - p.a))
     if not roots:
         raise MeanValueNotFoundError(
             f"no crossing of the level g(x)={g!r} found on ({p.a!r}, {x!r}) "
@@ -213,8 +209,6 @@ def mean_value_polynomial(
     p: FractionalParams,
     delta: float,
     n: int,
-    *,
-    scan_n: int = 256,
 ) -> PolynomialEstimate:
     """Degree-n polynomial in (xi - a) whose roots estimate the mean value.
 
@@ -238,7 +232,7 @@ def mean_value_polynomial(
     for j in range(1, n + 1):
         fj = jet.derivative(j)
         coeffs[j] = fj * d_pow / (gamma(2.0 - alpha) * math.factorial(j))
-        series_terms.append(fj * delta ** (j + 1.0 - alpha) / gamma(j + 2.0 - alpha))
+        series_terms.append(fj * _power(delta, j + 1.0 - alpha) / gamma(j + 2.0 - alpha))
 
     f_top = lambda ts: derivative_values(f, ts, n + 1)  # noqa: E731
     remainder = repeated_integral(f_top, a, a + delta, n + 2.0 - alpha, p.grid_n).value
@@ -258,14 +252,14 @@ def mean_value_polynomial(
 
     carr = np.asarray(coeffs)
     poly_scalar = lambda s: float(np.polynomial.polynomial.polyval(s, carr))  # noqa: E731
-    ts = delta * np.arange(1, scan_n + 1) / (scan_n + 1)
+    ts = delta * np.arange(1, 257) / 257
     roots = _find_roots(ts, np.polynomial.polynomial.polyval(ts, carr), poly_scalar, 1e-14 * delta)
     return PolynomialEstimate(tuple(coeffs), remainder, tuple(roots), n, delta, reliable)
 
 
-def check_strictly_monotone(f: FuncLike, lo: float, hi: float, samples: int = 512) -> int:
+def check_strictly_monotone(f: FuncLike, lo: float, hi: float) -> int:
     """Return +1/-1 for strictly increasing/decreasing on (lo, hi) by sampling."""
-    ts = np.linspace(lo, hi, samples)[1:]
+    ts = np.linspace(lo, hi, 512)[1:]
     vals = _sampler(f)(ts)
     diffs = np.diff(vals)
     if np.all(diffs > 0.0):
@@ -283,7 +277,6 @@ def xi_smoothness_profile(
     p: FractionalParams,
     x_grid: Sequence[float],
     *,
-    scan_n: int = 128,
     backend: str = PRODUCT_TRAPEZOID,
 ) -> List[Tuple[float, float, float]]:
     """Tabulate x, xi_sup(x) and a finite-difference slope of xi_sup.
@@ -298,7 +291,7 @@ def xi_smoothness_profile(
     if sorted(xs) != xs:
         raise ValueError("x_grid must be ascending")
     check_strictly_monotone(f, p.a, xs[-1])
-    xis = [mean_value(f, p, x, scan_n, backend=backend).xi_sup for x in xs]
+    xis = [mean_value(f, p, x, backend=backend).xi_sup for x in xs]
     rows: List[Tuple[float, float, float]] = []
     for i, x in enumerate(xs):
         if i == 0:
@@ -318,7 +311,6 @@ def mean_path_witness(
     x_grid: Sequence[float],
     *,
     allow_nonzero_base: bool = False,
-    fd_step: Optional[float] = None,
 ) -> Optional[float]:
     """Search for a point where D^alpha f matches the derivative of the
     reparametrised average x -> f(h(x)) (x-a)^(1-alpha) / Gamma(2-alpha).
@@ -331,7 +323,7 @@ def mean_path_witness(
     if np.any(xs <= p.a):
         raise ValueError("x_grid must lie strictly right of the base point")
     a, alpha = p.a, p.alpha
-    s = fd_step if fd_step is not None else 1e-6 * (float(xs[-1]) - a)
+    s = 1e-6 * (float(xs[-1]) - a)
     scale = 1.0 / gamma(2.0 - alpha)
 
     def reparam(x: np.ndarray) -> np.ndarray:

@@ -65,6 +65,9 @@ __all__ = [
     "periodicity_defect",
 ]
 
+#: relative tolerance of the monotonicity and comparison hypotheses and conclusions
+_HYPOTHESIS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class WindowPairSample:
@@ -180,15 +183,15 @@ def _order_verdict(name: str, gaps: Sequence[Tuple[WindowPairSample, float, floa
     return ShapeVerdict(name, not violations, max([0.0] + [v.margin for v in violations]), violations)
 
 
-def _delta_increasing_verdict(table, pair_samples, tol: float = 1e-8) -> ShapeVerdict:
+def _delta_increasing_verdict(table, pair_samples) -> ShapeVerdict:
     gaps = []
     for pair in pair_samples:
         wx, wy = table[pair.x0][0], table[pair.y0][0]
-        gaps.append((pair, wx - wy, tol * (1.0 + max(abs(wx), abs(wy)))))
+        gaps.append((pair, wx - wy, 1e-8 * (1.0 + max(abs(wx), abs(wy)))))
     return _order_verdict("delta_increasing", gaps)
 
 
-def _property_P_verdict(table, pair_samples, tol: float) -> ShapeVerdict:
+def _property_P_verdict(table, pair_samples, delta: float) -> ShapeVerdict:
     violations: List[Violation] = []
     inconclusive = 0
     worst = 0.0
@@ -199,7 +202,7 @@ def _property_P_verdict(table, pair_samples, tol: float) -> ShapeVerdict:
         elif ox is not None and oy is not None:  # a degenerate level fits any offset
             diff = abs(ox - oy)
             worst = max(worst, diff)
-            if diff > tol:
+            if diff > 1e-6 * delta:
                 violations.append(Violation((pair.x0, pair.y0), diff))
     if violations:
         return ShapeVerdict("property_P", False, worst, tuple(violations))
@@ -220,12 +223,11 @@ def delta_increasing_check(
     *,
     fprime: Optional[FuncLike] = None,
     rebase: bool = False,
-    tol: float = 1e-8,
     backend: str = PRODUCT_TRAPEZOID,
 ) -> ShapeVerdict:
     """Is the windowed derivative nondecreasing across the sampled pairs?"""
     table = _window_table(_prime_sampler(f, fprime), alpha, delta, pair_samples, grid_n, rebase, backend)
-    return _delta_increasing_verdict(table, pair_samples, tol)
+    return _delta_increasing_verdict(table, pair_samples)
 
 
 def property_P_check(
@@ -237,20 +239,19 @@ def property_P_check(
     grid_n: int = 1024,
     scan_n: int = 96,
     rebase: bool = False,
-    tol: Optional[float] = None,
     backend: str = PRODUCT_TRAPEZOID,
 ) -> ShapeVerdict:
     """Translation invariance of the window mean-value offset.
 
     For each pair the mean value of f over [x0, x0+delta] and over
     [y0, y0+delta] is located; the check holds when xi_x - x0 and
-    xi_y - y0 agree within ``tol`` (default 1e-6 * delta) on every pair.
+    xi_y - y0 agree within 1e-6 * delta on every pair.
     A window whose mean value is degenerate (constant level) constrains
     nothing and counts as satisfied; a window where no crossing brackets
     makes the pair inconclusive and the verdict None.
     """
     table = _window_table(_sampler(f), alpha, delta, pair_samples, grid_n, rebase, backend, scan_n)
-    return _property_P_verdict(table, pair_samples, 1e-6 * delta if tol is None else tol)
+    return _property_P_verdict(table, pair_samples, delta)
 
 
 def convexity_equivalence(
@@ -261,7 +262,6 @@ def convexity_equivalence(
     *,
     grid_n: int = 1024,
     scan_n: int = 96,
-    tol: float = 1e-8,
     backend: str = ADAPTIVE_ORACLE,
 ) -> ConvexityReport:
     """Three-way agreement between convexity and the windowed order.
@@ -275,7 +275,7 @@ def convexity_equivalence(
     fp_vals = lambda ts: derivative_values(f, np.asarray(ts, dtype=float), 1)  # noqa: E731
     # windowed derivative of f and mean value of f' on every window, once
     table = _window_table(fp_vals, alpha, delta, pair_samples, grid_n, False, backend, scan_n)
-    gate = _property_P_verdict(table, pair_samples, 1e-6 * delta)
+    gate = _property_P_verdict(table, pair_samples, delta)
 
     lo = min(p.x0 for p in pair_samples)
     hi = max(p.y0 + p.delta for p in pair_samples)
@@ -307,7 +307,7 @@ def convexity_equivalence(
         fpx = float(fp_vals([pair.x0 + ox])[0])
         fpy = float(fp_vals([pair.y0 + oy])[0])
         bridge_max = max(bridge_max, abs((wx - wy) - k * (fpx - fpy)))
-        gaps.append((pair, fpx - fpy, tol * (1.0 + abs(fpx) + abs(fpy))))
+        gaps.append((pair, fpx - fpy, 1e-8 * (1.0 + abs(fpx) + abs(fpy))))
     fxi = _order_verdict("fprime_xi_monotone", gaps)
     dinc = _delta_increasing_verdict(table, pair_samples)
 
@@ -331,8 +331,6 @@ def monotonicity_certificate(
     tau: float,
     b: float,
     grid_n: int = 2048,
-    *,
-    hypothesis_tol: float = 1e-9,
 ) -> ShapeVerdict:
     """Certificate that f grows over steps of length tau on [0, b].
 
@@ -365,7 +363,7 @@ def monotonicity_certificate(
     df0 = float(direct[0])
     scale = 1.0 + float(np.max(np.abs(fv_xt)))
 
-    if df0 < -hypothesis_tol * scale:
+    if df0 < -_HYPOTHESIS_TOL * scale:
         return ShapeVerdict(
             "monotone_up_to_tau", None,
             note=f"not applicable: first step f(tau)-f(0) = {df0!r} is negative",
@@ -376,9 +374,9 @@ def monotonicity_certificate(
     grid_b, d_all = _derivative_on_grid(f, alpha, b, 2 * m)
     d_at = lambda pts: np.interp(pts, grid_b, d_all)  # noqa: E731
     delta_d = d_at(xs + tau) - d_at(xs)
-    bad = np.nonzero(delta_d < -hypothesis_tol * (1.0 + np.max(np.abs(d_all))))[0]
+    bad = np.nonzero(delta_d < -_HYPOTHESIS_TOL * (1.0 + np.max(np.abs(d_all))))[0]
 
-    conclusion_ok = bool(np.all(direct >= -hypothesis_tol * scale))
+    conclusion_ok = bool(np.all(direct >= -_HYPOTHESIS_TOL * scale))
 
     # reconstruction from derivative data (two convolution sweeps); the
     # identity holds for any C^1 f, so it is reported whether or not the
@@ -425,9 +423,6 @@ def comparison_check(
     alpha: float,
     b: float,
     grid_n: int = 1024,
-    *,
-    points: int = 64,
-    tol: float = 1e-9,
 ) -> ShapeVerdict:
     """Dominated fractional derivative implies dominated function.
 
@@ -444,11 +439,11 @@ def comparison_check(
     npts = 2 * int(grid_n)
     grid_b, df = _derivative_on_grid(f, alpha, b, npts)
     dg = _derivative_on_grid(g, alpha, b, npts)[1]
-    xs_idx = np.linspace(1, npts, points).round().astype(int)
+    xs_idx = np.linspace(1, npts, 64).round().astype(int)
     xs = grid_b[xs_idx]
     hyp_margin = dg[xs_idx] - df[xs_idx]
     dscale = 1.0 + float(np.max(np.abs(dg)))
-    bad = np.nonzero(hyp_margin < -tol * dscale)[0]
+    bad = np.nonzero(hyp_margin < -_HYPOTHESIS_TOL * dscale)[0]
     if len(bad):
         worst = float(np.min(hyp_margin[bad]))
         return ShapeVerdict(
@@ -461,7 +456,7 @@ def comparison_check(
     gv = np.asarray(g.eval(xs), dtype=float)
     margins = gv - fv
     fscale = 1.0 + float(np.max(np.abs(gv)))
-    viol = np.nonzero(margins < -tol * fscale)[0]
+    viol = np.nonzero(margins < -_HYPOTHESIS_TOL * fscale)[0]
     if len(viol):
         return ShapeVerdict(
             "comparison", False,
@@ -478,7 +473,6 @@ def periodicity_defect(
     t_grid: Sequence[float],
     *,
     grid_n: int = 2048,
-    periodicity_tol: float = 1e-10,
 ) -> ShapeVerdict:
     """Measured failure of period tau to survive fractional differentiation.
 
@@ -499,7 +493,7 @@ def periodicity_defect(
     fv = np.asarray(f.eval(probe), dtype=float)
     fv_shift = np.asarray(f.eval(probe + tau), dtype=float)
     fscale = 1.0 + float(np.max(np.abs(fv)))
-    if np.max(np.abs(fv_shift - fv)) > periodicity_tol * fscale:
+    if np.max(np.abs(fv_shift - fv)) > 1e-10 * fscale:
         raise HypothesisError(f"input is not periodic with period {tau!r} on the sampled range")
 
     grid_b, d_all = _derivative_on_grid(f, alpha, float(ts[-1]) + tau, 2 * int(grid_n))

@@ -365,6 +365,17 @@ def test_polyxi_weight_overflow_exits_2_with_one_line():
     assert "mu=65.0" in err and "n=65536" in err
 
 
+def test_polyxi_float_overflow_exits_2_with_one_line():
+    # delta^(j+1-alpha) passes a float's range at j = 31
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = capture(["polyxi", "--f", "t", "--alpha", "0.5", "--a", "0", "--delta", "1e10",
+                                  "--n", str(MAX_TAYLOR_N), "--grid-n", "8", "--output", "csv"])
+    assert code == 2 and out == ""
+    assert err.startswith("computation error:") and len(err.splitlines()) == 1
+    assert "overflows a float" in err
+
+
 def test_fracderiv_fractional_power_at_zero_base():
     code, out, err = capture(["fracderiv", "--f", "t^1.5", "--alpha", "0.5", "--a", "0", "--x", "1",
                               "--output", "csv"])

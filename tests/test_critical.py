@@ -209,6 +209,23 @@ def test_r_alpha_hypothesis_violations_detected():
                       [0.5], grid_n=256, scan_n=48)  # wrong claimed stationary point
 
 
+def test_r_alpha_hypothesis_check_uses_the_given_fprime():
+    # a callable f with an exact f' is checked with that f', not with
+    # differences of f; without f' it fails before any sampling of D^alpha f
+    grids = []
+
+    def fprime(ts):
+        grids.append(np.array(ts, dtype=float))
+        return np.cos(ts)
+
+    curve = r_alpha_curve(np.sin, 0.0, 4.0, math.pi / 2.0, 0.5, [0.5], grid_n=256, scan_n=32, fprime=fprime)
+    assert curve.limit_targets[1] == pytest.approx(math.pi / 2.0, abs=0.01)
+    check_grid = np.linspace(0.0, 4.0, 2049)[1:]
+    assert any(np.array_equal(g, check_grid) for g in grids)
+    with pytest.raises(TypeError, match="fprime"):
+        r_alpha_curve(np.sin, 0.0, 4.0, math.pi / 2.0, 0.5, [0.5], grid_n=256, scan_n=32)
+
+
 # --- memory-kernel velocity scenario ----------------------------------------------
 
 

@@ -399,6 +399,17 @@ def test_repeated_integral_power_law_corpus():
                 assert out.est_error >= err
 
 
+def test_grid_scale_overflow_is_one_domain_error():
+    # h^mu in front of a product-trapezoid sum passes a float's range:
+    # I^40 with h = 1e10, and the I^65 part of I^65.5 with h = 1.25e9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows a float"):
+            integral_on_grid(np.ones(3), 1e10, 40.0)
+        with pytest.raises(DomainError, match="overflows a float"):
+            repeated_integral(parse("t"), 0.0, 1e10, 65.5, 8)
+
+
 def test_integral_on_grid_matches_pointwise_rule():
     from fraccalc.fracops import _l1_sum
 

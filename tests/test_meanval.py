@@ -157,6 +157,18 @@ def test_polynomial_past_the_float_range_is_one_domain_error(n):
             mean_value_polynomial(parse("sin(t)"), FractionalParams(0.5, 0.0, 1024), 1.0, n)
 
 
+def test_polynomial_weight_overflow_is_found_before_sampling(monkeypatch):
+    # at n = 64 the remainder's I^65 weights pass a float's range on 65,536
+    # panels; that is known before f^(65) is sampled on the whole grid
+    from fraccalc import meanval
+
+    calls = []
+    monkeypatch.setattr(meanval, "derivative_values", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match="mu=65.0"):
+        mean_value_polynomial(parse("sin(t)"), FractionalParams(0.5, 0.0, 65536), 1.0, 64)
+    assert calls == []
+
+
 def test_polynomial_remainder_dominance_warning():
     # large window and tiny truncation order on a rapidly growing function:
     # the integral tail swamps the retained terms and the estimate says so
