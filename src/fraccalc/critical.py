@@ -143,9 +143,8 @@ def critical_points(
         raise ValueError("scan_n must be >= 4")
     d, scan = _d_alpha(f, p, fprime=fprime, allow_nonzero_base=allow_nonzero_base)
     xs, vals = scan(b, scan_n)
-    roots = _find_roots(xs, vals, d, 1e-10 * (b - p.a), exact=False)
-    residuals = tuple(abs(d(r)) for r in roots)
-    return CriticalPointReport(p.alpha, tuple(roots), residuals, p.grid_n)
+    found = _find_roots(xs, vals, d, 1e-10 * (b - p.a), exact=False)
+    return CriticalPointReport(p.alpha, tuple(r for r, _ in found), tuple(abs(v) for _, v in found), p.grid_n)
 
 
 def order_duality_check(f: FuncLike, p: FractionalParams, x: float) -> OrderDualityResult:
@@ -167,7 +166,7 @@ def order_duality_check(f: FuncLike, p: FractionalParams, x: float) -> OrderDual
     mv = mean_value(f, p_flip, x)
     if mv.degenerate or mv.xi_sup is None:
         raise HypothesisError("mean value degenerate; duality check undefined")
-    fxi = float(_sampler(f)(np.asarray([mv.xi_sup]))[0])
+    fxi = _sampler(f)(mv.xi_sup)
     level_residual = abs(fxi - (x - p.a) ** p.alpha)
     d = rl_derivative(f, p_flip, x).value
     return OrderDualityResult(level_residual, d)
@@ -186,7 +185,7 @@ def derivative_zero_before(
     Existence is guaranteed, so an empty search is a solver failure (the
     scan is refined a few times before giving up), not a valid answer.
     """
-    fx = float(_sampler(f)(np.asarray([x_zero]))[0])
+    fx = _sampler(f)(x_zero)
     if abs(fx) > zero_tol:
         raise HypothesisError(f"f(x_zero) = {fx!r} is not 0 within {zero_tol!r}")
     d, scan = _d_alpha(f, p, fprime=fprime)
@@ -201,7 +200,7 @@ def derivative_zero_before(
             return DerivativeZeroResult(float(xs[0]), abs(float(vals[0])), degenerate=True)
         hits = _find_roots(xs, vals, d, 1e-12 * span, exact=False)
         if hits:
-            return DerivativeZeroResult(hits[-1], abs(d(hits[-1])))
+            return DerivativeZeroResult(hits[-1][0], abs(hits[-1][1]))
         k = int(np.argmin(np.abs(vals)))
         if abs(float(vals[k])) < best_val:
             best_x, best_val = float(xs[k]), abs(float(vals[k]))
@@ -320,10 +319,10 @@ def dilation_scenario(
     vvals = sample(np.asarray(ts))
     vscale = float(np.max(np.abs(vvals))) or 1.0
     vvals[np.abs(vvals) <= 1e-10 * vscale] = 0.0  # a grid point where v vanishes
-    zeros = _find_roots(ts, vvals, lambda s: float(sample(np.asarray([s]))[0]), 1e-12 * (ts[-1] - p.a))
+    zeros = _find_roots(ts, vvals, sample, 1e-12 * (ts[-1] - p.a))
     if not zeros:
         return DilationResult(rows, None, None, None)
-    zero_time = zeros[0]
+    zero_time = zeros[0][0]
     res = derivative_zero_before(
         v, p, zero_time, fprime=fprime, zero_tol=max(1e-10, 1e-9 * vscale)
     )

@@ -18,9 +18,10 @@ yields f, f', ..., f^(n) exactly (up to rounding) instead of stacking
 finite differences, and a value is the jet of order 0.  Orders go up to
 ``MAX_ORDER`` (170; 171! overflows a float).  Each expression's jet is
 compiled once into a tree of closures with the dispatch and constant
-exponents resolved.  It runs on a float or on a numpy array of points; a
-one-point sample (a QUADPACK or root-finder callback) runs as a jet of
-floats.
+exponents resolved.  It runs on a float or on a numpy array of points:
+``eval`` and ``derivative_values`` map a float to a float (a QUADPACK or
+root-finder callback is a jet of floats) and an array, of any size, to an
+array.
 
 Domain rules; a value (order 0) needs less than a derivative (order >= 1):
 
@@ -545,23 +546,22 @@ def check_order(n: int) -> None:
 
 def _sample(e: Expression, t, order: int, what: str, where: str, jet: bool = False) -> list:
     """One pass of ``e``'s compiled jet seeded at ``t`` to ``order``: at a
-    float, or at every point of an array, where one point (a QUADPACK or
-    root-finder callback) runs as a jet of floats, not of 1-element arrays.
+    float, or at every point of an array.
 
     Returns ``[f^(order)]``, or with ``jet`` every scaled coefficient, each
-    shaped like ``t``; raises DomainError unless all of them are finite.
+    a float or shaped like ``t``; raises DomainError unless all of them are
+    finite.
     """
     array = isinstance(t, np.ndarray)
-    point = not array or t.size == 1
-    x = float(t.flat[0] if array else t) if point else t
-    zero = np.zeros_like(t) if order and not point else 0.0
+    x = t if array else float(t)
+    zero = np.zeros_like(t) if order and array else 0.0
     seed = _Jet([x] + [zero + 1.0] * min(order, 1) + [zero] * (order - 1))
     with np.errstate(all="ignore"):
         coeffs = e._jet(seed).c
         out = coeffs if jet else [coeffs[order] * math.factorial(order)]
-    if not all(math.isfinite(c) if point else np.isfinite(c).all() for c in out):
+    if not all(np.isfinite(c).all() if array else math.isfinite(c) for c in out):
         raise DomainError(f"non-finite {what} {_format(e.root)} " + where.format(t))
-    return [np.full(t.shape, c) for c in out] if array and point else out
+    return out
 
 
 def derivatives(e: Expression, center: float, n: int) -> TaylorJet:
@@ -572,7 +572,9 @@ def derivatives(e: Expression, center: float, n: int) -> TaylorJet:
     return TaylorJet(center, tuple(float(c) for c in coeffs))
 
 
-def derivative_values(e: Expression, ts: np.ndarray, order: int) -> np.ndarray:
-    """Sample f^(order) of ``e`` at every point of ``ts`` in one pass."""
+def derivative_values(e: Expression, ts: Scalar, order: int) -> Scalar:
+    """f^(order) of ``e`` at a float, or at every point of an array in one pass."""
     check_order(order)
-    return _sample(e, np.asarray(ts, dtype=float), order, "derivative of", "on sample grid")[0]
+    if isinstance(ts, np.ndarray):
+        return _sample(e, np.asarray(ts, dtype=float), order, "derivative of", "on sample grid")[0]
+    return float(_sample(e, ts, order, "derivative of", "at t={!r}")[0])

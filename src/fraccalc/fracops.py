@@ -18,8 +18,8 @@ Two quadrature backends compute the weakly singular convolution
     end-point weight (QAWS, modified Clenshaw-Curtis rules): f alone is
     integrated against (x - t)^(mu - 1), with no substitution.  Used as
     an independent cross-check for everything the grid backend produces.
-    QUADPACK asks for one point per callback; for f' that is a jet of
-    floats through the expression's compiled jet, not of 1-element arrays.
+    QUADPACK asks for one point per callback and is handed the sampler
+    itself, so each callback is one float in and one float out.
 
 Derivatives come in three flavours:
 
@@ -33,6 +33,15 @@ Derivatives come in three flavours:
   [a, x], never needs f', and is the verification path (slightly less
   accurate, differently wrong).
 * ``caputo_derivative`` is I^(1-alpha) f' with no base-value requirement.
+
+A function argument is an :class:`~fraccalc.expr.Expression` or a
+callable that maps a numpy array of points to an array of values.
+Internally both become a ``Sampler``, built only by ``_sampler`` and
+``_prime_sampler``: it maps a float to a float and an array to an array.
+An expression's sampler is ``eval`` or ``derivative_values``, which take
+either; a callable's sampler hands it a single point as a 1-element array,
+the one place where a point is wrapped.  Code below a public function
+passes its sampler on and never wraps it again.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import AssumptionError, DomainError
-from .expr import Expression, derivative_values
+from .expr import Expression, Scalar, derivative_values
 
 __all__ = [
     "FractionalParams",
@@ -65,8 +74,13 @@ __all__ = [
 PRODUCT_TRAPEZOID = "product_trapezoid"
 ADAPTIVE_ORACLE = "adaptive_oracle"
 
-Sampler = Callable[[np.ndarray], np.ndarray]
-FuncLike = Union[Expression, Sampler]
+#: float -> float and array -> array (see the module docstring)
+Sampler = Callable[[Scalar], Scalar]
+#: what the public functions accept: an expression or an array -> array callable
+FuncLike = Union[Expression, Callable[[np.ndarray], np.ndarray]]
+
+#: absolute and relative tolerance of the adaptive oracle
+_ORACLE_TOL = 1e-10
 
 
 def gamma(z: float) -> float:
@@ -133,7 +147,15 @@ class WindowSpec:
 
 
 def _sampler(f: FuncLike) -> Sampler:
-    return lambda ts: np.asarray(f(ts), dtype=float)  # an Expression is callable too
+    if isinstance(f, Expression):
+        return f.eval
+
+    def sample(ts: Scalar) -> Scalar:
+        if isinstance(ts, np.ndarray):
+            return np.asarray(f(ts), dtype=float)
+        return float(np.asarray(f(np.array([ts], dtype=float)), dtype=float)[0])
+
+    return sample
 
 
 def _prime_sampler(f: FuncLike, fprime: Optional[FuncLike]) -> Sampler:
@@ -146,7 +168,7 @@ def _prime_sampler(f: FuncLike, fprime: Optional[FuncLike]) -> Sampler:
 
 def base_value(f: FuncLike, a: float, *, allow_nonzero: bool = False) -> float:
     """Return f(a), enforcing |f(a)| <= 1e-12 unless ``allow_nonzero``."""
-    fa = float(_sampler(f)(np.asarray([a]))[0])
+    fa = _sampler(f)(a)
     if abs(fa) > 1e-12:
         if not allow_nonzero:
             raise AssumptionError(
@@ -238,19 +260,22 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float, at: Optional[Sequ
         return np.zeros(1)
     w = _l1_weights(n, mu)
     scale = _power(h, mu) / gamma(mu + 2.0)
-    if at is not None:
-        return scale * np.array([w[n + j] * samples[0] + w[n - j + 1 : n + 1] @ samples[1 : j + 1] for j in at])
-    v = w[n:0:-1]  # v[d]: weight of the node at distance d from the endpoint
-    blocks = [np.convolve(samples[1:65], v[:64])[:64]]
-    lo = 64
-    while lo < n:  # entries past n read truncated data and are cut off below
-        spec = np.fft.rfft(samples[1 : 2 * lo + 1], 4 * lo) * np.fft.rfft(v[: 2 * lo], 4 * lo)
-        blocks.append(np.fft.irfft(spec, 4 * lo)[lo : 2 * lo])
-        lo *= 2
-    conv = np.concatenate(blocks)[:n]
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    out[1:] = scale * (w[n + 1 :] * samples[0] + conv)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if at is not None:
+            out = scale * np.array([w[n + j] * samples[0] + w[n - j + 1 : n + 1] @ samples[1 : j + 1] for j in at])
+        else:
+            v = w[n:0:-1]  # v[d]: weight of the node at distance d from the endpoint
+            blocks = [np.convolve(samples[1:65], v[:64])[:64]]
+            lo = 64
+            while lo < n:  # entries past n read truncated data and are cut off below
+                spec = np.fft.rfft(samples[1 : 2 * lo + 1], 4 * lo) * np.fft.rfft(v[: 2 * lo], 4 * lo)
+                blocks.append(np.fft.irfft(spec, 4 * lo)[lo : 2 * lo])
+                lo *= 2
+            out = np.empty(n + 1)
+            out[0] = 0.0
+            out[1:] = scale * (w[n + 1 :] * samples[0] + np.concatenate(blocks)[:n])
+    if not np.isfinite(out).all():
+        raise DomainError(f"product-trapezoid sums for I^{mu!r} overflow a float")
     return out
 
 
@@ -273,7 +298,10 @@ def _nested(sample: Sampler, a: float, x: float, grid_n: int, rule: Callable[[np
     fv = sample(ts)
     # contiguous copies give the same sums as separately sampled half and
     # quarter grids, bit for bit
-    v1, v2, v4 = (rule(np.ascontiguousarray(fv[::k]), k * h) for k in (1, 2, 4))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        v1, v2, v4 = (rule(np.ascontiguousarray(fv[::k]), k * h) for k in (1, 2, 4))
+    if not all(map(math.isfinite, (v1, v2, v4))):
+        raise DomainError(f"product-trapezoid sum over [{a!r}, {x!r}] overflows a float")
     d1, d2 = v1 - v2, v2 - v4
     scale = max(abs(v1), abs(v2), 1.0)
     floor = 1e-15 * scale
@@ -295,33 +323,28 @@ def _kernel_quad_grid(sample: Sampler, a: float, x: float, mu: float, grid_n: in
 # Adaptive oracle (QUADPACK's QAWS rule: the kernel is an algebraic weight)
 
 
-def _kernel_quad_oracle(sample: Sampler, a: float, x: float, mu: float, tol: float) -> tuple:
+def _kernel_quad_oracle(sample: Sampler, a: float, x: float, mu: float) -> tuple:
     """(1/Gamma(mu)) * integral_a^x f(t)(x-t)^(mu-1) dt, adaptively."""
     if not x > a:
         raise ValueError(f"need x > a, got x={x!r}, a={a!r}")
     from scipy import integrate as _scipy_integrate  # only the oracle needs scipy
 
-    def f_scalar(t: float) -> float:
-        return float(sample(np.asarray([t]))[0])
-
     g = gamma(mu)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _scipy_integrate.IntegrationWarning)
         v, e = _scipy_integrate.quad(
-            f_scalar, a, x, weight="alg", wvar=(0.0, mu - 1.0), epsabs=tol, epsrel=tol, limit=200
+            sample, a, x, weight="alg", wvar=(0.0, mu - 1.0), epsabs=_ORACLE_TOL, epsrel=_ORACLE_TOL, limit=200
         )
     total = v / g
     err = e / abs(g) + 1e-16 * abs(total)
     return total, err
 
 
-def _kernel_quad(
-    sample: Sampler, a: float, x: float, mu: float, grid_n: int, backend: str, tol: float
-) -> OperatorValue:
+def _kernel_quad(sample: Sampler, a: float, x: float, mu: float, grid_n: int, backend: str) -> OperatorValue:
     if backend == PRODUCT_TRAPEZOID:
         v, e = _kernel_quad_grid(sample, a, x, mu, grid_n)
     elif backend == ADAPTIVE_ORACLE:
-        v, e = _kernel_quad_oracle(sample, a, x, mu, tol)
+        v, e = _kernel_quad_oracle(sample, a, x, mu)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if not math.isfinite(v):
@@ -340,12 +363,11 @@ def rl_integral(
     x: float,
     *,
     backend: str = PRODUCT_TRAPEZOID,
-    tol: float = 1e-10,
 ) -> OperatorValue:
     """Left fractional integral I^order of f over [p.a, x], order in (0, 1]."""
     if not (0.0 < order <= 1.0):
         raise ValueError(f"rl_integral order must lie in (0, 1], got {order!r}")
-    return _kernel_quad(_sampler(f), p.a, x, order, p.grid_n, backend, tol)
+    return _kernel_quad(_sampler(f), p.a, x, order, p.grid_n, backend)
 
 
 def caputo_derivative(
@@ -355,11 +377,10 @@ def caputo_derivative(
     *,
     fprime: Optional[FuncLike] = None,
     backend: str = PRODUCT_TRAPEZOID,
-    tol: float = 1e-10,
 ) -> OperatorValue:
     """Caputo derivative I^(1-alpha) f' at x.  Constants differentiate to 0."""
     fp = _prime_sampler(f, fprime)
-    return _kernel_quad(fp, p.a, x, 1.0 - p.alpha, p.grid_n, backend, tol)
+    return _kernel_quad(fp, p.a, x, 1.0 - p.alpha, p.grid_n, backend)
 
 
 def rl_derivative(
@@ -371,7 +392,6 @@ def rl_derivative(
     fprime: Optional[FuncLike] = None,
     allow_nonzero_base: bool = False,
     backend: str = PRODUCT_TRAPEZOID,
-    tol: float = 1e-10,
 ) -> OperatorValue:
     """Riemann-Liouville derivative D^alpha f at x.
 
@@ -383,7 +403,7 @@ def rl_derivative(
     """
     if method == "caputo_form":
         base_value(f, p.a, allow_nonzero=allow_nonzero_base)
-        return caputo_derivative(f, p, x, fprime=fprime, backend=backend, tol=tol)
+        return caputo_derivative(f, p, x, fprime=fprime, backend=backend)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
 
@@ -409,7 +429,6 @@ def f_lower(
     *,
     fprime: Optional[FuncLike] = None,
     backend: str = PRODUCT_TRAPEZOID,
-    tol: float = 1e-10,
 ) -> OperatorValue:
     """The auxiliary lowered function
 
@@ -421,10 +440,10 @@ def f_lower(
     """
     if x == p.a:
         return OperatorValue(0.0, backend, 0.0)
-    fa = float(_sampler(f)(np.asarray([p.a]))[0])
+    fa = _sampler(f)(p.a)
     fp = _prime_sampler(f, fprime)
     mu = 2.0 - p.alpha  # kernel (x-t)^(1-alpha) = (x-t)^(mu-1)
-    inner = _kernel_quad(fp, p.a, x, mu, p.grid_n, backend, tol)
+    inner = _kernel_quad(fp, p.a, x, mu, p.grid_n, backend)
     # _kernel_quad folds in 1/Gamma(mu); the target formula wants 1/Gamma(2-alpha)
     boundary = fa * (x - p.a) ** (1.0 - p.alpha) / gamma(2.0 - p.alpha)
     return OperatorValue(boundary + inner.value, inner.backend, inner.est_error)
@@ -439,7 +458,6 @@ def windowed_derivative(
     fprime: Optional[FuncLike] = None,
     rebase: bool = False,
     backend: str = PRODUCT_TRAPEZOID,
-    tol: float = 1e-10,
 ) -> OperatorValue:
     """Caputo-style derivative of f over the window [x0, x0 + delta].
 
@@ -459,7 +477,7 @@ def windowed_derivative(
     else:
         inner_fp = fp
     pw = FractionalParams(alpha, w.x0, grid_n)
-    return _kernel_quad(inner_fp, pw.a, w.end, 1.0 - alpha, pw.grid_n, backend, tol)
+    return _kernel_quad(inner_fp, pw.a, w.end, 1.0 - alpha, pw.grid_n, backend)
 
 
 def repeated_integral(

@@ -30,16 +30,17 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import HypothesisError, MeanValueNotFoundError
+from .errors import DomainError, HypothesisError, MeanValueNotFoundError
 from .expr import Expression, check_order, derivative_values, derivatives
 from .fracops import (
     PRODUCT_TRAPEZOID,
     FractionalParams,
     FuncLike,
+    Sampler,
     gamma,
     repeated_integral,
     rl_derivative,
-    rl_integral,
+    _kernel_quad,
     _power,
     _sampler,
 )
@@ -88,11 +89,14 @@ class PolynomialEstimate:
     reliable: bool = True
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float, flo: float, tol: float) -> float:
+def _bisect(
+    fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float, tol: float
+) -> Tuple[float, float]:
     """Brent's method (Brent 1973, ch. 4) on a bracket; assumes fn(lo) = flo
-    and fn(hi) opposes it.  Locates the root to within tol/2, as a bisection
-    stopped at width tol does, mostly by secant and inverse quadratic steps."""
-    a, fa, b, fb = lo, flo, hi, fn(hi)
+    and fn(hi) = fhi, of opposite signs.  Locates the root to within tol/2,
+    as a bisection stopped at width tol does, mostly by secant and inverse
+    quadratic steps, and returns it with fn there."""
+    a, fa, b, fb = lo, flo, hi, fhi
     c, fc, d, e = a, fa, b - a, b - a
     half = [math.inf, math.inf]  # |c - b| / 2 two steps and one step back
     for _ in range(200):
@@ -121,7 +125,7 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float, flo: float, tol:
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
         fb = fn(b)
-    return float(b)
+    return float(b), fb
 
 
 def _sign_brackets(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -132,13 +136,14 @@ def _sign_brackets(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _find_roots(
     xs: np.ndarray, vals: np.ndarray, fn: Callable[[float], float], tol: float, *, exact: bool = True
-) -> List[float]:
+) -> List[Tuple[float, float]]:
     """Roots of fn bracketed by its sign scan ``vals`` at ascending ``xs``,
-    each refined by :func:`_bisect`.  With ``exact=False`` the scan comes
-    from a cheaper rule than fn: zeros and bracket ends are checked with fn,
-    an end whose sign disagrees with the scan moves one step outwards (the
-    bracket is dropped if fn still shows no sign change), and a root reached
-    from two brackets is reported once."""
+    each refined by :func:`_bisect` and returned with fn there, in ascending
+    order.  With ``exact=False`` the scan comes from a cheaper rule than fn:
+    zeros and bracket ends are checked with fn, an end whose sign disagrees
+    with the scan moves one step outwards (the bracket is dropped if fn
+    still shows no sign change), and a root reached from two brackets is
+    reported once."""
     xs, vals = np.asarray(xs, dtype=float), np.array(vals, dtype=float)
     known = dict(enumerate(vals)) if exact else {}
     at = lambda j: known[j] if j in known else known.setdefault(j, fn(float(xs[j])))  # noqa: E731
@@ -146,7 +151,7 @@ def _find_roots(
     zeros = _sign_brackets(vals)[0]
     vals[zeros] = [at(j) for j in zeros]
     zeros, changes = _sign_brackets(vals)
-    roots = [float(xs[j]) for j in zeros]
+    roots = [(float(xs[j]), at(j)) for j in zeros]
     for lo in changes:
         hi = lo + 1
         if same(lo, hi):
@@ -154,11 +159,12 @@ def _find_roots(
             if lo < 0 or hi == len(xs) or same(lo, hi):
                 continue
         if at(lo) == 0.0 or at(hi) == 0.0:
-            roots.append(float(xs[lo] if at(lo) == 0.0 else xs[hi]))
+            j = lo if at(lo) == 0.0 else hi
+            roots.append((float(xs[j]), at(j)))
         else:
-            roots.append(_bisect(fn, float(xs[lo]), float(xs[hi]), at(lo), tol))
+            roots.append(_bisect(fn, float(xs[lo]), float(xs[hi]), at(lo), at(hi), tol))
     roots.sort()
-    return [r for k, r in enumerate(roots) if k == 0 or r - roots[k - 1] > tol]
+    return [r for k, r in enumerate(roots) if k == 0 or r[0] - roots[k - 1][0] > tol]
 
 
 def mean_value(
@@ -175,33 +181,31 @@ def mean_value(
     brackets nothing and the level is not degenerate; absence is reported,
     never fabricated.
     """
-    iv = rl_integral(f, p, 1.0 - p.alpha, x, backend=backend)  # checks x > a
-    return _mean_value(f, p, x, iv.value, scan_n)
+    sample = _sampler(f)
+    iv = _kernel_quad(sample, p.a, x, 1.0 - p.alpha, p.grid_n, backend)  # checks x > a
+    return _mean_value(sample, p, x, iv.value, scan_n)
 
 
-def _mean_value(f: FuncLike, p: FractionalParams, x: float, iv: float, scan_n: int) -> MeanValueResult:
-    """:func:`mean_value` given iv = I^(1-alpha) f(x) over (p.a, x], for a
-    caller that already holds that integral."""
+def _mean_value(sample: Sampler, p: FractionalParams, x: float, iv: float, scan_n: int) -> MeanValueResult:
+    """:func:`mean_value` of the function ``sample`` samples, given
+    iv = I^(1-alpha) f(x) over (p.a, x], for a caller that already holds
+    that integral."""
     if scan_n < 16:
         raise ValueError("scan_n must be >= 16")
-    sample = _sampler(f)
     g = gamma(2.0 - p.alpha) * iv * (x - p.a) ** (p.alpha - 1.0)
-
-    fn_scalar = lambda s: float(sample(np.asarray([s]))[0]) - g  # noqa: E731
-
     ts = p.a + (x - p.a) * np.arange(1, scan_n + 2) / (scan_n + 2)
     vals = sample(ts) - g
     if float(np.max(np.abs(vals))) <= 1e-12 * (1.0 + abs(g)):
         return MeanValueResult(g, (), (), None, degenerate=True)
 
-    roots = _find_roots(ts, vals, fn_scalar, 1e-12 * (x - p.a))
+    roots = _find_roots(ts, vals, lambda s: sample(s) - g, 1e-12 * (x - p.a))
     if not roots:
         raise MeanValueNotFoundError(
             f"no crossing of the level g(x)={g!r} found on ({p.a!r}, {x!r}) "
             f"with {scan_n + 1} scan points"
         )
-    residuals = tuple(abs(fn_scalar(r)) for r in roots)
-    return MeanValueResult(g, tuple(roots), residuals, roots[-1])
+    xis = tuple(r for r, _ in roots)
+    return MeanValueResult(g, xis, tuple(abs(v) for _, v in roots), xis[-1])
 
 
 def mean_value_polynomial(
@@ -237,6 +241,12 @@ def mean_value_polynomial(
     f_top = lambda ts: derivative_values(f, ts, n + 1)  # noqa: E731
     remainder = repeated_integral(f_top, a, a + delta, n + 2.0 - alpha, p.grid_n).value
     coeffs[0] = -sum(series_terms) - remainder
+    carr = np.asarray(coeffs)
+    ts = delta * np.arange(1, 257) / 257
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        vals = np.polynomial.polynomial.polyval(ts, carr)
+    if not np.isfinite(vals).all():  # a series term or the polynomial itself
+        raise DomainError(f"the mean-value polynomial overflows a float at delta={delta!r}, n={n}")
 
     largest_term = max((abs(s) for s in series_terms), default=0.0)
     if largest_term == 0.0:
@@ -250,11 +260,9 @@ def mean_value_polynomial(
             stacklevel=2,
         )
 
-    carr = np.asarray(coeffs)
     poly_scalar = lambda s: float(np.polynomial.polynomial.polyval(s, carr))  # noqa: E731
-    ts = delta * np.arange(1, 257) / 257
-    roots = _find_roots(ts, np.polynomial.polynomial.polyval(ts, carr), poly_scalar, 1e-14 * delta)
-    return PolynomialEstimate(tuple(coeffs), remainder, tuple(roots), n, delta, reliable)
+    roots = _find_roots(ts, vals, poly_scalar, 1e-14 * delta)
+    return PolynomialEstimate(tuple(coeffs), remainder, tuple(r for r, _ in roots), n, delta, reliable)
 
 
 def check_strictly_monotone(f: FuncLike, lo: float, hi: float) -> int:
@@ -337,4 +345,4 @@ def mean_path_witness(
         return d - (hi - lo) / (2.0 * s)
 
     roots = _find_roots(xs, [residual(float(x)) for x in xs], residual, 1e-10 * (xs[-1] - a))
-    return roots[0] if roots else None
+    return roots[0][0] if roots else None

@@ -31,7 +31,7 @@ value, and it is reported for reference, not used by the equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +42,11 @@ from .fracops import (
     PRODUCT_TRAPEZOID,
     FractionalParams,
     FuncLike,
+    Sampler,
     gamma,
     integral_on_grid,
-    rl_integral,
     _grid,
+    _kernel_quad,
     _prime_sampler,
     _sampler,
 )
@@ -150,7 +151,7 @@ def sample_window_pairs(
 
 
 def _window_table(
-    phi: Callable[[np.ndarray], np.ndarray], alpha: float, delta: float, pair_samples: Sequence[WindowPairSample],
+    phi: Sampler, alpha: float, delta: float, pair_samples: Sequence[WindowPairSample],
     grid_n: int, rebase: bool, backend: str, scan_n: Optional[int] = None,
 ) -> Dict[float, tuple]:
     """Each distinct window start x0, in pair order, mapped to I^(1-alpha) phi
@@ -162,9 +163,9 @@ def _window_table(
     for x0 in (x for pair in pair_samples for x in (pair.x0, pair.y0)):
         if x0 in table:
             continue
-        g = (lambda ts, s=x0: phi(np.asarray(ts, dtype=float) - s)) if rebase else phi
+        g = (lambda ts, s=x0: phi(ts - s)) if rebase else phi
         p = FractionalParams(alpha, x0, grid_n)
-        value = rl_integral(g, p, 1.0 - alpha, x0 + delta, backend=backend).value
+        value = _kernel_quad(g, x0, x0 + delta, 1.0 - alpha, grid_n, backend).value
         offset = None
         if scan_n is not None:
             try:
@@ -272,9 +273,9 @@ def convexity_equivalence(
     the two sides.  The equivalence is only asserted when f' passes the
     property-(P) gate; otherwise it is returned as None (inconclusive).
     """
-    fp_vals = lambda ts: derivative_values(f, np.asarray(ts, dtype=float), 1)  # noqa: E731
+    fp = _prime_sampler(f, None)
     # windowed derivative of f and mean value of f' on every window, once
-    table = _window_table(fp_vals, alpha, delta, pair_samples, grid_n, False, backend, scan_n)
+    table = _window_table(fp, alpha, delta, pair_samples, grid_n, False, backend, scan_n)
     gate = _property_P_verdict(table, pair_samples, delta)
 
     lo = min(p.x0 for p in pair_samples)
@@ -304,8 +305,7 @@ def convexity_equivalence(
             # constant f' on the window: both sides of the bridge are equal
             bridge_max = max(bridge_max, abs(wx - wy))
             continue
-        fpx = float(fp_vals([pair.x0 + ox])[0])
-        fpy = float(fp_vals([pair.y0 + oy])[0])
+        fpx, fpy = fp(pair.x0 + ox), fp(pair.y0 + oy)
         bridge_max = max(bridge_max, abs((wx - wy) - k * (fpx - fpy)))
         gaps.append((pair, fpx - fpy, 1e-8 * (1.0 + abs(fpx) + abs(fpy))))
     fxi = _order_verdict("fprime_xi_monotone", gaps)

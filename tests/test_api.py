@@ -18,12 +18,11 @@ DEFAULTED = {
     "derivatives": {},
     "derivative_values": {},
     "gamma": {},
-    "rl_integral": {"backend": PT, "tol": 1e-10},
-    "rl_derivative": {"method": "caputo_form", "fprime": None, "allow_nonzero_base": False,
-                      "backend": PT, "tol": 1e-10},
-    "caputo_derivative": {"fprime": None, "backend": PT, "tol": 1e-10},
-    "f_lower": {"fprime": None, "backend": PT, "tol": 1e-10},
-    "windowed_derivative": {"grid_n": 2048, "fprime": None, "rebase": False, "backend": PT, "tol": 1e-10},
+    "rl_integral": {"backend": PT},
+    "rl_derivative": {"method": "caputo_form", "fprime": None, "allow_nonzero_base": False, "backend": PT},
+    "caputo_derivative": {"fprime": None, "backend": PT},
+    "f_lower": {"fprime": None, "backend": PT},
+    "windowed_derivative": {"grid_n": 2048, "fprime": None, "rebase": False, "backend": PT},
     "repeated_integral": {"grid_n": 2048},
     "integral_on_grid": {"at": None},
     "mean_value": {"scan_n": 128, "backend": PT},

@@ -376,6 +376,31 @@ def test_polyxi_float_overflow_exits_2_with_one_line():
     assert "overflows a float" in err
 
 
+def test_polyxi_series_term_overflow_exits_2_with_one_line():
+    # f'(0) * delta^1.5 = 1e315 overflows the float product of a finite power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = capture(["polyxi", "--f", "1e300*t", "--alpha", "0.5", "--a", "0", "--delta", "1e10",
+                                  "--n", "1", "--grid-n", "8", "--output", "csv"])
+    assert code == 2 and out == ""
+    assert err.startswith("computation error:") and len(err.splitlines()) == 1
+    assert "mean-value polynomial overflows a float" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mono", "--f", "1e307*t^2", "--alpha", "0.5", "--b", "1.5", "--tau", "0.5"],  # FFT sweep
+    ["critpoints", "--f", "1e307*t^2-1e307*t", "--alpha", "0.5", "--a", "0", "--b", "1.5"],  # at= sums
+    ["fracderiv", "--f", "1e307*t^2-1e307*t", "--alpha", "0.5", "--a", "0", "--x", "1"],  # one grid sum
+])
+def test_grid_sum_overflow_exits_2_with_one_line(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = capture(argv + ["--output", "csv"])
+    assert code == 2 and out == ""
+    assert err.startswith("computation error: product-trapezoid sum") and len(err.splitlines()) == 1
+    assert "overflow" in err
+
+
 def test_fracderiv_fractional_power_at_zero_base():
     code, out, err = capture(["fracderiv", "--f", "t^1.5", "--alpha", "0.5", "--a", "0", "--x", "1",
                               "--output", "csv"])

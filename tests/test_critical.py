@@ -7,6 +7,7 @@ from fraccalc import (
     AssumptionError,
     FractionalParams,
     HypothesisError,
+    caputo_derivative,
     critical_points,
     dilation_scenario,
     order_duality_check,
@@ -301,4 +302,27 @@ def test_disagreeing_scan_brackets_give_one_root():
     xs = np.array([0.2, 0.4, 0.6, 0.8])
     roots = _find_roots(xs, np.array([-1.0, 1.0, -1.0, 1.0]), lambda x: x - 0.5, 1e-12, exact=False)
     assert len(roots) == 1
-    assert abs(roots[0] - 0.5) <= 1e-12
+    assert abs(roots[0][0] - 0.5) <= 1e-12
+
+
+@pytest.mark.parametrize("source, fprime", [
+    ("sin(t)", np.cos),
+    ("t^3-3*t^2+2*t", lambda ts: 3.0 * ts * ts - 6.0 * ts + 2.0),
+])
+def test_critical_points_runs_the_pointwise_rule_once_per_point(source, fprime):
+    # Brent is handed both bracket ends and returns the value at its root, so
+    # no residual or bracket end is computed twice; the pointwise rule samples
+    # f' on a grid ending at its point, the scan on one ending at b
+    ends = []
+
+    def recording(ts):
+        ends.append(float(ts[-1]))
+        return fprime(ts)
+
+    f, p = parse(source), FractionalParams(0.5, 0.0, 1024)
+    report = critical_points(f, p, 3.0, fprime=recording)
+    assert report.roots
+    pointwise = ends[1:]  # the first sample is the scan's
+    assert len(pointwise) == len(set(pointwise))
+    for r, res in zip(report.roots, report.residuals):
+        assert res == abs(caputo_derivative(f, p, r, fprime=fprime).value)

@@ -267,6 +267,7 @@ def _outcome(e, ts, order):
     st.integers(1, 3),
 )
 def test_one_point_jet_matches_many_point_jet_bit_for_bit(root, ts, order):
+    # on a grid, on a 1-element array and on a float
     e = Expression(root)
     many = _outcome(e, ts, order)
     ones = [_outcome(e, [t], order) for t in ts]
@@ -276,6 +277,14 @@ def test_one_point_jet_matches_many_point_jet_bit_for_bit(root, ts, order):
     else:
         for i, one in enumerate(ones):
             assert isinstance(one, np.ndarray) and one.tobytes() == many[i : i + 1].tobytes()
+    for t, one in zip(ts, ones):
+        try:
+            point = derivative_values(e, float(t), order)
+        except FracCalcError as exc:
+            # a non-finite result names the point instead of the grid
+            assert (type(exc), str(exc).replace(f" at t={float(t)!r}", " on sample grid")) == one
+        else:
+            assert type(point) is float and np.float64(point).tobytes() == one.tobytes()
 
 
 def _bits(sample):

@@ -271,7 +271,7 @@ def test_bracket_refinement_is_fast_and_within_half_tolerance():
         evals.append(x)
         return math.cos(x) - x
 
-    root = _bisect(fn, 0.0, 1.0, 1.0, 1e-12)
+    root, _ = _bisect(fn, 0.0, 1.0, 1.0, fn(1.0), 1e-12)
     assert abs(root - 0.7390851332151607) <= 0.5e-12
     assert len(evals) <= 12  # bisection to the same width takes 40
 
@@ -287,6 +287,6 @@ def test_bracket_refinement_bounded_on_flat_crossing():
         evals.append(x)
         return (x - 0.3) ** 3
 
-    root = _bisect(fn, 0.0, 1.0, fn(0.0), 1e-10)
+    root, _ = _bisect(fn, 0.0, 1.0, fn(0.0), fn(1.0), 1e-10)
     assert abs(root - 0.3) <= 0.5e-10
     assert len(evals) <= 75  # 88 without the forced bisection steps
