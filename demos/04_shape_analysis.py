@@ -64,5 +64,5 @@ print(f"\ncomparison t vs 2t: hypothesis and conclusion hold: {v.holds}")
 tau = 2 * math.pi
 v = periodicity_defect(parse("sin(t)"), 0.5, tau, np.linspace(tau, 4 * tau, 7), grid_n=2048)
 print(f"\nperiodicity defect of D^0.5 sin over one to four periods: max {v.defect:.4f}")
-for key in sorted(v.info, key=lambda k: float(k.split("@")[1])):
-    print(f"  {key} = {v.info[key]:.6f}")
+for w in v.witnesses:
+    print(f"  defect@{w.where[0]:.6g} = {w.margin:.6f}")

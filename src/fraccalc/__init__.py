@@ -26,7 +26,6 @@ from .fracops import (
     PRODUCT_TRAPEZOID,
     FractionalParams,
     OperatorValue,
-    WindowSpec,
     caputo_derivative,
     f_lower,
     gamma,
@@ -34,7 +33,6 @@ from .fracops import (
     repeated_integral,
     rl_derivative,
     rl_integral,
-    windowed_derivative,
 )
 from .meanval import (
     MeanValueResult,
@@ -80,8 +78,8 @@ __all__ = [
     "Expression", "TaylorJet", "parse", "derivatives", "derivative_values",
     # operators
     "ADAPTIVE_ORACLE", "PRODUCT_TRAPEZOID", "FractionalParams", "OperatorValue",
-    "WindowSpec", "gamma", "rl_integral", "rl_derivative", "caputo_derivative",
-    "f_lower", "windowed_derivative", "repeated_integral", "integral_on_grid",
+    "gamma", "rl_integral", "rl_derivative", "caputo_derivative",
+    "f_lower", "repeated_integral", "integral_on_grid",
     # mean values
     "MeanValueResult", "PolynomialEstimate", "mean_value", "mean_value_polynomial",
     "xi_smoothness_profile", "mean_path_witness",

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .critical import critical_points, dilation_scenario, r_alpha_curve
+from .critical import ALPHA_MAX, ALPHA_MIN, critical_points, dilation_scenario, r_alpha_curve
 from .errors import FracCalcError, ParseError
 from .expr import parse
 from .fracops import (
@@ -40,8 +40,6 @@ from .shape import (
     periodicity_defect,
     sample_window_pairs,
 )
-
-ALPHA_CLIP = (0.01, 0.99)
 
 #: upper caps of the count flags, so that no single flag can ask for
 #: gigabytes; at its cap the heaviest command runs in a few seconds and
@@ -121,9 +119,8 @@ def _alpha_list(text: str, *, sweep_ok: bool) -> List[float]:
             raise _UsageError(f"alpha sweep ends must be finite, got {text!r}")
         if not 1 <= count <= MAX_SWEEP:
             raise _UsageError(f"--alpha sweep count must lie in [1, {MAX_SWEEP}], got {count}")
-        lo, hi = ALPHA_CLIP
         grid = np.linspace(start, stop, count) if count > 1 else np.asarray([start])
-        return [float(min(max(a, lo), hi)) for a in grid]
+        return [float(min(max(a, ALPHA_MIN), ALPHA_MAX)) for a in grid]
     try:
         return [float(text)]
     except ValueError:
@@ -289,8 +286,8 @@ def _cmd_periodic(args) -> int:
     ts = np.linspace(start, args.b, args.scan_n)
     verdict = periodicity_defect(f, al, args.tau, ts, grid_n=args.grid_n)
     rep = Report(["t", "defect"])
-    for t in ts:
-        rep.add(float(t), verdict.info[f"defect@{float(t):.6g}"])
+    for w in verdict.witnesses:
+        rep.add(w.where[0], w.margin)
     rep.comment(f"max_defect {_fmt(verdict.defect)}")
     rep.comment("measurement only: the memory kernel remembers the base point")
     return _emit(rep, args)
@@ -410,10 +407,11 @@ def _cmd_selftest(args) -> int:
 
 
 def _add_common(sp, *, f_default=None, alpha_default=None):
+    dash = "; write --f=EXPR when EXPR starts with '-'"
     if f_default is None:
-        sp.add_argument("--f", required=True, help="expression in t, e.g. 'sin(t)'")
+        sp.add_argument("--f", required=True, help="expression in t, e.g. 'sin(t)'" + dash)
     else:
-        sp.add_argument("--f", default=f_default, help=f"expression in t (default {f_default!r})")
+        sp.add_argument("--f", default=f_default, help=f"expression in t (default {f_default!r})" + dash)
     if alpha_default is None:
         sp.add_argument("--alpha", required=True, help="order in (0,1) or sweep start:stop:count")
     else:

@@ -33,6 +33,8 @@ Derivatives come in three flavours:
   [a, x], never needs f', and is the verification path (slightly less
   accurate, differently wrong).
 * ``caputo_derivative`` is I^(1-alpha) f' with no base-value requirement.
+  The derivative over a window [x0, x0 + delta], restarted at its start,
+  is ``caputo_derivative`` with base x0 evaluated at x0 + delta.
 
 A function argument is an :class:`~fraccalc.expr.Expression` or a
 callable that maps a numpy array of points to an array of values.
@@ -59,13 +61,11 @@ from .expr import Expression, Scalar, derivative_values
 __all__ = [
     "FractionalParams",
     "OperatorValue",
-    "WindowSpec",
     "gamma",
     "rl_integral",
     "rl_derivative",
     "caputo_derivative",
     "f_lower",
-    "windowed_derivative",
     "repeated_integral",
     "integral_on_grid",
     "base_value",
@@ -124,22 +124,6 @@ class OperatorValue:
     value: float
     backend: str
     est_error: float
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """A window [x0, x0 + delta] over which an operator is restarted."""
-
-    x0: float
-    delta: float
-
-    def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ValueError(f"window length delta must be > 0, got {self.delta!r}")
-
-    @property
-    def end(self) -> float:
-        return self.x0 + self.delta
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +397,7 @@ def rl_derivative(
         # one-sided second-order difference of I^mu f at the last three nodes
         n = len(fv) - 1
         u = integral_on_grid(fv, h, mu, at=(n - 2, n - 1, n))
-        return (3.0 * u[2] - 4.0 * u[1] + u[0]) / (2.0 * h)
+        return float(3.0 * u[2] - 4.0 * u[1] + u[0]) / (2.0 * h)
 
     # the quarter grid needs three nodes past a
     v, est = _nested(_sampler(f), p.a, x, max(12, p.grid_n), slope)
@@ -447,37 +431,6 @@ def f_lower(
     # _kernel_quad folds in 1/Gamma(mu); the target formula wants 1/Gamma(2-alpha)
     boundary = fa * (x - p.a) ** (1.0 - p.alpha) / gamma(2.0 - p.alpha)
     return OperatorValue(boundary + inner.value, inner.backend, inner.est_error)
-
-
-def windowed_derivative(
-    f: FuncLike,
-    w: WindowSpec,
-    alpha: float,
-    grid_n: int = 2048,
-    *,
-    fprime: Optional[FuncLike] = None,
-    rebase: bool = False,
-    backend: str = PRODUCT_TRAPEZOID,
-) -> OperatorValue:
-    """Caputo-style derivative of f over the window [x0, x0 + delta].
-
-    Returns I^(1-alpha) f' taken from the window start and evaluated at
-    the window end, i.e. the operator is restarted at x0 with the
-    function's own values on the window ("operator applied to the
-    shifted function", no vertical adjustment).
-
-    With ``rebase=True`` the window instead sees ``t -> f(t - x0)``, the
-    literal re-anchored reading; for power functions this makes every
-    window produce the identical closed-form value.
-    """
-    fp = _prime_sampler(f, fprime)
-    if rebase:
-        x0 = w.x0
-        inner_fp = lambda ts: fp(ts - x0)  # noqa: E731
-    else:
-        inner_fp = fp
-    pw = FractionalParams(alpha, w.x0, grid_n)
-    return _kernel_quad(inner_fp, pw.a, w.end, 1.0 - alpha, pw.grid_n, backend)
 
 
 def repeated_integral(

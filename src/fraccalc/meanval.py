@@ -335,8 +335,7 @@ def mean_path_witness(
     scale = 1.0 / gamma(2.0 - alpha)
 
     def reparam(x: np.ndarray) -> np.ndarray:
-        hx = np.asarray(h.eval(x), dtype=float)
-        return np.asarray(f.eval(hx), dtype=float) * (x - a) ** (1.0 - alpha) * scale
+        return f.eval(h.eval(x)) * (x - a) ** (1.0 - alpha) * scale
 
     def residual(x: float) -> float:
         d = rl_derivative(f, p, x, allow_nonzero_base=allow_nonzero_base).value

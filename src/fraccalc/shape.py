@@ -20,12 +20,9 @@ locates the mean value of f' on the window, so the mean value reuses it;
 the delta-increasing, property-(P), f'(xi)-monotone and bridge verdicts
 are all read off that one table.
 
-Window convention: the operator is restarted at the window start with
-the function's own values on the window (Caputo form I^(1-alpha) f' over
-[x0, x0 + delta]).  Pass ``rebase=True`` to make each window see the
-re-anchored function t -> f(t - x0) instead; that is the reading under
-which every window of a power function yields the identical closed-form
-value, and it is reported for reference, not used by the equivalence.
+Window convention: the derivative over a window [x0, x0 + delta] is
+``caputo_derivative`` with base x0 evaluated at x0 + delta, i.e.
+I^(1-alpha) f' over the window with the function's own values on it.
 """
 
 from __future__ import annotations
@@ -101,7 +98,8 @@ class ShapeVerdict:
     ``holds`` is True/False for decided checks and None when the check is
     not applicable (hypothesis failed) or purely a measurement; ``defect``
     carries the measured magnitude where one exists.  False verdicts list
-    witnesses with their violation margins.
+    witnesses with their violation margins; a measurement lists its
+    per-point values there.
     """
 
     property: str
@@ -152,7 +150,7 @@ def sample_window_pairs(
 
 def _window_table(
     phi: Sampler, alpha: float, delta: float, pair_samples: Sequence[WindowPairSample],
-    grid_n: int, rebase: bool, backend: str, scan_n: Optional[int] = None,
+    grid_n: int, backend: str, scan_n: Optional[int] = None,
 ) -> Dict[float, tuple]:
     """Each distinct window start x0, in pair order, mapped to I^(1-alpha) phi
     over [x0, x0 + delta] and, given ``scan_n``, the offset xi - x0 of phi's
@@ -163,13 +161,12 @@ def _window_table(
     for x0 in (x for pair in pair_samples for x in (pair.x0, pair.y0)):
         if x0 in table:
             continue
-        g = (lambda ts, s=x0: phi(ts - s)) if rebase else phi
         p = FractionalParams(alpha, x0, grid_n)
-        value = _kernel_quad(g, x0, x0 + delta, 1.0 - alpha, grid_n, backend).value
+        value = _kernel_quad(phi, x0, x0 + delta, 1.0 - alpha, grid_n, backend).value
         offset = None
         if scan_n is not None:
             try:
-                mv = _mean_value(g, p, x0 + delta, value, scan_n)
+                mv = _mean_value(phi, p, x0 + delta, value, scan_n)
                 offset = None if mv.degenerate else mv.xi_sup - x0
             except MeanValueNotFoundError as exc:
                 offset = exc
@@ -223,11 +220,10 @@ def delta_increasing_check(
     grid_n: int = 1024,
     *,
     fprime: Optional[FuncLike] = None,
-    rebase: bool = False,
     backend: str = PRODUCT_TRAPEZOID,
 ) -> ShapeVerdict:
     """Is the windowed derivative nondecreasing across the sampled pairs?"""
-    table = _window_table(_prime_sampler(f, fprime), alpha, delta, pair_samples, grid_n, rebase, backend)
+    table = _window_table(_prime_sampler(f, fprime), alpha, delta, pair_samples, grid_n, backend)
     return _delta_increasing_verdict(table, pair_samples)
 
 
@@ -239,7 +235,6 @@ def property_P_check(
     *,
     grid_n: int = 1024,
     scan_n: int = 96,
-    rebase: bool = False,
     backend: str = PRODUCT_TRAPEZOID,
 ) -> ShapeVerdict:
     """Translation invariance of the window mean-value offset.
@@ -251,7 +246,7 @@ def property_P_check(
     nothing and counts as satisfied; a window where no crossing brackets
     makes the pair inconclusive and the verdict None.
     """
-    table = _window_table(_sampler(f), alpha, delta, pair_samples, grid_n, rebase, backend, scan_n)
+    table = _window_table(_sampler(f), alpha, delta, pair_samples, grid_n, backend, scan_n)
     return _property_P_verdict(table, pair_samples, delta)
 
 
@@ -275,13 +270,13 @@ def convexity_equivalence(
     """
     fp = _prime_sampler(f, None)
     # windowed derivative of f and mean value of f' on every window, once
-    table = _window_table(fp, alpha, delta, pair_samples, grid_n, False, backend, scan_n)
+    table = _window_table(fp, alpha, delta, pair_samples, grid_n, backend, scan_n)
     gate = _property_P_verdict(table, pair_samples, delta)
 
     lo = min(p.x0 for p in pair_samples)
     hi = max(p.y0 + p.delta for p in pair_samples)
     grid = np.linspace(lo, hi, 33)
-    fg = np.asarray(f.eval(grid), dtype=float)
+    fg = f.eval(grid)
     scale = 1.0 + float(np.max(np.abs(fg)))
     convex = True
     for i in range(len(grid)):
@@ -357,8 +352,8 @@ def monotonicity_certificate(
     m = int(grid_n)
     xs, h = _grid(0.0, b - tau, m)
 
-    fv_x = np.asarray(f.eval(xs), dtype=float)
-    fv_xt = np.asarray(f.eval(xs + tau), dtype=float)
+    fv_x = f.eval(xs)
+    fv_xt = f.eval(xs + tau)
     direct = fv_xt - fv_x
     df0 = float(direct[0])
     scale = 1.0 + float(np.max(np.abs(fv_xt)))
@@ -430,8 +425,8 @@ def comparison_check(
     then f <= g (conclusion).  Requires f(0) = g(0) = 0; a failed
     hypothesis yields a not-applicable verdict.
     """
-    f0 = float(f.eval(0.0))
-    g0 = float(g.eval(0.0))
+    f0 = f.eval(0.0)
+    g0 = g.eval(0.0)
     if abs(f0 - g0) > 1e-12 or abs(f0) > 1e-12:
         raise HypothesisError(
             f"comparison needs f(0) = g(0) = 0, got f(0)={f0!r}, g(0)={g0!r}"
@@ -452,8 +447,8 @@ def comparison_check(
             note="not applicable: D^alpha f <= D^alpha g fails on part of the grid",
             info={"worst_hypothesis_margin": worst},
         )
-    fv = np.asarray(f.eval(xs), dtype=float)
-    gv = np.asarray(g.eval(xs), dtype=float)
+    fv = f.eval(xs)
+    gv = g.eval(xs)
     margins = gv - fv
     fscale = 1.0 + float(np.max(np.abs(gv)))
     viol = np.nonzero(margins < -_HYPOTHESIS_TOL * fscale)[0]
@@ -478,11 +473,12 @@ def periodicity_defect(
 
     The input must itself be tau-periodic on the sampled range (verified,
     rejected otherwise).  The returned ``defect`` is the largest observed
-    |D^alpha f(t + tau) - D^alpha f(t)| over the grid; the per-point
-    values are in ``info``.  This is deliberately a measurement, not an
-    assertion: the memory kernel remembers the base point, so exact
-    periodicity of the derivative is not expected at finite times even
-    though the defect fades as t grows.
+    |D^alpha f(t + tau) - D^alpha f(t)| over the grid; ``witnesses`` holds
+    one ``Violation((t,), defect)`` per point, in the order of ``t_grid``.
+    This is deliberately a measurement, not an assertion: the memory
+    kernel remembers the base point, so exact periodicity of the
+    derivative is not expected at finite times even though the defect
+    fades as t grows.
     """
     if not tau > 0.0:
         raise ValueError(f"period tau must be > 0, got tau={tau!r}")
@@ -490,8 +486,8 @@ def periodicity_defect(
     if np.any(ts <= 0.0):
         raise ValueError("t_grid must be positive (operators are based at 0)")
     probe = np.linspace(0.0, float(ts[-1]), 512)
-    fv = np.asarray(f.eval(probe), dtype=float)
-    fv_shift = np.asarray(f.eval(probe + tau), dtype=float)
+    fv = f.eval(probe)
+    fv_shift = f.eval(probe + tau)
     fscale = 1.0 + float(np.max(np.abs(fv)))
     if np.max(np.abs(fv_shift - fv)) > 1e-10 * fscale:
         raise HypothesisError(f"input is not periodic with period {tau!r} on the sampled range")
@@ -499,9 +495,8 @@ def periodicity_defect(
     grid_b, d_all = _derivative_on_grid(f, alpha, float(ts[-1]) + tau, 2 * int(grid_n))
     d_at = lambda pts: np.interp(pts, grid_b, d_all)  # noqa: E731
     defects = np.abs(d_at(ts + tau) - d_at(ts))
-    info = {f"defect@{t:.6g}": float(v) for t, v in zip(ts, defects)}
     return ShapeVerdict(
         "periodic_defect", None,
         defect=float(np.max(defects)),
-        info=info,
+        witnesses=tuple(Violation((float(t),), float(d)) for t, d in zip(ts, defects)),
     )

@@ -22,7 +22,6 @@ DEFAULTED = {
     "rl_derivative": {"method": "caputo_form", "fprime": None, "allow_nonzero_base": False, "backend": PT},
     "caputo_derivative": {"fprime": None, "backend": PT},
     "f_lower": {"fprime": None, "backend": PT},
-    "windowed_derivative": {"grid_n": 2048, "fprime": None, "rebase": False, "backend": PT},
     "repeated_integral": {"grid_n": 2048},
     "integral_on_grid": {"at": None},
     "mean_value": {"scan_n": 128, "backend": PT},
@@ -35,8 +34,8 @@ DEFAULTED = {
     "r_alpha_curve": {"x1": None, "grid_n": 1024, "scan_n": 96, "fprime": None},
     "dilation_scenario": {"fprime": None},
     "sample_window_pairs": {"n_pairs": 32, "seed": 0},
-    "delta_increasing_check": {"grid_n": 1024, "fprime": None, "rebase": False, "backend": PT},
-    "property_P_check": {"grid_n": 1024, "scan_n": 96, "rebase": False, "backend": PT},
+    "delta_increasing_check": {"grid_n": 1024, "fprime": None, "backend": PT},
+    "property_P_check": {"grid_n": 1024, "scan_n": 96, "backend": PT},
     "convexity_equivalence": {"grid_n": 1024, "scan_n": 96, "backend": ORACLE},
     "monotonicity_certificate": {"grid_n": 2048},
     "comparison_check": {"grid_n": 1024},

@@ -185,6 +185,33 @@ def test_periodic_command():
     assert len(rows) == 5
 
 
+def test_periodic_rows_are_one_defect_per_point():
+    # the five points agree to 6 significant digits; each row still has its own defect
+    code, out, _ = capture(["periodic", "--f", "sin(t)", "--alpha", "0.5", "--a", "10",
+                            "--b", "10.00001", "--tau", "6.283185307179586", "--scan-n", "5",
+                            "--grid-n", "256", "--output", "csv"])
+    assert code == 0
+    _, rows = csv_rows(out)
+    defects = [float(d) for _, d in rows]
+    assert len(rows) == 5 and len(set(defects)) == 5
+    (max_defect,) = [ln.split()[-1] for ln in out.splitlines() if ln.startswith("# max_defect ")]
+    assert max(defects) == float(max_defect)
+
+
+def test_leading_minus_expression_is_passed_with_equals():
+    # argparse reads a separate "-t^2" as an option; "--f=-t^2" is a value
+    common = ["fracderiv", "--alpha", "0.5", "--a", "0", "--x", "1", "--output", "csv"]
+    code_pos, out_pos, _ = capture(common + ["--f", "t^2"])
+    code_neg, out_neg, _ = capture(common + ["--f=-t^2"])
+    assert code_pos == code_neg == 0
+    (pos,), (neg,) = csv_rows(out_pos)[1], csv_rows(out_neg)[1]
+    assert float(neg[2]) == -float(pos[2]) and neg[3] == pos[3]
+    code, out, err = capture(common + ["--f", "-t^2"])
+    assert code == 1 and out == "" and "expected one argument" in err
+    code, out, _ = capture(["fracderiv", "--help"])
+    assert code == 0 and "--f=EXPR" in out
+
+
 def test_polyxi_command():
     code, out, _ = capture(["polyxi", "--f", "t", "--alpha", "0.5", "--a", "0",
                             "--delta", "1", "--n", "1", "--output", "csv"])

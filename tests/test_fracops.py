@@ -6,10 +6,10 @@ import pytest
 
 from fraccalc import (
     ADAPTIVE_ORACLE,
+    PRODUCT_TRAPEZOID,
     AssumptionError,
     DomainError,
     FractionalParams,
-    WindowSpec,
     caputo_derivative,
     f_lower,
     gamma,
@@ -18,7 +18,6 @@ from fraccalc import (
     repeated_integral,
     rl_derivative,
     rl_integral,
-    windowed_derivative,
 )
 
 # closed forms: I^mu t^beta = G(b+1)/G(b+1+mu) x^(b+mu),
@@ -88,13 +87,6 @@ def test_rl_integral_rejects_bad_order_and_point():
         rl_integral(f, p, 0.5, 0.0)
     with pytest.raises(ValueError):
         rl_integral(f, p, 0.5, -1.0)
-
-
-def test_window_spec_requires_positive_length():
-    with pytest.raises(ValueError):
-        WindowSpec(0.0, 0.0)
-    with pytest.raises(ValueError):
-        WindowSpec(0.0, -1.0)
 
 
 # --- fractional integral ----------------------------------------------------
@@ -378,6 +370,22 @@ def test_f_lower_identity_with_nonzero_base_value():
 # --- composition identities ---------------------------------------------------
 
 
+def test_every_operator_value_holds_python_floats():
+    # a numpy scalar is a float subclass with its own repr; no path returns one
+    f, p = parse("t^2"), FractionalParams(0.5, 0.0, 64)
+    outs = [rl_derivative(f, p, 1.0, method="direct"), rl_derivative(np.square, p, 1.0, method="direct")]
+    for backend in (PRODUCT_TRAPEZOID, ADAPTIVE_ORACLE):
+        outs += [
+            rl_integral(f, p, 0.5, 1.0, backend=backend),
+            rl_derivative(f, p, 1.0, backend=backend),
+            caputo_derivative(f, p, 1.0, backend=backend),
+            f_lower(f, p, 1.0, backend=backend),
+        ]
+    outs += [repeated_integral(f, 0.0, 1.0, order, 64) for order in (0.5, 2.5)]
+    for out in outs:
+        assert type(out.value) is float and type(out.est_error) is float, out
+
+
 @pytest.mark.parametrize("al", [0.3, 0.5, 0.7])
 def test_derivative_after_integral_recovers_f(al):
     # D^al I^al f = f, computed on one shared grid
@@ -555,19 +563,19 @@ def test_order_limits_approach_monotonically():
     assert all(a > b for a, b in zip(devs_hi, devs_hi[1:]))
 
 
-# --- windowed derivative -------------------------------------------------------
+# --- windows: the Caputo derivative restarted at the window start --------------
 
 
 def test_windowed_power_law_at_origin():
-    out = windowed_derivative(parse("t^2"), WindowSpec(0.0, 1.0), 0.5, 512)
+    out = caputo_derivative(parse("t^2"), FractionalParams(0.5, 0.0, 512), 1.0)
     assert out.value == pytest.approx(power_derivative(2.0, 0.5, 1.0), rel=1e-9)
     assert out.value == pytest.approx(2.0 / math.gamma(2.5), rel=1e-9)
 
 
 def test_windowed_sees_shifted_slope():
     f = parse("t^2")
-    near = windowed_derivative(f, WindowSpec(0.0, 1.0), 0.5, 512, backend=ADAPTIVE_ORACLE)
-    far = windowed_derivative(f, WindowSpec(1.0, 1.0), 0.5, 512, backend=ADAPTIVE_ORACLE)
+    near = caputo_derivative(f, FractionalParams(0.5, 0.0, 512), 1.0, backend=ADAPTIVE_ORACLE)
+    far = caputo_derivative(f, FractionalParams(0.5, 1.0, 512), 2.0, backend=ADAPTIVE_ORACLE)
     # oracle closed form for the shifted window: I^(1/2) of 2t from 1 at 2
     assert far.value == pytest.approx(20.0 / (3.0 * math.sqrt(math.pi)), rel=1e-9)
     assert far.value > near.value
@@ -578,17 +586,9 @@ def test_windowed_linear_closed_form():
     f = parse("3*t - 1")
     for x0 in (0.0, 0.7, 2.0):
         for al in (0.3, 0.6):
-            out = windowed_derivative(f, WindowSpec(x0, 0.8), al, 256)
+            out = caputo_derivative(f, FractionalParams(al, x0, 256), x0 + 0.8)
             ref = 3.0 * 0.8 ** (1.0 - al) / math.gamma(2.0 - al)
             assert out.value == pytest.approx(ref, rel=1e-12)
-
-
-def test_windowed_rebase_is_window_invariant():
-    f = parse("t^2")
-    ref = power_derivative(2.0, 0.5, 0.5)  # every window reproduces the origin value
-    for x0 in (0.0, 1.3, 2.6):
-        out = windowed_derivative(f, WindowSpec(x0, 0.5), 0.5, 512, rebase=True)
-        assert out.value == pytest.approx(ref, rel=1e-9)
 
 
 def test_grid_parity_does_not_matter():

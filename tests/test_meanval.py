@@ -46,6 +46,9 @@ def test_power_law_scale_covariance():
         for x in (0.5, 1.0, 2.0):
             res = mean_value(parse(src), p, x, backend=ADAPTIVE_ORACLE)
             assert res.xi_sup / x == pytest.approx(power_ratio(beta, 0.5), abs=1e-8)
+    # the default grid backend on a coarser grid
+    res = mean_value(parse("t^2"), FractionalParams(0.5, 0.0, 512), 0.5)
+    assert res.xi_sup == pytest.approx(0.5 * power_ratio(2.0, 0.5), abs=1e-8)
 
 
 def test_defining_residual_invariant():

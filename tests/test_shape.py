@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from fraccalc import (
+    ADAPTIVE_ORACLE,
+    PRODUCT_TRAPEZOID,
     FractionalParams,
     HypothesisError,
-    WindowSpec,
+    caputo_derivative,
     comparison_check,
     convexity_equivalence,
     delta_increasing_check,
@@ -15,8 +17,9 @@ from fraccalc import (
     periodicity_defect,
     property_P_check,
     sample_window_pairs,
-    windowed_derivative,
 )
+from fraccalc.fracops import _prime_sampler
+from fraccalc.shape import _window_table
 
 
 @pytest.fixture(scope="module")
@@ -43,29 +46,34 @@ def test_pair_validation():
 # --- delta-increasing order ----------------------------------------------------
 
 
-def test_power_function_rebased_windows_all_equal(pairs):
-    # under the re-anchored window convention every window of t^beta yields
-    # Gamma(1+beta)/Gamma(beta-alpha+1) * delta^(beta-alpha): equality holds
-    beta, al, delta = 2.0, 0.5, 0.5
-    ref = math.gamma(1.0 + beta) / math.gamma(beta - al + 1.0) * delta ** (beta - al)
-    f = parse("t^2")
-    for x0 in (pairs[0].x0, pairs[0].y0, pairs[3].x0):
-        out = windowed_derivative(f, WindowSpec(x0, delta), al, 512, rebase=True)
-        assert out.value == pytest.approx(ref, rel=1e-6)
-    verdict = delta_increasing_check(f, al, delta, pairs, 512, rebase=True)
-    assert verdict.holds is True
-
-
 def test_quadratic_is_delta_increasing(pairs):
     verdict = delta_increasing_check(parse("t^2"), 0.5, 0.5, pairs, 512)
     assert verdict.holds is True
     assert verdict.witnesses == ()
     # the windowed values increase strictly along x0 in {0, 1, 2}
     vals = [
-        windowed_derivative(parse("t^2"), WindowSpec(x0, 0.5), 0.5, 512).value
+        caputo_derivative(parse("t^2"), FractionalParams(0.5, x0, 512), x0 + 0.5).value
         for x0 in (0.0, 1.0, 2.0)
     ]
     assert vals[0] < vals[1] < vals[2]
+
+
+@pytest.mark.parametrize("backend", [PRODUCT_TRAPEZOID, ADAPTIVE_ORACLE])
+def test_window_values_are_caputo_derivatives_at_the_window_start(backend):
+    # the window [x0, x0 + delta] is caputo_derivative with base x0 at x0 + delta,
+    # and the verdicts of both window checks read exactly those values
+    f, al, delta, n = parse("exp(t)*cos(2*t)"), 0.4, 0.5, 256
+    pairs = sample_window_pairs(0.0, 4.0, delta, n_pairs=4, seed=2)
+    table = _window_table(_prime_sampler(f, None), al, delta, pairs, n, backend)
+    assert set(table) == {x for p in pairs for x in (p.x0, p.y0)}
+    for x0, (value, _) in table.items():
+        assert value == caputo_derivative(f, FractionalParams(al, x0, n), x0 + delta, backend=backend).value
+    verdict = delta_increasing_check(f, al, delta, pairs, n, backend=backend)
+    assert verdict.holds is False and verdict.witnesses
+    for w in verdict.witnesses:
+        assert w.margin == table[w.where[0]][0] - table[w.where[1]][0]
+    rc = convexity_equivalence(f, al, delta, pairs, grid_n=n, backend=backend)
+    assert rc.delta_incr == verdict
 
 
 def test_concave_mirror_fails_with_witnesses(pairs):
@@ -89,19 +97,6 @@ def test_property_P_linear_offsets(pairs):
     p = FractionalParams(0.5, 1.3, 512)
     mv = mean_value(parse("t"), p, 1.8)
     assert mv.xi_sup - 1.3 == pytest.approx(2.0 * 0.5 / 3.0, abs=1e-9)
-
-
-def test_property_P_rebased_power_ratio(pairs):
-    # re-anchored windows of t^beta share offset delta * ratio(beta, alpha)
-    beta, al, delta = 2.0, 0.5, 0.5
-    ratio = (math.gamma(2.0 - al) * math.gamma(beta + 1.0) / math.gamma(beta + 2.0 - al)) ** (1.0 / beta)
-    verdict = property_P_check(parse("t^2"), al, delta, pairs, grid_n=512, rebase=True)
-    assert verdict.holds is True
-    from fraccalc import FractionalParams, mean_value
-
-    p = FractionalParams(al, 0.0, 512)
-    mv = mean_value(parse("t^2"), p, delta)
-    assert mv.xi_sup == pytest.approx(delta * ratio, abs=1e-8)
 
 
 def test_property_P_fails_for_unshifted_quadratic(pairs):
@@ -292,8 +287,7 @@ def test_sine_defect_measured_and_decaying():
     v = periodicity_defect(parse("sin(t)"), 0.5, tau, ts, grid_n=2048)
     assert v.holds is None  # measurement, not a verdict
     assert v.defect > 0.0
-    first = v.info[f"defect@{float(ts[0]):.6g}"]
-    last = v.info[f"defect@{float(ts[-1]):.6g}"]
+    first, last = v.witnesses[0].margin, v.witnesses[-1].margin
     assert last < first  # memory of the base point fades
 
 
