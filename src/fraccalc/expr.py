@@ -12,16 +12,22 @@ Grammar (whitespace insignificant)::
 associative and binds tighter than unary minus, so ``-t^2`` is ``-(t^2)``
 and ``2^3^2`` is ``2^(3^2)``.
 
-One interpreter serves values and derivatives: truncated Taylor series
-(jets) are propagated through the expression tree, so a single pass
-yields f, f', ..., f^(n) exactly (up to rounding) instead of stacking
-finite differences, and a value is the jet of order 0.  Orders go up to
-``MAX_ORDER`` (170; 171! overflows a float).  Each expression's jet is
-compiled once into a tree of closures with the dispatch and constant
-exponents resolved.  It runs on a float or on a numpy array of points:
-``eval`` and ``derivative_values`` map a float to a float (a QUADPACK or
-root-finder callback is a jet of floats) and an array, of any size, to an
-array.
+Values and derivatives come from one rule: truncated Taylor series (jets)
+are propagated through the expression tree, so a single pass yields f, f',
+..., f^(n) exactly (up to rounding) instead of stacking finite
+differences, and a value is the jet of order 0.  Orders go up to
+``MAX_ORDER`` (170; 171! overflows a float).  Each expression is compiled
+once per order, on first use, into a tree of closures with the node
+dispatch resolved and every constant subtree folded to a float, so a
+constant shifts or scales a jet and never enters a product.  Orders 0 and 1
+(values, and the f' that every fractional derivative samples) run as
+straight-line code on values and on (value, slope) pairs; orders >= 2
+(``derivatives``, ``polyxi``) run the coefficient recurrences on lists.  A
+jet runs on a float or on a numpy array of points: ``eval`` and
+``derivative_values`` map a float to a float (a QUADPACK or root-finder
+callback is a jet of floats) and an array, of any size, to an array.  numpy
+ufuncs are called on floats too, so a one-point sample equals the same
+point of a grid bit for bit.
 
 Domain rules; a value (order 0) needs less than a derivative (order >= 1):
 
@@ -42,6 +48,7 @@ Domain rules; a value (order 0) needs less than a derivative (order >= 1):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
@@ -248,9 +255,11 @@ def _format(node: Node, context: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation: Taylor jets
 #
-# A jet holds [u, u'/1!, u''/2!, ...] at a point (entries may be numpy
-# arrays so that whole sample grids run in one pass).  The jet of order 0
-# is the value alone, so values and derivatives come from one interpreter.
+# A jet of order n holds [u, u'/1!, ..., u^(n)/n!] at the sample points,
+# each coefficient a float or an array over a whole grid.  Each order has
+# its own jet arithmetic (_Values, _Duals, _Series) behind one compiler
+# (_build); a constant subtree is folded in _Values arithmetic with the
+# domain checks of the order it is compiled for.
 
 
 def _all(cond) -> bool:
@@ -273,205 +282,476 @@ def _contains_var(node: Node) -> bool:
     return False
 
 
-def _const_exponent(node: Node):
-    """Value of a constant exponent subtree, else None."""
-    if _contains_var(node):
-        return None
-    return float(_compile(node)(_Jet([0.0])).c[0])
-
-
 def _is_int(value: float) -> bool:
     return float(value).is_integer() and abs(value) < 2**31
 
 
-class _Jet:
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        self.c = coeffs
-
-    @property
-    def order(self) -> int:
-        return len(self.c) - 1
-
-    def __add__(self, other):
-        return _Jet([a + b for a, b in zip(self.c, other.c)])
-
-    def __sub__(self, other):
-        return _Jet([a - b for a, b in zip(self.c, other.c)])
-
-    def __neg__(self):
-        return _Jet([-a for a in self.c])
-
-    def __mul__(self, other):
-        n = self.order
-        out = []
-        for k in range(n + 1):
-            acc = self.c[0] * other.c[k]
-            for i in range(1, k + 1):
-                acc = acc + self.c[i] * other.c[k - i]
-            out.append(acc)
-        return _Jet(out)
-
-    def divide(self, other, node):
-        if _any(other.c[0] == 0):
-            raise DomainError(f"division by zero in {_format(node)}")
-        n = self.order
-        out = []
-        for k in range(n + 1):
-            acc = self.c[k]
-            for i in range(0, k):
-                acc = acc - out[i] * other.c[k - i]
-            out.append(acc / other.c[0])
-        return _Jet(out)
+# Domain checks on the values u0 under a node, for a jet of ``order``.
 
 
-def _jet_const(value, template: _Jet) -> _Jet:
-    zero = template.c[0] * 0.0
-    return _Jet([zero + value] + [zero] * template.order)
+def _check_none(u0, order, node) -> None:
+    pass
 
 
-def _jet_exp(u: _Jet) -> _Jet:
-    out = [np.exp(u.c[0])]
-    for k in range(1, u.order + 1):
-        acc = u.c[1] * out[k - 1] if k >= 1 else 0.0
-        for j in range(2, k + 1):
-            acc = acc + j * u.c[j] * out[k - j]
-        out.append(acc / k)
-    return _Jet(out)
-
-
-def _jet_log(u: _Jet, node) -> _Jet:
-    if not _all(u.c[0] > 0):
+def _check_log(u0, order, node) -> None:
+    if not _all(u0 > 0):
         raise DomainError(f"log of non-positive value in {_format(node)}")
-    out = [np.log(u.c[0])]
-    for k in range(1, u.order + 1):
-        acc = u.c[k] * k
+
+
+def _check_sqrt(u0, order, node) -> None:
+    if order and not _all(u0 > 0):
+        raise DomainError(f"sqrt not differentiable at non-positive value in {_format(node)}")
+    if not _all(u0 >= 0):
+        raise DomainError(f"sqrt of negative value in {_format(node)}")
+
+
+def _check_abs(u0, order, node) -> None:
+    if order and _any(u0 == 0):
+        raise DomainError(f"abs not differentiable at zero in {_format(node)}")
+
+
+def _check_powc(u0, c, order, node) -> None:
+    """u^c for a non-integer constant c needs a nonnegative base; at a zero
+    base every coefficient up to the jet order is 0 if c exceeds it, else
+    unbounded."""
+    if not _all(u0 >= 0):
+        raise DomainError(f"negative base with exponent {c!r} in {_format(node)}")
+    if not c > order and _any(u0 == 0):
+        what = "derivative" if order else "value"
+        raise DomainError(f"unbounded {what} at zero base with exponent {c!r} in {_format(node)}")
+
+
+def _check_divisor(v0, node) -> None:
+    if _any(v0 == 0):
+        raise DomainError(f"division by zero in {_format(node)}")
+
+
+_CHECKS = {"log": _check_log, "sqrt": _check_sqrt, "abs": _check_abs}
+
+# each function's value, and its slope from (u, u', value)
+_CALLS = {
+    "sin": (np.sin, lambda u0, u1, v: u1 * np.cos(u0)),
+    "cos": (np.cos, lambda u0, u1, v: -(u1 * np.sin(u0))),
+    "exp": (np.exp, lambda u0, u1, v: u1 * v),
+    "log": (np.log, lambda u0, u1, v: u1 / u0),
+    "sqrt": (np.sqrt, lambda u0, u1, v: u1 / (2.0 * v)),
+    "abs": (np.abs, lambda u0, u1, v: np.sign(u0) * u1),
+}
+
+
+class _Values:
+    """Order-0 jets: the values themselves.  A constant subtree is folded in
+    this arithmetic with the domain checks of the order it is compiled for."""
+
+    add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
+    shift, scale, divc = operator.add, operator.mul, operator.truediv
+
+    def __init__(self, order: int = 0):
+        self.order = order
+        self.fold = self
+
+    @staticmethod
+    def const(c, u):
+        return u * 0.0 + c
+
+    @staticmethod
+    def div(u, v, node):
+        _check_divisor(v, node)
+        return u / v
+
+    cdiv = div
+
+    def call(self, fn, node):
+        check, value, order = _CHECKS.get(fn, _check_none), _CALLS[fn][0], self.order
+
+        def call(u):
+            check(u, order, node)
+            return value(u)
+
+        return call
+
+    def powc(self, c, node):
+        order = self.order
+
+        def powc(u):
+            _check_powc(u, c, order, node)
+            return np.power(u, c)
+
+        return powc
+
+
+class _Duals:
+    """Order-1 jets: (value, slope) pairs."""
+
+    fold = _Values(1)
+
+    @staticmethod
+    def add(u, v):
+        return u[0] + v[0], u[1] + v[1]
+
+    @staticmethod
+    def sub(u, v):
+        return u[0] - v[0], u[1] - v[1]
+
+    @staticmethod
+    def mul(u, v):
+        return u[0] * v[0], u[0] * v[1] + u[1] * v[0]
+
+    @staticmethod
+    def neg(u):
+        return -u[0], -u[1]
+
+    @staticmethod
+    def shift(u, c):
+        return u[0] + c, u[1]
+
+    @staticmethod
+    def scale(u, c):
+        return u[0] * c, u[1] * c
+
+    @staticmethod
+    def divc(u, c):
+        return u[0] / c, u[1] / c
+
+    @staticmethod
+    def div(u, v, node):
+        _check_divisor(v[0], node)
+        q = u[0] / v[0]
+        return q, (u[1] - q * v[1]) / v[0]
+
+    @staticmethod
+    def cdiv(c, v, node):
+        _check_divisor(v[0], node)
+        q = c / v[0]
+        return q, -(q * v[1]) / v[0]
+
+    @staticmethod
+    def const(c, u):
+        zero = u[0] * 0.0
+        return zero + c, zero
+
+    @staticmethod
+    def call(fn, node):
+        check, (value, slope) = _CHECKS.get(fn, _check_none), _CALLS[fn]
+
+        def call(u):
+            u0, u1 = u
+            check(u0, 1, node)
+            v = value(u0)
+            return v, slope(u0, u1, v)
+
+        return call
+
+    @staticmethod
+    def powc(c, node):
+        cm = (c + 1.0) - 1  # (c + 1)j - k of the recurrence at j = k = 1
+
+        def powc(u):
+            u0, u1 = u
+            _check_powc(u0, c, 1, node)
+            v = np.power(u0, c)
+            zero = u0 == 0
+            base = np.where(zero, 1.0, u0) if _any(zero) else u0  # masked: no 0/0
+            return v, cm * u1 * v / base
+
+        return powc
+
+
+def _exp(u: list) -> list:
+    out = [np.exp(u[0])]
+    for k in range(1, len(u)):
+        acc = u[1] * out[k - 1]
+        for j in range(2, k + 1):
+            acc = acc + j * u[j] * out[k - j]
+        out.append(acc / k)
+    return out
+
+
+def _log(u: list) -> list:
+    out = [np.log(u[0])]
+    for k in range(1, len(u)):
+        acc = u[k] * k
         for j in range(1, k):
-            acc = acc - j * out[j] * u.c[k - j]
-        out.append(acc / (k * u.c[0]))
-    return _Jet(out)
+            acc = acc - j * out[j] * u[k - j]
+        out.append(acc / (k * u[0]))
+    return out
 
 
-def _jet_sincos(u: _Jet):
-    s = [np.sin(u.c[0])]
-    c = [np.cos(u.c[0])]
-    for k in range(1, u.order + 1):
+def _sincos(u: list):
+    s = [np.sin(u[0])]
+    c = [np.cos(u[0])]
+    for k in range(1, len(u)):
         sa = 0.0
         ca = 0.0
         for j in range(1, k + 1):
-            sa = sa + j * u.c[j] * c[k - j]
-            ca = ca + j * u.c[j] * s[k - j]
+            sa = sa + j * u[j] * c[k - j]
+            ca = ca + j * u[j] * s[k - j]
         s.append(sa / k)
         c.append(-ca / k)
-    return _Jet(s), _Jet(c)
+    return s, c
 
 
-def _jet_sqrt(u: _Jet, node) -> _Jet:
-    if u.order and not _all(u.c[0] > 0):
-        raise DomainError(f"sqrt not differentiable at non-positive value in {_format(node)}")
-    if not _all(u.c[0] >= 0):
-        raise DomainError(f"sqrt of negative value in {_format(node)}")
-    out = [np.sqrt(u.c[0])]
-    for k in range(1, u.order + 1):
-        acc = u.c[k]
+def _sqrt(u: list) -> list:
+    out = [np.sqrt(u[0])]
+    for k in range(1, len(u)):
+        acc = u[k]
         for j in range(1, k):
             acc = acc - out[j] * out[k - j]
         out.append(acc / (2.0 * out[0]))
-    return _Jet(out)
+    return out
 
 
-def _jet_abs(u: _Jet, node) -> _Jet:
-    if u.order and _any(u.c[0] == 0):
-        raise DomainError(f"abs not differentiable at zero in {_format(node)}")
-    s = np.sign(u.c[0])
-    return _Jet([np.abs(u.c[0])] + [s * a for a in u.c[1:]])
+def _abs(u: list) -> list:
+    s = np.sign(u[0])
+    return [np.abs(u[0])] + [s * a for a in u[1:]]
 
 
-def _jet_powc(u: _Jet, c: float, node) -> _Jet:
-    """u^c for a non-integer constant c and a nonnegative base; at a zero base
-    every coefficient up to the jet order is 0 if c exceeds it, else unbounded."""
-    if not _all(u.c[0] >= 0):
-        raise DomainError(f"negative base with exponent {c!r} in {_format(node)}")
-    zero = u.c[0] == 0
-    if _any(zero) and not c > u.order:
-        what = "derivative" if u.order else "value"
-        raise DomainError(f"unbounded {what} at zero base with exponent {c!r} in {_format(node)}")
-    if not u.order:  # 0^c is 0 for c > 0: no mask needed
-        return _Jet([np.power(u.c[0], c)])
-    base = np.where(zero, 1.0, u.c[0])  # masked: no 0/0 in the recurrence
-    out = [np.where(zero, 0.0, np.power(base, c))]
-    for k in range(1, u.order + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc = acc + ((c + 1.0) * j - k) * u.c[j] * out[k - j]
-        out.append(acc / (k * base))
-    return _Jet(out)
+_SERIES_CALLS = {"sin": lambda u: _sincos(u)[0], "cos": lambda u: _sincos(u)[1],
+                 "exp": _exp, "log": _log, "sqrt": _sqrt, "abs": _abs}
 
 
-def _jet_ipow(u: _Jet, m: int, node) -> _Jet:
-    if m == 0:
-        return _jet_const(1.0, u)
-    if m < 0:
-        return _jet_const(1.0, u).divide(_jet_ipow(u, -m, node), node)
-    result = None
-    base = u
-    while m:
-        if m & 1:
-            result = base if result is None else result * base
-        m >>= 1
-        if m:
-            base = base * base
-    return result
+class _Series:
+    """Jets of order >= 2: coefficient lists, by the Taylor recurrences."""
+
+    def __init__(self, order: int):
+        self.order = order
+        self.fold = _Values(order)
+
+    @staticmethod
+    def add(u, v):
+        return [a + b for a, b in zip(u, v)]
+
+    @staticmethod
+    def sub(u, v):
+        return [a - b for a, b in zip(u, v)]
+
+    @staticmethod
+    def mul(u, v):
+        out = []
+        for k in range(len(u)):
+            acc = u[0] * v[k]
+            for i in range(1, k + 1):
+                acc = acc + u[i] * v[k - i]
+            out.append(acc)
+        return out
+
+    @staticmethod
+    def neg(u):
+        return [-a for a in u]
+
+    @staticmethod
+    def shift(u, c):
+        return [u[0] + c] + u[1:]
+
+    @staticmethod
+    def scale(u, c):
+        return [a * c for a in u]
+
+    @staticmethod
+    def divc(u, c):
+        return [a / c for a in u]
+
+    @staticmethod
+    def div(u, v, node):
+        _check_divisor(v[0], node)
+        out = []
+        for k in range(len(u)):
+            acc = u[k]
+            for i in range(k):
+                acc = acc - out[i] * v[k - i]
+            out.append(acc / v[0])
+        return out
+
+    @classmethod
+    def cdiv(cls, c, v, node):
+        return cls.div([c] + [0.0] * (len(v) - 1), v, node)
+
+    @staticmethod
+    def const(c, u):
+        zero = u[0] * 0.0
+        return [zero + c] + [zero] * (len(u) - 1)
+
+    def call(self, fn, node):
+        check, series, order = _CHECKS.get(fn, _check_none), _SERIES_CALLS[fn], self.order
+
+        def call(u):
+            check(u[0], order, node)
+            return series(u)
+
+        return call
+
+    def powc(self, c, node):
+        order = self.order
+
+        def powc(u):
+            _check_powc(u[0], c, order, node)
+            zero = u[0] == 0
+            base = np.where(zero, 1.0, u[0])  # masked: no 0/0 in the recurrence
+            out = [np.where(zero, 0.0, np.power(base, c))]
+            for k in range(1, len(u)):
+                acc = 0.0
+                for j in range(1, k + 1):
+                    acc = acc + ((c + 1.0) * j - k) * u[j] * out[k - j]
+                out.append(acc / (k * base))
+            return out
+
+        return powc
 
 
-_JET_CALLS = {"sin": lambda u, node: _jet_sincos(u)[0] if u.order else _Jet([np.sin(u.c[0])]),
-              "cos": lambda u, node: _jet_sincos(u)[1] if u.order else _Jet([np.cos(u.c[0])]),
-              "exp": lambda u, node: _jet_exp(u), "log": _jet_log, "sqrt": _jet_sqrt, "abs": _jet_abs}
-_JET_OPS = {"+": lambda u, v, node: u + v, "-": lambda u, v, node: u - v,
-            "*": lambda u, v, node: u * v, "/": lambda u, v, node: u.divide(v, node)}
+def _ipow(alg, m: int, node):
+    """u -> u^m by repeated squaring, valid for any base sign; a negative m is
+    1/u^-m, so it refuses a zero base."""
+    mul, cdiv, const = alg.mul, alg.cdiv, alg.const
+
+    def ipow(u):
+        if m == 0:
+            return const(1.0, u)
+        result, base, k = None, u, abs(m)
+        while k:
+            if k & 1:
+                result = base if result is None else mul(result, base)
+            k >>= 1
+            if k:
+                base = mul(base, base)
+        return cdiv(1.0, result, node) if m < 0 else result
+
+    return ipow
 
 
-def _compile(node: Node) -> Callable[[_Jet], _Jet]:
-    """The map from the jet of t to the jet of ``node``: a tree of closures
-    with the node dispatch and every constant exponent resolved here, once."""
-    if isinstance(node, (Num, Const)):
-        value = node.value if isinstance(node, Num) else _CONSTANTS[node.name]
-        return lambda var: _jet_const(value, var)
+# The jet map of a subtree is a float for a constant subtree, a DomainError
+# for a constant subtree that fails its checks (raised when a sample reaches
+# it, after the checks of the operands before it), else a closure.
+
+
+def _raising(error: DomainError, before=None):
+    def raise_(jet):
+        if before is not None:
+            before(jet)
+        raise error.with_traceback(None)
+
+    return raise_
+
+
+def _failure(left, right):
+    """What a sample raises before an operation on ``left`` and ``right``
+    (evaluated in this order) runs: a DomainError or a closure; else None."""
+    if isinstance(left, DomainError):
+        return left
+    if isinstance(right, DomainError):
+        return right if isinstance(left, float) else _raising(right, left)
+    return None
+
+
+def _unary(make, alg, arg):
+    """The map of the operation ``make(alg)`` applied to the map ``arg``."""
+    if isinstance(arg, DomainError):
+        return arg
+    if isinstance(arg, float):
+        try:
+            return float(make(alg.fold)(arg))
+        except DomainError as exc:
+            return exc
+    op = make(alg)
+    return lambda jet: op(arg(jet))
+
+
+def _binary(node: BinOp, left, right, alg):
+    """The map of ``left op right`` for + - * /; a constant operand shifts or
+    scales the other one."""
+    op = node.op
+    failed = _failure(left, right)
+    if failed is not None:
+        return failed
+    if isinstance(left, float) and isinstance(right, float):
+        try:
+            return float(alg.fold.div(left, right, node) if op == "/" else _FOLDS[op](left, right))
+        except DomainError as exc:
+            return exc
+    if isinstance(right, float):
+        c = -right if op == "-" else right
+        if op == "/" and c == 0:
+            return _raising(DomainError(f"division by zero in {_format(node)}"), left)
+        f = {"+": alg.shift, "-": alg.shift, "*": alg.scale, "/": alg.divc}[op]
+        return lambda jet: f(left(jet), c)
+    if isinstance(left, float):
+        c = left
+        if op == "/":
+            cdiv = alg.cdiv
+            return lambda jet: cdiv(c, right(jet), node)
+        if op == "-":
+            shift, neg = alg.shift, alg.neg
+            return lambda jet: shift(neg(right(jet)), c)
+        f = alg.shift if op == "+" else alg.scale
+        return lambda jet: f(right(jet), c)
+    if op == "/":
+        div = alg.div
+        return lambda jet: div(left(jet), right(jet), node)
+    f = {"+": alg.add, "-": alg.sub, "*": alg.mul}[op]
+    return lambda jet: f(left(jet), right(jet))
+
+
+_FOLDS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _power(node: BinOp, left, alg):
+    """The map of ``left ^ node.right``: a constant exponent is resolved here,
+    at order 0; a variable one is ``exp(right * log(left))``."""
+    var = _contains_var(node.right)
+    right = _build(node.right, alg if var else _Values())
+    failed = _failure(left, right)
+    if failed is not None:
+        return failed
+    if not var:
+        c = right
+        if _is_int(c):
+            m = int(c)
+            return _unary(lambda a: _ipow(a, m, node), alg, left)
+        return _unary(lambda a: a.powc(c, node), alg, left)
+    exp, log, mul = alg.call("exp", node), alg.call("log", node), alg.mul
+    if isinstance(left, float):
+        log_c = _unary(lambda a: a.call("log", node), alg, left)
+        failed = _failure(right, log_c)
+        if failed is not None:
+            return failed
+        scale = alg.scale
+        return lambda jet: exp(scale(right(jet), log_c))
+
+    def power(jet):
+        u = left(jet)
+        return exp(mul(right(jet), log(u)))
+
+    return power
+
+
+def _build(node: Node, alg):
+    """The jet map of ``node`` in the jet arithmetic ``alg``."""
+    if isinstance(node, Num):
+        return float(node.value)
+    if isinstance(node, Const):
+        return _CONSTANTS[node.name]
     if isinstance(node, Var):
-        return lambda var: var
+        return lambda jet: jet
     if isinstance(node, Neg):
-        arg = _compile(node.arg)
-        return lambda var: -arg(var)
+        return _unary(lambda a: a.neg, alg, _build(node.arg, alg))
     if isinstance(node, Call):
-        arg, call = _compile(node.arg), _JET_CALLS[node.fn]
-        return lambda var: call(arg(var), node)
-    left = _compile(node.left)
-    if node.op != "^":
-        right, op = _compile(node.right), _JET_OPS[node.op]
-        return lambda var: op(left(var), right(var), node)
-    try:
-        c = _const_exponent(node.right)
-    except DomainError as exc:
-        error = exc
+        return _unary(lambda a: a.call(node.fn, node), alg, _build(node.arg, alg))
+    left = _build(node.left, alg)
+    if node.op == "^":
+        return _power(node, left, alg)
+    return _binary(node, left, _build(node.right, alg), alg)
 
-        def bad_exponent(var):  # raised on use, after the base's own checks
-            left(var)
-            raise error.with_traceback(None)
 
-        return bad_exponent
-    if c is not None and _is_int(c):
-        m = int(c)
-        return lambda var: _jet_ipow(left(var), m, node)
-    if c is not None:
-        return lambda var: _jet_powc(left(var), c, node)
-    right = _compile(node.right)
-
-    def var_exponent(var):
-        u = left(var)
-        return _jet_exp(right(var) * _jet_log(u, node))
-
-    return var_exponent
+def _compile(root: Node, order: int) -> Callable:
+    """The map from the jet of t to the jet of ``root`` at ``order``: a tree
+    of closures with the node dispatch, every constant subtree and every
+    constant exponent resolved here, once."""
+    alg = _Values() if order == 0 else _Duals if order == 1 else _Series(order)
+    jet = _build(root, alg)
+    if isinstance(jet, DomainError):
+        return _raising(jet)
+    if isinstance(jet, float):
+        return lambda seed: alg.const(jet, seed)
+    return jet
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +800,9 @@ class Expression:
         return derivatives(self, center, n)
 
     @cached_property
-    def _jet(self) -> Callable[[_Jet], _Jet]:
-        """The jet map of this expression, compiled on first use (under the caller's errstate)."""
-        return _compile(self.root)
+    def _jets(self) -> dict:
+        """The jet map of this expression per order, each compiled on first use."""
+        return {}
 
     def __str__(self) -> str:
         return self.pretty()
@@ -554,13 +834,20 @@ def _sample(e: Expression, t, order: int, what: str, where: str, jet: bool = Fal
     """
     array = isinstance(t, np.ndarray)
     x = t if array else float(t)
-    zero = np.zeros_like(t) if order and array else 0.0
-    seed = _Jet([x] + [zero + 1.0] * min(order, 1) + [zero] * (order - 1))
-    with np.errstate(all="ignore"):
-        coeffs = e._jet(seed).c
-        out = coeffs if jet else [coeffs[order] * math.factorial(order)]
-    if not all(np.isfinite(c).all() if array else math.isfinite(c) for c in out):
-        raise DomainError(f"non-finite {what} {_format(e.root)} " + where.format(t))
+    if order == 0:
+        seed = x
+    else:
+        one = np.ones_like(x) if array else 1.0
+        seed = (x, one) if order == 1 else [x, one] + [np.zeros_like(x) if array else 0.0] * (order - 1)
+    with np.errstate(all="ignore"):  # folding constants at compile time computes too
+        run = e._jets.get(order)
+        if run is None:
+            run = e._jets[order] = _compile(e.root, order)
+        coeffs = run(seed)
+    out = [coeffs] if order == 0 else list(coeffs) if jet else [coeffs[order] * math.factorial(order)]
+    for c in out:
+        if not (np.isfinite(c).all() if array else math.isfinite(c)):
+            raise DomainError(f"non-finite {what} {_format(e.root)} " + where.format(t))
     return out
 
 

@@ -317,6 +317,28 @@ def test_values_are_the_order_zero_jet_bit_for_bit(root, ts):
         assert grid is DomainError and grid in points
 
 
+@settings(max_examples=200, deadline=500, derandomize=True, database=None)
+@given(st.recursive(_leaves, _grow, max_leaves=8), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+@example(parse("sin(t)*exp(-t/4) - cos(t)/(1 + t^2) + 2.5/t").root, [0.3, 1.3, -2.9])
+@example(parse("(t^2 + 1)^t + 2^t - 3*sqrt(t)*log(t) + t^2.5 - abs(t)/3").root, [0.3, 1.3, 2.9])
+def test_first_order_jets_match_the_recurrences(root, ts):
+    # values and slopes run as straight-line (value, slope) code, orders >= 2
+    # as the Taylor recurrences: wherever the order-2 jet exists, its first
+    # two coefficients are the value and the slope, on floats and on arrays
+    e = Expression(root)
+    jets = {}
+    for t in ts:
+        try:
+            jets[t] = derivatives(e, t, 2).coefficients
+        except FracCalcError:
+            continue
+        assert e.eval(t) == jets[t][0] and derivative_values(e, t, 1) == jets[t][1]
+    if jets:
+        grid = np.array(list(jets))
+        assert e.eval(grid).tolist() == [c[0] for c in jets.values()]
+        assert derivative_values(e, grid, 1).tolist() == [c[1] for c in jets.values()]
+
+
 @pytest.mark.parametrize(
     "source, value",
     [("sqrt(t)", 0.0), ("abs(t)", 0.0), ("t^0.5", 0.0), ("t^-0.5", None), ("t^-2", None), ("log(t)", None)],
@@ -350,26 +372,27 @@ def test_bad_constant_exponent_is_raised_after_the_base_checks():
 
 
 def test_jet_is_compiled_once_per_expression(monkeypatch):
-    roots = []
+    compiled = []
     compile_ = expr_module._compile
 
-    def counting(node):
-        roots.append(node)
-        return compile_(node)
+    def counting(node, order):
+        compiled.append((node, order))
+        return compile_(node, order)
 
     monkeypatch.setattr(expr_module, "_compile", counting)
     f = parse("exp(0.6*t)")
     pairs = sample_window_pairs(0.0, 4.0, 0.45, n_pairs=8)
     rc = convexity_equivalence(f, 0.75, 0.45, pairs)  # thousands of oracle callbacks
     assert rc.equivalence is True
-    assert sum(node is f.root for node in roots) == 1
+    assert [order for node, order in compiled if node is f.root] == [1, 0]  # f' callbacks, then f
     g = parse("t*sin(t)")
     derivatives(g, 0.5, 2)
-    compiled = g._jet
+    jets = dict(g._jets)
     derivative_values(g, np.linspace(0.0, 1.0, 5), 1)
     derivative_values(g, np.array([0.5]), 2)
-    assert g._jet is compiled
-    assert sum(node is g.root for node in roots) == 1
+    derivative_values(g, 0.5, 1)
+    assert g._jets[2] is jets[2]
+    assert [order for node, order in compiled if node is g.root] == [2, 1]
 
 
 # --- round-trip stability -----------------------------------------------
