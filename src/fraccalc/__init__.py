@@ -30,7 +30,6 @@ from .fracops import (
     f_lower,
     gamma,
     integral_on_grid,
-    repeated_integral,
     rl_derivative,
     rl_integral,
 )
@@ -79,7 +78,7 @@ __all__ = [
     # operators
     "ADAPTIVE_ORACLE", "PRODUCT_TRAPEZOID", "FractionalParams", "OperatorValue",
     "gamma", "rl_integral", "rl_derivative", "caputo_derivative",
-    "f_lower", "repeated_integral", "integral_on_grid",
+    "f_lower", "integral_on_grid",
     # mean values
     "MeanValueResult", "PolynomialEstimate", "mean_value", "mean_value_polynomial",
     "xi_smoothness_profile", "mean_path_witness",

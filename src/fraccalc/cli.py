@@ -249,7 +249,7 @@ def _cmd_convexity(args) -> int:
     f = parse(args.f)
     (al,) = _alpha_list(args.alpha, sweep_ok=False)
     pairs = sample_window_pairs(args.a, args.b, args.delta, n_pairs=args.pairs, seed=args.seed)
-    rc = convexity_equivalence(f, al, args.delta, pairs, grid_n=args.grid_n, scan_n=args.scan_n)
+    rc = convexity_equivalence(f, al, args.delta, pairs, scan_n=args.scan_n)
     rep = Report(["check", "holds", "value"])
     rep.add("convex_sampled", rc.convex_sampled, "")
     rep.add("delta_increasing", rc.delta_incr.holds, rc.delta_incr.defect)
@@ -406,7 +406,7 @@ def _cmd_selftest(args) -> int:
 # argument wiring
 
 
-def _add_common(sp, *, f_default=None, alpha_default=None):
+def _add_common(sp, *, f_default=None, alpha_default=None, grid=True):
     dash = "; write --f=EXPR when EXPR starts with '-'"
     if f_default is None:
         sp.add_argument("--f", required=True, help="expression in t, e.g. 'sin(t)'" + dash)
@@ -416,7 +416,8 @@ def _add_common(sp, *, f_default=None, alpha_default=None):
         sp.add_argument("--alpha", required=True, help="order in (0,1) or sweep start:stop:count")
     else:
         sp.add_argument("--alpha", default=alpha_default, help="order in (0,1) or sweep start:stop:count")
-    sp.add_argument("--grid-n", type=_count(2, MAX_GRID_N), default=2048, dest="grid_n")
+    if grid:
+        sp.add_argument("--grid-n", type=_count(2, MAX_GRID_N), default=2048, dest="grid_n")
     sp.add_argument("--output", choices=("table", "csv"), default="table")
 
 
@@ -504,7 +505,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_dilation)
 
     sp = sub.add_parser("convexity", help="convexity vs sliding-window order")
-    _add_common(sp)
+    _add_common(sp, grid=False)  # the adaptive oracle has no grid
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--b", type=_finite, required=True)
     sp.add_argument("--delta", type=_finite, required=True)

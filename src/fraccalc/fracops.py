@@ -1,8 +1,11 @@
 """Left-sided fractional integrals and derivatives on [a, x].
 
-Two quadrature backends compute the weakly singular convolution
+Two quadrature backends compute the convolution
 
-    I^mu f(x) = (1/Gamma(mu)) * integral_a^x f(t) (x - t)^(mu - 1) dt:
+    I^mu f(x) = (1/Gamma(mu)) * integral_a^x f(t) (x - t)^(mu - 1) dt
+
+for any order mu > 0 (weakly singular below 1), each with one rule for
+every order:
 
 ``product_trapezoid``
     The piecewise-linear interpolant of f on a uniform grid is integrated
@@ -66,7 +69,6 @@ __all__ = [
     "rl_derivative",
     "caputo_derivative",
     "f_lower",
-    "repeated_integral",
     "integral_on_grid",
     "base_value",
 ]
@@ -271,14 +273,19 @@ def _grid(a: float, x: float, n: int) -> tuple:
     return ts, h
 
 
+def _panels(grid_n: int) -> int:
+    """grid_n rounded up to a multiple of 4, so the half and quarter grids nest."""
+    return -(-int(grid_n) // 4) * 4
+
+
 def _nested(sample: Sampler, a: float, x: float, grid_n: int, rule: Callable[[np.ndarray, float], float]) -> tuple:
-    """``rule(samples, h)`` on grid_n panels (rounded up to a multiple of 4)
-    and on the half and quarter grids sliced from the same sample: the
-    measured-order Richardson value when the order lies in [0.9, 2.5],
-    else the fine value; plus the fine/half grid-pair bound."""
+    """``rule(samples, h)`` on ``_panels(grid_n)`` panels and on the half and
+    quarter grids sliced from the same sample: the measured-order Richardson
+    value when the order lies in [0.9, 2.5], else the fine value; plus the
+    fine/half grid-pair bound."""
     if not x > a:
         raise ValueError(f"need x > a, got x={x!r}, a={a!r}")
-    ts, h = _grid(a, x, -(-int(grid_n) // 4) * 4)
+    ts, h = _grid(a, x, _panels(grid_n))
     fv = sample(ts)
     # contiguous copies give the same sums as separately sampled half and
     # quarter grids, bit for bit
@@ -299,7 +306,11 @@ def _nested(sample: Sampler, a: float, x: float, grid_n: int, rule: Callable[[np
 
 
 def _kernel_quad_grid(sample: Sampler, a: float, x: float, mu: float, grid_n: int) -> tuple:
-    """Refined product-trapezoid value of I^mu over [a, x] plus error bound."""
+    """Refined product-trapezoid value of I^mu over [a, x] plus error bound.
+
+    The fine grid's weights are built before f is sampled: at a high order
+    on many panels they overflow a float, and that is then found at once."""
+    _l1_weights(_panels(grid_n), mu)
     return _nested(sample, a, x, grid_n, lambda fv, h: _l1_sum(fv, h, mu))
 
 
@@ -348,9 +359,9 @@ def rl_integral(
     *,
     backend: str = PRODUCT_TRAPEZOID,
 ) -> OperatorValue:
-    """Left fractional integral I^order of f over [p.a, x], order in (0, 1]."""
-    if not (0.0 < order <= 1.0):
-        raise ValueError(f"rl_integral order must lie in (0, 1], got {order!r}")
+    """Left fractional integral I^order of f over [p.a, x], for any finite order > 0."""
+    if not (0.0 < order < math.inf):
+        raise ValueError(f"rl_integral order must be finite and > 0, got {order!r}")
     return _kernel_quad(_sampler(f), p.a, x, order, p.grid_n, backend)
 
 
@@ -431,35 +442,3 @@ def f_lower(
     # _kernel_quad folds in 1/Gamma(mu); the target formula wants 1/Gamma(2-alpha)
     boundary = fa * (x - p.a) ** (1.0 - p.alpha) / gamma(2.0 - p.alpha)
     return OperatorValue(boundary + inner.value, inner.backend, inner.est_error)
-
-
-def repeated_integral(
-    f: FuncLike,
-    a: float,
-    x: float,
-    order: float,
-    grid_n: int = 2048,
-) -> OperatorValue:
-    """I^order for any order > 0 via the semigroup splitting.
-
-    Orders above 1 are computed as I^m applied after I^rho with
-    m = ceil(order) - 1 ordinary integrations and rho = order - m in
-    (0, 1]; the fractional part is evaluated at every grid node (one
-    convolution) and the integer part re-integrates those samples, on
-    nested grids with the same refinement as the integral.
-    """
-    if not order > 0.0:
-        raise ValueError(f"order must be > 0, got {order!r}")
-    m = math.ceil(order) - 1
-    rho = order - m
-    n = -(-max(8, int(grid_n)) // 4) * 4
-    if m:  # the weights of I^m overflow a float at large m: fail before sampling f
-        _l1_weights(n, float(m))
-
-    def rule(fv: np.ndarray, h: float) -> float:
-        if m == 0:
-            return _l1_sum(fv, h, rho)
-        return _l1_sum(integral_on_grid(fv, h, rho), h, float(m))
-
-    v, est = _nested(_sampler(f), a, x, n, rule)
-    return OperatorValue(v, PRODUCT_TRAPEZOID, est)

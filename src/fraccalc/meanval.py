@@ -38,8 +38,8 @@ from .fracops import (
     FuncLike,
     Sampler,
     gamma,
-    repeated_integral,
     rl_derivative,
+    rl_integral,
     _kernel_quad,
     _power,
     _sampler,
@@ -239,7 +239,7 @@ def mean_value_polynomial(
         series_terms.append(fj * _power(delta, j + 1.0 - alpha) / gamma(j + 2.0 - alpha))
 
     f_top = lambda ts: derivative_values(f, ts, n + 1)  # noqa: E731
-    remainder = repeated_integral(f_top, a, a + delta, n + 2.0 - alpha, p.grid_n).value
+    remainder = rl_integral(f_top, p, n + 2.0 - alpha, a + delta).value
     coeffs[0] = -sum(series_terms) - remainder
     carr = np.asarray(coeffs)
     ts = delta * np.arange(1, 257) / 257

@@ -267,6 +267,8 @@ def convexity_equivalence(
     values, and the largest residual of the bridging identity that links
     the two sides.  The equivalence is only asserted when f' passes the
     property-(P) gate; otherwise it is returned as None (inconclusive).
+    ``grid_n`` applies only to the product-trapezoid backend; the default
+    adaptive oracle ignores it.
     """
     fp = _prime_sampler(f, None)
     # windowed derivative of f and mean value of f' on every window, once

@@ -237,7 +237,7 @@ def test_criterion_10_selftest_and_determinism():
         code, out = _capture_run(["selftest"])
         assert code == 0, out
         argv = ["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4",
-                "--delta", "0.5", "--seed", "11", "--grid-n", "256", "--pairs", "8",
+                "--delta", "0.5", "--seed", "11", "--pairs", "8",
                 "--scan-n", "48", "--output", "csv"]
         c1, out1 = _capture_run(argv)
         c2, out2 = _capture_run(argv)

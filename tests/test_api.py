@@ -22,7 +22,6 @@ DEFAULTED = {
     "rl_derivative": {"method": "caputo_form", "fprime": None, "allow_nonzero_base": False, "backend": PT},
     "caputo_derivative": {"fprime": None, "backend": PT},
     "f_lower": {"fprime": None, "backend": PT},
-    "repeated_integral": {"grid_n": 2048},
     "integral_on_grid": {"at": None},
     "mean_value": {"scan_n": 128, "backend": PT},
     "mean_value_polynomial": {},

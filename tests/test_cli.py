@@ -116,7 +116,7 @@ def test_csv_round_trip_is_bit_exact():
 
 def test_deterministic_output_bytes():
     argv = ["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4",
-            "--delta", "0.5", "--seed", "7", "--grid-n", "128", "--pairs", "6",
+            "--delta", "0.5", "--seed", "7", "--pairs", "6",
             "--scan-n", "48", "--output", "csv"]
     code1, out1, _ = capture(argv)
     code2, out2, _ = capture(argv)
@@ -276,17 +276,18 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
 
 
 def test_dead_flags_are_rejected():
-    # --tol belongs to selftest and --seed to convexity; elsewhere they did nothing
-    for extra in (["--tol", "1e-3"], ["--seed", "3"]):
-        code, out, err = capture(["fracint", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1"] + extra)
+    # --tol belongs to selftest and --seed to convexity; elsewhere they did nothing,
+    # and neither did --grid-n on convexity, whose oracle has no grid
+    convexity = ["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4", "--delta", "0.5"]
+    fracint = ["fracint", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1"]
+    for argv in (fracint + ["--tol", "1e-3"], fracint + ["--seed", "3"], convexity + ["--grid-n", "64"]):
+        code, out, err = capture(argv)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "unrecognized arguments" in err
-    code, out, _ = capture(["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4",
-                            "--delta", "0.5", "--seed", "7", "--grid-n", "64", "--pairs", "4",
-                            "--output", "csv"])
+    code, out, _ = capture(convexity + ["--seed", "7", "--pairs", "4", "--output", "csv"])
     assert code == 0
     config = [ln for ln in out.splitlines() if ln.startswith("# config")][0]
-    assert "seed=7" in config and "tol=" not in config
+    assert "seed=7" in config and "tol=" not in config and "grid_n=" not in config
 
 
 @pytest.mark.parametrize("argv", [
@@ -353,6 +354,7 @@ _COMMANDS = {
 }
 
 
+# convexity takes no --grid-n: its case exits 1 as an unrecognized argument
 @pytest.mark.parametrize("argv, flag", [
     (argv + ["--grid-n", str(MAX_GRID_N + 1)], "--grid-n") for argv in _COMMANDS.values()
 ] + [
@@ -381,7 +383,7 @@ def test_count_caps_are_inclusive():
 
 
 def test_polyxi_weight_overflow_exits_2_with_one_line():
-    # at --n 64 the remainder's weights need m^66, past a float for m > 46,000
+    # at --n 64 the remainder's I^65.5 weights need m^66.5, past a float for m > 42,700
     # (65536 panels here: the same failure as at the --grid-n cap, at 1/16 the cost)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -389,7 +391,7 @@ def test_polyxi_weight_overflow_exits_2_with_one_line():
                                   "--n", str(MAX_TAYLOR_N), "--grid-n", "65536", "--output", "csv"])
     assert code == 2 and out == ""
     assert err.startswith("computation error:") and len(err.splitlines()) == 1
-    assert "mu=65.0" in err and "n=65536" in err
+    assert "mu=65.5" in err and "n=65536" in err
 
 
 def test_polyxi_float_overflow_exits_2_with_one_line():

@@ -11,11 +11,11 @@ from fraccalc import (
     DomainError,
     FractionalParams,
     caputo_derivative,
+    derivative_values,
     f_lower,
     gamma,
     integral_on_grid,
     parse,
-    repeated_integral,
     rl_derivative,
     rl_integral,
 )
@@ -81,8 +81,10 @@ def test_params_reject_endpoint_orders():
 def test_rl_integral_rejects_bad_order_and_point():
     p = FractionalParams(0.5, 0.0, 64)
     f = parse("t")
-    with pytest.raises(ValueError):
-        rl_integral(f, p, 1.5, 1.0)
+    # every finite order > 0 is valid; no infinite order may reach the weights
+    for bad in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="order"):
+            rl_integral(f, p, bad, 1.0)
     with pytest.raises(ValueError):
         rl_integral(f, p, 0.5, 0.0)
     with pytest.raises(ValueError):
@@ -377,11 +379,11 @@ def test_every_operator_value_holds_python_floats():
     for backend in (PRODUCT_TRAPEZOID, ADAPTIVE_ORACLE):
         outs += [
             rl_integral(f, p, 0.5, 1.0, backend=backend),
+            rl_integral(f, p, 2.5, 1.0, backend=backend),
             rl_derivative(f, p, 1.0, backend=backend),
             caputo_derivative(f, p, 1.0, backend=backend),
             f_lower(f, p, 1.0, backend=backend),
         ]
-    outs += [repeated_integral(f, 0.0, 1.0, order, 64) for order in (0.5, 2.5)]
     for out in outs:
         assert type(out.value) is float and type(out.est_error) is float, out
 
@@ -414,40 +416,58 @@ def test_integral_after_derivative_recovers_f(al):
     assert back[-1] == pytest.approx(fv[-1], rel=2e-4)
 
 
-def test_repeated_integral_matches_semigroup():
-    # I^(2.5) t = I^2 I^0.5 t; closed form G(2)/G(4.5) x^3.5
-    coarse = repeated_integral(parse("t"), 0.0, 1.0, 2.5, 256)
-    fine = repeated_integral(parse("t"), 0.0, 1.0, 2.5, 2048)
+def test_integral_above_order_one_is_exact_on_t():
+    # the product rule integrates the piecewise-linear interpolant exactly
+    # at every order, so I^2.5 t = G(2)/G(4.5) x^3.5 holds to round-off
     exact = power_integral(1.0, 2.5, 1.0)
-    assert fine.value == pytest.approx(exact, rel=1e-5)
+    for n in (256, 2048):
+        out = rl_integral(parse("t"), FractionalParams(0.5, 0.0, n), 2.5, 1.0)
+        assert abs(out.value - exact) <= 1e-15 * exact
+    # on t^0.5, where the interpolant is not exact, the finer grid is closer
+    exact = power_integral(0.5, 2.5, 1.0)
+    coarse, fine = (rl_integral(parse("t^0.5"), FractionalParams(0.5, 0.0, n), 2.5, 1.0) for n in (256, 2048))
     assert abs(fine.value - exact) < abs(coarse.value - exact)
     # integer order: plain double integration of t^2
-    out = repeated_integral(parse("t^2"), 0.0, 1.0, 2.0, 512)
+    out = rl_integral(parse("t^2"), FractionalParams(0.5, 0.0, 512), 2.0, 1.0)
     assert out.value == pytest.approx(power_integral(2.0, 2.0, 1.0), rel=1e-4)
 
 
-def test_repeated_integral_power_law_corpus():
-    # the nested-grid refinement applies to every order, split or not
+def test_integral_of_any_order_power_law_corpus():
+    # the nested-grid refinement applies to every order
     for beta in (0.5, 1.0, 2.0):
         f = parse(f"t^{beta}")
         for order in (0.5, 1.5, 2.5, 3.25):
             for x in (0.5, 1.0, 2.0):
-                out = repeated_integral(f, 0.0, x, order, 512)
+                out = rl_integral(f, FractionalParams(0.5, 0.0, 512), order, x)
                 exact = power_integral(beta, order, x)
                 err = abs(out.value - exact)
                 assert err <= 1e-5 * exact
                 assert out.est_error >= err
 
 
+@pytest.mark.parametrize("src", ["exp(t)", "sin(t)"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_remainder_order_integral_matches_oracle(src, n):
+    # the mean-value polynomial's remainder I^(n+2-alpha) f^(n+1), on 64 panels
+    f, alpha, x = parse(src), 0.5, 1.0
+    top = lambda ts: derivative_values(f, ts, n + 1)  # noqa: E731
+    p = FractionalParams(alpha, 0.0, 64)
+    out = rl_integral(top, p, n + 2.0 - alpha, x)
+    ref = rl_integral(top, p, n + 2.0 - alpha, x, backend=ADAPTIVE_ORACLE).value
+    err = abs(out.value - ref)
+    assert err <= 1e-6 * abs(ref)
+    assert out.est_error >= err
+
+
 def test_grid_scale_overflow_is_one_domain_error():
     # h^mu in front of a product-trapezoid sum passes a float's range:
-    # I^40 with h = 1e10, and the I^65 part of I^65.5 with h = 1.25e9
+    # I^40 with h = 1e10, and I^65.5 with h = 1.25e9
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="overflows a float"):
             integral_on_grid(np.ones(3), 1e10, 40.0)
         with pytest.raises(DomainError, match="overflows a float"):
-            repeated_integral(parse("t"), 0.0, 1e10, 65.5, 8)
+            rl_integral(parse("t"), FractionalParams(0.5, 0.0, 8), 65.5, 1e10)
 
 
 def test_integral_on_grid_matches_pointwise_rule():

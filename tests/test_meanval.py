@@ -14,6 +14,7 @@ from fraccalc import (
     mean_value_polynomial,
     parse,
     mean_path_witness,
+    rl_integral,
     xi_smoothness_profile,
 )
 
@@ -161,15 +162,23 @@ def test_polynomial_past_the_float_range_is_one_domain_error(n):
 
 
 def test_polynomial_weight_overflow_is_found_before_sampling(monkeypatch):
-    # at n = 64 the remainder's I^65 weights pass a float's range on 65,536
+    # at n = 64 the remainder's I^65.5 weights pass a float's range on 65,536
     # panels; that is known before f^(65) is sampled on the whole grid
     from fraccalc import meanval
 
     calls = []
     monkeypatch.setattr(meanval, "derivative_values", lambda *args: calls.append(args))
-    with pytest.raises(DomainError, match="mu=65.0"):
+    with pytest.raises(DomainError, match="mu=65.5"):
         mean_value_polynomial(parse("sin(t)"), FractionalParams(0.5, 0.0, 65536), 1.0, 64)
     assert calls == []
+
+
+def test_polynomial_remainder_matches_oracle():
+    # n = 8: the remainder is I^9.6 of sin^(9) = cos over [0, 2.5]
+    p = FractionalParams(0.4, 0.0, 512)
+    est = mean_value_polynomial(parse("sin(t)"), p, 2.5, 8)
+    ref = rl_integral(parse("cos(t)"), p, 9.6, 2.5, backend=ADAPTIVE_ORACLE).value
+    assert abs(est.remainder_term - ref) <= 1e-8 * abs(ref)
 
 
 def test_polynomial_remainder_dominance_warning():
