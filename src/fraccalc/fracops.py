@@ -39,6 +39,13 @@ Derivatives come in three flavours:
   The derivative over a window [x0, x0 + delta], restarted at its start,
   is ``caputo_derivative`` with base x0 evaluated at x0 + delta.
 
+``integral_on_grid`` gives I^mu at every node of a grid at once, by a
+blocked FFT convolution.  The product-trapezoid weights of each (n, mu),
+and the spectra of the weights of every FFT block of that sweep, live in
+one cache bounded by bytes.  The spectra are kept only in the room the
+cache has left, never by evicting an entry; when they do not fit, each
+sweep rebuilds them, with the same result.
+
 A function argument is an :class:`~fraccalc.expr.Expression` or a
 callable that maps a numpy array of points to an array of values.
 Internally both become a ``Sampler``, built only by ``_sampler`` and
@@ -172,9 +179,30 @@ def base_value(f: FuncLike, a: float, *, allow_nonzero: bool = False) -> float:
 # Product-trapezoid (L1-type) rule
 
 _WEIGHT_CACHE: dict = {}
-#: total bytes of weight arrays the cache may hold; a larger array is never cached
+#: total bytes of arrays the cache may hold; a larger array is never cached
 _WEIGHT_CACHE_MAX_BYTES = 64 << 20
 _weight_cache_bytes = 0
+
+
+def _cache_room() -> int:
+    """Bytes the weight cache can still take without evicting anything."""
+    global _weight_cache_bytes
+    if not _WEIGHT_CACHE:  # it may have been emptied from outside
+        _weight_cache_bytes = 0
+    return _WEIGHT_CACHE_MAX_BYTES - _weight_cache_bytes
+
+
+def _cache_put(key: tuple, value: np.ndarray) -> None:
+    """Keep ``value`` in the weight cache, emptying the cache first when the
+    free budget is too small; an array larger than the whole budget is not kept."""
+    global _weight_cache_bytes
+    if value.nbytes > _WEIGHT_CACHE_MAX_BYTES:
+        return
+    if value.nbytes > _cache_room():
+        _WEIGHT_CACHE.clear()
+        _weight_cache_bytes = 0
+    _WEIGHT_CACHE[key] = value
+    _weight_cache_bytes += value.nbytes
 
 
 def _l1_weights(n: int, mu: float) -> np.ndarray:
@@ -205,14 +233,34 @@ def _l1_weights(n: int, mu: float) -> np.ndarray:
         w[0] = mp[n - 1] - mp[n] + p * m[n] ** mu
     if not np.isfinite(w).all():
         raise DomainError(f"product-trapezoid weights overflow a float: m^(mu+1) with mu={mu!r} for m up to n={n}")
-    global _weight_cache_bytes
-    if w.nbytes <= _WEIGHT_CACHE_MAX_BYTES:
-        if not _WEIGHT_CACHE or _weight_cache_bytes + w.nbytes > _WEIGHT_CACHE_MAX_BYTES:
-            _WEIGHT_CACHE.clear()
-            _weight_cache_bytes = 0
-        _WEIGHT_CACHE[key] = w
-        _weight_cache_bytes += w.nbytes
+    _cache_put(key, w)
     return w
+
+
+def _block_spectra(n: int, mu: float, v: np.ndarray):
+    """Yield ``lo`` and the weight spectrum ``rfft(v[:2*lo], 4*lo)`` for each
+    FFT block [lo, 2*lo) of the n-panel sweep, lo = 64, 128, ... < n.
+
+    The spectra depend only on (n, mu) and are built once into one packed
+    complex array, cached under (n, mu, "spectra") when it fits in the free
+    budget of the weight cache: caching them never evicts anything.  When it
+    does not fit, each block's spectrum is built as it is read, bit for bit
+    the same."""
+    blocks = []  # (lo, the slice of the packed array that holds block lo)
+    size, lo = 0, 64
+    while lo < n:
+        blocks.append((lo, slice(size, size + 2 * lo + 1)))
+        size += 2 * lo + 1
+        lo *= 2
+    key = (n, mu, "spectra")
+    packed = _WEIGHT_CACHE.get(key)
+    if packed is None and 0 < 16 * size <= _cache_room():
+        packed = np.empty(size, dtype=complex)
+        for lo, at in blocks:
+            np.fft.rfft(v[: 2 * lo], 4 * lo, out=packed[at])
+        _cache_put(key, packed)
+    for lo, at in blocks:
+        yield lo, np.fft.rfft(v[: 2 * lo], 4 * lo) if packed is None else packed[at]
 
 
 def _power(x: float, p: float) -> float:
@@ -234,29 +282,40 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float, at: Optional[Sequ
     ``samples[j]`` are function values at a + j*h; entry i of the result
     is the product-trapezoid value of I^mu at a + i*h (entry 0 is 0).
     The inner sum is a discrete convolution: direct for the first 64 nodes,
-    then for each block of nodes [lo, 2*lo) one real FFT of the data up to
-    index 2*lo.  The sweep costs O(n log n), and each node's round-off is
+    then for each block of nodes [lo, 2*lo) a product of spectra, one real
+    FFT of the data up to index 2*lo and one of the block's weights, and one
+    inverse FFT.  The sweep costs O(n log n), and each node's round-off is
     relative to the data up to twice its index, not to the whole array.
-    Given node indices ``at`` (>= 1), only those entries are returned, in
-    O(len(at) * n) work.
+    The weight spectra of all blocks are cached with the weights, so a
+    repeated (n, mu) costs two FFTs per block, unless they do not fit in the
+    cache's free budget; then they are rebuilt on every sweep, with the same
+    result.  Given node indices ``at`` in 0..n, only those entries are
+    returned, in O(len(at) * n) work; an index outside 0..n is a ValueError.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples) - 1
+    if at is not None:
+        outside = [j for j in at if not 0 <= j <= n]
+        if outside:
+            raise ValueError(f"node index {int(outside[0])} is outside 0..{n}")
     if n < 1:
-        return np.zeros(1)
+        return np.zeros(1 if at is None else len(at))
     w = _l1_weights(n, mu)
     scale = _power(h, mu) / gamma(mu + 2.0)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         if at is not None:
-            out = scale * np.array([w[n + j] * samples[0] + w[n - j + 1 : n + 1] @ samples[1 : j + 1] for j in at])
+            out = scale * np.array(
+                [w[n + j] * samples[0] + w[n - j + 1 : n + 1] @ samples[1 : j + 1] if j else 0.0 for j in at]
+            )
         else:
             v = w[n:0:-1]  # v[d]: weight of the node at distance d from the endpoint
             blocks = [np.convolve(samples[1:65], v[:64])[:64]]
-            lo = 64
-            while lo < n:  # entries past n read truncated data and are cut off below
-                spec = np.fft.rfft(samples[1 : 2 * lo + 1], 4 * lo) * np.fft.rfft(v[: 2 * lo], 4 * lo)
+            # entries past n read truncated data and are cut off below
+            for lo, wspec in _block_spectra(n, mu, v):
+                spec = np.fft.rfft(samples[1 : 2 * lo + 1], 4 * lo)
+                spec *= wspec
+                del wspec  # a spectrum built for this sweep alone is freed before the inverse FFT
                 blocks.append(np.fft.irfft(spec, 4 * lo)[lo : 2 * lo])
-                lo *= 2
             out = np.empty(n + 1)
             out[0] = 0.0
             out[1:] = scale * (w[n + 1 :] * samples[0] + np.concatenate(blocks)[:n])

@@ -492,6 +492,16 @@ def test_integral_on_grid_at_selected_nodes_matches_full_sweep():
     np.testing.assert_allclose(picked, sweep[nodes], rtol=1e-13)
 
 
+def test_integral_on_grid_at_node_zero_is_zero_and_outside_nodes_are_refused():
+    fv = np.ones(9)
+    sweep = integral_on_grid(fv, 0.1, 0.5)
+    assert integral_on_grid(fv, 0.1, 0.5, at=[0, 8]).tolist() == [0.0, sweep[8]]
+    assert integral_on_grid(fv[:1], 0.1, 0.5, at=[0, 0]).tolist() == [0.0, 0.0]
+    for bad in (-1, 9, -8):
+        with pytest.raises(ValueError, match=rf"node index {bad} is outside 0\.\.8"):
+            integral_on_grid(fv, 0.1, 0.5, at=[1, bad])
+
+
 def _sweep_by_direct_convolution(samples, h, mu):
     # the product-trapezoid sweep with its inner sum as one np.convolve
     n = len(samples) - 1
@@ -555,6 +565,66 @@ def test_weight_overflow_is_one_domain_error_and_never_cached():
             with pytest.raises(DomainError, match=r"mu=102\.0 .*n=1024"):
                 fracops._l1_weights(1024, 102.0)  # 1024^103 is not
     assert (1024, 102.0) not in fracops._WEIGHT_CACHE
+    fracops._WEIGHT_CACHE.clear()
+
+
+def _weight_cache_bytes_agree(fracops):
+    return fracops._weight_cache_bytes == sum(c.nbytes for c in fracops._WEIGHT_CACHE.values())
+
+
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [65, 1000, 4097, 16384])
+def test_sweep_is_the_same_with_cold_warm_and_refused_weight_spectra(n, mu, monkeypatch):
+    from fraccalc import fracops
+
+    h = 2.0 / n
+    ts = h * np.arange(n + 1)
+    fv = np.exp(3.0 * ts) + np.cos(7.0 * ts)
+    fracops._WEIGHT_CACHE.clear()
+    cold = integral_on_grid(fv, h, mu)
+    assert (n, mu, "spectra") in fracops._WEIGHT_CACHE
+    warm = integral_on_grid(fv, h, mu)
+    # a budget that holds the weights and nothing more refuses the spectra
+    fracops._WEIGHT_CACHE.clear()
+    monkeypatch.setattr(fracops, "_WEIGHT_CACHE_MAX_BYTES", (2 * n + 1) * 8)
+    refused = integral_on_grid(fv, h, mu)
+    assert list(fracops._WEIGHT_CACHE) == [(n, mu)]
+    assert np.array_equal(cold, warm) and np.array_equal(cold, refused)
+    fracops._WEIGHT_CACHE.clear()
+
+
+def test_warm_sweep_transforms_the_data_once_per_block(monkeypatch):
+    from fraccalc import fracops
+
+    n = 16384
+    fv = np.cos(np.arange(n + 1) / n)
+    fracops._WEIGHT_CACHE.clear()
+    integral_on_grid(fv, 1.0 / n, 0.3)
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kwargs: calls.append(args[1]) or rfft(*args, **kwargs))
+    integral_on_grid(fv, 1.0 / n, 0.3)
+    # blocks [64, 128), ..., [8192, 16384): one transform of length 4*lo each
+    assert calls == [4 * 64 << k for k in range(8)]
+    fracops._WEIGHT_CACHE.clear()
+
+
+def test_caching_weight_spectra_never_evicts(monkeypatch):
+    from fraccalc import fracops
+
+    fracops._WEIGHT_CACHE.clear()
+    fv = np.linspace(1.0, 2.0, 4097)
+    for mu in (0.2, 0.4):
+        integral_on_grid(fv, 0.01, mu)
+    assert _weight_cache_bytes_agree(fracops)
+    held = dict(fracops._WEIGHT_CACHE)
+    # room for the weights of one more sweep, not for its spectra
+    budget = fracops._weight_cache_bytes + (2 * 4096 + 1) * 8
+    monkeypatch.setattr(fracops, "_WEIGHT_CACHE_MAX_BYTES", budget)
+    integral_on_grid(fv, 0.01, 0.6)
+    assert (4096, 0.6) in fracops._WEIGHT_CACHE and (4096, 0.6, "spectra") not in fracops._WEIGHT_CACHE
+    assert all(fracops._WEIGHT_CACHE[key] is arr for key, arr in held.items())
+    assert _weight_cache_bytes_agree(fracops) and fracops._weight_cache_bytes <= budget
     fracops._WEIGHT_CACHE.clear()
 
 
