@@ -43,8 +43,11 @@ Derivatives come in three flavours:
 blocked FFT convolution.  The product-trapezoid weights of each (n, mu),
 and the spectra of the weights of every FFT block of that sweep, live in
 one cache bounded by bytes.  The spectra are kept only in the room the
-cache has left, never by evicting an entry; when they do not fit, each
-sweep rebuilds them, with the same result.
+cache has left, never by evicting an entry, and are the first to go when
+a weight table needs room, so the weights cached are those of a cache
+without spectra; when the spectra do not fit, each sweep rebuilds them,
+with the same result.  Only a sweep that repeats an (n, mu) in the same
+process gains from them.
 
 A function argument is an :class:`~fraccalc.expr.Expression` or a
 callable that maps a numpy array of points to an array of values.
@@ -193,11 +196,16 @@ def _cache_room() -> int:
 
 
 def _cache_put(key: tuple, value: np.ndarray) -> None:
-    """Keep ``value`` in the weight cache, emptying the cache first when the
-    free budget is too small; an array larger than the whole budget is not kept."""
+    """Keep ``value`` in the weight cache; an array larger than the whole
+    budget is not kept.  When the free budget is too small, the cached
+    spectra go first and the whole cache only if that is not enough, so the
+    weights kept are the same as in a cache that never held spectra."""
     global _weight_cache_bytes
     if value.nbytes > _WEIGHT_CACHE_MAX_BYTES:
         return
+    if value.nbytes > _cache_room():
+        for k in [k for k in _WEIGHT_CACHE if k[-1] == "spectra"]:
+            _weight_cache_bytes -= _WEIGHT_CACHE.pop(k).nbytes
     if value.nbytes > _cache_room():
         _WEIGHT_CACHE.clear()
         _weight_cache_bytes = 0
@@ -243,9 +251,9 @@ def _block_spectra(n: int, mu: float, v: np.ndarray):
 
     The spectra depend only on (n, mu) and are built once into one packed
     complex array, cached under (n, mu, "spectra") when it fits in the free
-    budget of the weight cache: caching them never evicts anything.  When it
-    does not fit, each block's spectrum is built as it is read, bit for bit
-    the same."""
+    budget of the weight cache: caching them never evicts anything, and
+    ``_cache_put`` drops them before any weights.  When it does not fit,
+    each block's spectrum is built as it is read, bit for bit the same."""
     blocks = []  # (lo, the slice of the packed array that holds block lo)
     size, lo = 0, 64
     while lo < n:
@@ -257,7 +265,7 @@ def _block_spectra(n: int, mu: float, v: np.ndarray):
     if packed is None and 0 < 16 * size <= _cache_room():
         packed = np.empty(size, dtype=complex)
         for lo, at in blocks:
-            np.fft.rfft(v[: 2 * lo], 4 * lo, out=packed[at])
+            packed[at] = np.fft.rfft(v[: 2 * lo], 4 * lo)
         _cache_put(key, packed)
     for lo, at in blocks:
         yield lo, np.fft.rfft(v[: 2 * lo], 4 * lo) if packed is None else packed[at]

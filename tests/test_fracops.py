@@ -628,6 +628,28 @@ def test_caching_weight_spectra_never_evicts(monkeypatch):
     fracops._WEIGHT_CACHE.clear()
 
 
+def test_weights_that_need_room_drop_the_spectra_first(monkeypatch):
+    from fraccalc import fracops
+
+    fv = np.linspace(1.0, 2.0, 4097)
+    fracops._WEIGHT_CACHE.clear()
+    integral_on_grid(fv, 0.01, 0.2)
+    spectra = fracops._WEIGHT_CACHE[(4096, 0.2, "spectra")].nbytes
+    fracops._WEIGHT_CACHE.clear()
+    # room for two weight tables and one set of spectra, one byte short of all three
+    weights = (2 * 4096 + 1) * 8
+    monkeypatch.setattr(fracops, "_WEIGHT_CACHE_MAX_BYTES", 2 * weights + spectra - 1)
+    integral_on_grid(fv, 0.01, 0.2)
+    first = fracops._WEIGHT_CACHE[(4096, 0.2)]
+    assert (4096, 0.2, "spectra") in fracops._WEIGHT_CACHE
+    fracops._l1_weights(4096, 0.4)
+    # the spectra make room; the weights stay, as in a cache without spectra
+    assert list(fracops._WEIGHT_CACHE) == [(4096, 0.2), (4096, 0.4)]
+    assert fracops._WEIGHT_CACHE[(4096, 0.2)] is first
+    assert _weight_cache_bytes_agree(fracops)
+    fracops._WEIGHT_CACHE.clear()
+
+
 # --- limit behaviour ----------------------------------------------------------
 
 
