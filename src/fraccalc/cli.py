@@ -17,6 +17,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -32,6 +33,7 @@ from .fracops import (
     f_lower,
     rl_derivative,
     rl_integral,
+    _grid,
 )
 from .meanval import mean_value, mean_value_polynomial
 from .shape import (
@@ -115,16 +117,23 @@ def _alpha_list(text: str, *, sweep_ok: bool) -> List[float]:
             count = int(parts[2])
         except ValueError:
             raise _UsageError(f"bad alpha sweep {text!r}") from None
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise _UsageError(f"alpha sweep ends must be finite, got {text!r}")
+        if not math.isfinite(stop - start):
+            raise _UsageError(f"alpha sweep ends must be finite and less than a float apart, got {text!r}")
         if not 1 <= count <= MAX_SWEEP:
             raise _UsageError(f"--alpha sweep count must lie in [1, {MAX_SWEEP}], got {count}")
-        grid = np.linspace(start, stop, count) if count > 1 else np.asarray([start])
-        return [float(min(max(a, ALPHA_MIN), ALPHA_MAX)) for a in grid]
+        return [float(min(max(a, ALPHA_MIN), ALPHA_MAX)) for a in _points(start, stop, count)]
     try:
-        return [float(text)]
+        alpha = float(text)
     except ValueError:
         raise _UsageError(f"bad alpha value {text!r}") from None
+    if not 0.0 < alpha < 1.0:  # mono and periodic pass the order on unchecked
+        raise _UsageError(f"alpha must satisfy 0 < alpha < 1, got {alpha!r}")
+    return [alpha]
+
+
+def _points(start: float, stop: float, count: int) -> np.ndarray:
+    """``count`` evenly spaced points from start to stop; one point is start."""
+    return _grid(start, stop, count - 1)[0] if count > 1 else np.asarray([start])
 
 
 def _emit(report: Report, args) -> int:
@@ -232,7 +241,7 @@ def _cmd_dilation(args) -> int:
     v = parse(args.f)
     (al,) = _alpha_list(args.alpha, sweep_ok=False)
     p = FractionalParams(al, args.a, args.grid_n)
-    ts = [args.a + (args.b - args.a) * i / args.scan_n for i in range(1, args.scan_n + 1)]
+    ts = _grid(args.a, args.b, args.scan_n)[0][1:]
     res = dilation_scenario(v, p, ts)
     rep = Report(["t", "V"])
     for t, val in res.rows:
@@ -283,7 +292,7 @@ def _cmd_periodic(args) -> int:
     f = parse(args.f)
     (al,) = _alpha_list(args.alpha, sweep_ok=False)
     start = args.a if args.a > 0 else args.tau
-    ts = np.linspace(start, args.b, args.scan_n)
+    ts = _points(start, args.b, args.scan_n)
     verdict = periodicity_defect(f, al, args.tau, ts, grid_n=args.grid_n)
     rep = Report(["t", "defect"])
     for w in verdict.witnesses:
@@ -546,13 +555,17 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        with warnings.catch_warnings(record=True) as caught:
+            code = args.handler(args)
     except (_UsageError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FracCalcError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 2
+    for w in caught:  # one line each, and none from a run that failed
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

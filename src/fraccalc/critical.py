@@ -110,7 +110,8 @@ def _d_alpha(
 ) -> tuple:
     """Fast x -> D^alpha f(x) with the base-value check done once, and
     ``scan(b, n)``: the nodes a + (b - a) i / n, i = 1..n, with D^alpha f
-    there from one f' sample on k n >= grid_n panels, in O(k n^2) work."""
+    there, read off one f' sample on k n >= grid_n panels of [a, b] (its
+    nodes k i), in O(k n^2) work."""
     base_value(f, p.a, allow_nonzero=allow_nonzero_base)
     fp = _prime_sampler(f, fprime)
     mu = 1.0 - p.alpha
@@ -121,8 +122,7 @@ def _d_alpha(
     def scan(b: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
         k = -(-p.grid_n // n)
         ts, h = _grid(p.a, b, k * n)
-        xs = p.a + (b - p.a) * np.arange(1, n + 1) / n
-        return xs, integral_on_grid(fp(ts), h, mu, at=k * np.arange(1, n + 1))
+        return ts[k::k], integral_on_grid(fp(ts), h, mu, at=k * np.arange(1, n + 1))
 
     return d, scan
 
@@ -222,13 +222,13 @@ def _verify_single_extremum_and_root(
     """Sampled check that f has exactly one stationary point and one root
     in (a, b], close to the claimed x0 (and x1 when given); returns the
     detected locations."""
-    ts = np.linspace(a, b, 2049)[1:]
+    ts = _grid(a, b, 2048)[0][1:]
     vals = _sampler(f)(ts)
     dvals = _prime_sampler(f, fprime)(ts)
 
     def zero_events(arr: np.ndarray) -> List[float]:
         zeros, changes = _sign_brackets(arr)  # located to half a sample step
-        return sorted(np.concatenate((ts[zeros], 0.5 * (ts[changes] + ts[changes + 1]))).tolist())
+        return sorted(np.concatenate((ts[zeros], 0.5 * ts[changes] + 0.5 * ts[changes + 1])).tolist())
 
     ext = zero_events(dvals)
     roots = zero_events(vals)

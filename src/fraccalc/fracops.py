@@ -184,15 +184,11 @@ def base_value(f: FuncLike, a: float, *, allow_nonzero: bool = False) -> float:
 _WEIGHT_CACHE: dict = {}
 #: total bytes of arrays the cache may hold; a larger array is never cached
 _WEIGHT_CACHE_MAX_BYTES = 64 << 20
-_weight_cache_bytes = 0
 
 
 def _cache_room() -> int:
     """Bytes the weight cache can still take without evicting anything."""
-    global _weight_cache_bytes
-    if not _WEIGHT_CACHE:  # it may have been emptied from outside
-        _weight_cache_bytes = 0
-    return _WEIGHT_CACHE_MAX_BYTES - _weight_cache_bytes
+    return _WEIGHT_CACHE_MAX_BYTES - sum(a.nbytes for a in _WEIGHT_CACHE.values())
 
 
 def _cache_put(key: tuple, value: np.ndarray) -> None:
@@ -200,17 +196,14 @@ def _cache_put(key: tuple, value: np.ndarray) -> None:
     budget is not kept.  When the free budget is too small, the cached
     spectra go first and the whole cache only if that is not enough, so the
     weights kept are the same as in a cache that never held spectra."""
-    global _weight_cache_bytes
     if value.nbytes > _WEIGHT_CACHE_MAX_BYTES:
         return
     if value.nbytes > _cache_room():
         for k in [k for k in _WEIGHT_CACHE if k[-1] == "spectra"]:
-            _weight_cache_bytes -= _WEIGHT_CACHE.pop(k).nbytes
+            del _WEIGHT_CACHE[k]
     if value.nbytes > _cache_room():
         _WEIGHT_CACHE.clear()
-        _weight_cache_bytes = 0
     _WEIGHT_CACHE[key] = value
-    _weight_cache_bytes += value.nbytes
 
 
 def _l1_weights(n: int, mu: float) -> np.ndarray:
@@ -317,26 +310,40 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float, at: Optional[Sequ
             )
         else:
             v = w[n:0:-1]  # v[d]: weight of the node at distance d from the endpoint
-            blocks = [np.convolve(samples[1:65], v[:64])[:64]]
-            # entries past n read truncated data and are cut off below
+            # out[j] first holds the inner sum over nodes 1..j; a block's
+            # entries past n read truncated data and are not written
+            out = np.empty(n + 1)
+            out[0] = 0.0
+            m = min(n, 64)
+            out[1 : m + 1] = np.convolve(samples[1:65], v[:64])[:m]
             for lo, wspec in _block_spectra(n, mu, v):
                 spec = np.fft.rfft(samples[1 : 2 * lo + 1], 4 * lo)
                 spec *= wspec
                 del wspec  # a spectrum built for this sweep alone is freed before the inverse FFT
-                blocks.append(np.fft.irfft(spec, 4 * lo)[lo : 2 * lo])
-            out = np.empty(n + 1)
-            out[0] = 0.0
-            out[1:] = scale * (w[n + 1 :] * samples[0] + np.concatenate(blocks)[:n])
+                hi = min(2 * lo, n)
+                out[lo + 1 : hi + 1] = np.fft.irfft(spec, 4 * lo)[lo:hi]
+                del spec  # freed before the next block's transforms claim their scratch
+            out[1:] += w[n + 1 :] * samples[0]
+            out[1:] *= scale
     if not np.isfinite(out).all():
         raise DomainError(f"product-trapezoid sums for I^{mu!r} overflow a float")
     return out
 
 
 def _grid(a: float, x: float, n: int) -> tuple:
-    """The n + 1 nodes a + j*h of [a, x], h = (x - a)/n, the last exactly x; and h."""
+    """The n + 1 nodes a + j*h of [a, x], h = (x - a)/n, the last exactly x; and h.
+
+    Every uniform point set of the package is built here or sliced from it;
+    the nodes equal ``np.linspace(a, x, n + 1)`` bit for bit.  An interval
+    whose step overflows a float is a DomainError, and the last node is not
+    computed, so a grid ending near the largest float does not overflow."""
+    a, x = float(a), float(x)
     h = (x - a) / n
-    ts = a + h * np.arange(n + 1)
-    ts[-1] = x
+    if not math.isfinite(h):
+        raise DomainError(f"the interval [{a!r}, {x!r}] is wider than a float")
+    ts = np.arange(n + 1, dtype=float)
+    ts[:n] = a + h * ts[:n]
+    ts[n] = x
     return ts, h
 
 

@@ -40,6 +40,7 @@ from .fracops import (
     gamma,
     rl_derivative,
     rl_integral,
+    _grid,
     _kernel_quad,
     _power,
     _sampler,
@@ -193,7 +194,7 @@ def _mean_value(sample: Sampler, p: FractionalParams, x: float, iv: float, scan_
     if scan_n < 16:
         raise ValueError("scan_n must be >= 16")
     g = gamma(2.0 - p.alpha) * iv * (x - p.a) ** (p.alpha - 1.0)
-    ts = p.a + (x - p.a) * np.arange(1, scan_n + 2) / (scan_n + 2)
+    ts = _grid(p.a, x, scan_n + 2)[0][1:-1]
     vals = sample(ts) - g
     if float(np.max(np.abs(vals))) <= 1e-12 * (1.0 + abs(g)):
         return MeanValueResult(g, (), (), None, degenerate=True)
@@ -242,7 +243,7 @@ def mean_value_polynomial(
     remainder = rl_integral(f_top, p, n + 2.0 - alpha, a + delta).value
     coeffs[0] = -sum(series_terms) - remainder
     carr = np.asarray(coeffs)
-    ts = delta * np.arange(1, 257) / 257
+    ts = _grid(0.0, delta, 257)[0][1:-1]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         vals = np.polynomial.polynomial.polyval(ts, carr)
     if not np.isfinite(vals).all():  # a series term or the polynomial itself
@@ -267,7 +268,7 @@ def mean_value_polynomial(
 
 def check_strictly_monotone(f: FuncLike, lo: float, hi: float) -> int:
     """Return +1/-1 for strictly increasing/decreasing on (lo, hi) by sampling."""
-    ts = np.linspace(lo, hi, 512)[1:]
+    ts = _grid(lo, hi, 511)[0][1:]
     vals = _sampler(f)(ts)
     diffs = np.diff(vals)
     if np.all(diffs > 0.0):

@@ -27,12 +27,13 @@ I^(1-alpha) f' over the window with the function's own values on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import HypothesisError, MeanValueNotFoundError
+from .errors import DomainError, HypothesisError, MeanValueNotFoundError
 from .expr import Expression, derivative_values
 from .fracops import (
     ADAPTIVE_ORACLE,
@@ -136,6 +137,8 @@ def sample_window_pairs(
     span = hi - lo - 2.0 * delta - gap
     if span <= 0.0:
         raise ValueError("interval too short for two disjoint windows of this length")
+    if not math.isfinite(span):
+        raise DomainError(f"the interval [{lo!r}, {hi!r}] is wider than a float")
     rng = np.random.RandomState(seed)
     u = (rng.permutation(n_pairs) + rng.uniform(0.0, 1.0, n_pairs)) / n_pairs
     v = (rng.permutation(n_pairs) + rng.uniform(0.0, 1.0, n_pairs)) / n_pairs
@@ -277,7 +280,7 @@ def convexity_equivalence(
 
     lo = min(p.x0 for p in pair_samples)
     hi = max(p.y0 + p.delta for p in pair_samples)
-    grid = np.linspace(lo, hi, 33)
+    grid = _grid(lo, hi, 32)[0]
     fg = f.eval(grid)
     scale = 1.0 + float(np.max(np.abs(fg)))
     convex = True
@@ -313,13 +316,6 @@ def convexity_equivalence(
     else:
         equivalence = None
     return ConvexityReport(convex, dinc, fxi, gate, bridge_max, equivalence)
-
-
-def _derivative_on_grid(f: Expression, alpha: float, end: float, npts: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The npts + 1 grid nodes of [0, end] and D^alpha f = I^(1-alpha) f'
-    at every one of them: one f' sample and one convolution sweep."""
-    grid, h = _grid(0.0, end, npts)
-    return grid, integral_on_grid(derivative_values(f, grid, 1), h, 1.0 - alpha)
 
 
 def monotonicity_certificate(
@@ -368,7 +364,8 @@ def monotonicity_certificate(
         )
 
     # hypothesis: the tau-difference of D^alpha f is nonnegative on the grid
-    grid_b, d_all = _derivative_on_grid(f, alpha, b, 2 * m)
+    grid_b, h_b = _grid(0.0, b, 2 * m)
+    d_all = integral_on_grid(derivative_values(f, grid_b, 1), h_b, 1.0 - alpha)
     d_at = lambda pts: np.interp(pts, grid_b, d_all)  # noqa: E731
     delta_d = d_at(xs + tau) - d_at(xs)
     bad = np.nonzero(delta_d < -_HYPOTHESIS_TOL * (1.0 + np.max(np.abs(d_all))))[0]
@@ -434,8 +431,9 @@ def comparison_check(
             f"comparison needs f(0) = g(0) = 0, got f(0)={f0!r}, g(0)={g0!r}"
         )
     npts = 2 * int(grid_n)
-    grid_b, df = _derivative_on_grid(f, alpha, b, npts)
-    dg = _derivative_on_grid(g, alpha, b, npts)[1]
+    grid_b, h = _grid(0.0, b, npts)
+    df = integral_on_grid(derivative_values(f, grid_b, 1), h, 1.0 - alpha)
+    dg = integral_on_grid(derivative_values(g, grid_b, 1), h, 1.0 - alpha)
     xs_idx = np.linspace(1, npts, 64).round().astype(int)
     xs = grid_b[xs_idx]
     hyp_margin = dg[xs_idx] - df[xs_idx]
@@ -487,14 +485,18 @@ def periodicity_defect(
     ts = np.asarray([float(t) for t in t_grid])
     if np.any(ts <= 0.0):
         raise ValueError("t_grid must be positive (operators are based at 0)")
-    probe = np.linspace(0.0, float(ts[-1]), 512)
+    last = float(np.max(ts))
+    # the derivative's grid reaches last + tau: built first, it refuses an
+    # end past the largest float before the probe is shifted by tau
+    grid_b, h = _grid(0.0, last + tau, 2 * int(grid_n))
+    probe = _grid(0.0, last, 511)[0]
     fv = f.eval(probe)
     fv_shift = f.eval(probe + tau)
     fscale = 1.0 + float(np.max(np.abs(fv)))
     if np.max(np.abs(fv_shift - fv)) > 1e-10 * fscale:
         raise HypothesisError(f"input is not periodic with period {tau!r} on the sampled range")
 
-    grid_b, d_all = _derivative_on_grid(f, alpha, float(ts[-1]) + tau, 2 * int(grid_n))
+    d_all = integral_on_grid(derivative_values(f, grid_b, 1), h, 1.0 - alpha)
     d_at = lambda pts: np.interp(pts, grid_b, d_all)  # noqa: E731
     defects = np.abs(d_at(ts + tau) - d_at(ts))
     return ShapeVerdict(

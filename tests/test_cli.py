@@ -4,8 +4,12 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraccalc.cli import MAX_GRID_N, MAX_PAIRS, MAX_SCAN_N, MAX_SWEEP, MAX_TAYLOR_N, run
+from fraccalc.expr import Expression, Num
+from test_expr import _grow, _leaves
 
 
 def capture(argv):
@@ -430,6 +434,27 @@ def test_grid_sum_overflow_exits_2_with_one_line(argv):
     assert "overflow" in err
 
 
+@pytest.mark.parametrize("argv, codes", [
+    (["critpoints", "--f", "sin(t)", "--alpha", "0.5", "--a", "0", "--b", "1e308", "--grid-n", "8"], {0, 2}),
+    (["ralpha", "--f", "sin(t)", "--alpha", "0.5", "--a", "0", "--b", "1e308", "--x0", "1.57",
+      "--grid-n", "8", "--scan-n", "4"], {0, 2}),
+    (["ralpha", "--f", "sin(t)", "--alpha", "0.5", "--a=-1e308", "--b", "1e308", "--x0", "1.57",
+      "--grid-n", "8", "--scan-n", "4"], {0, 2}),
+    (["dilation", "--b", "1e308"], {0, 2}),
+    (["fracint", "--f", "t", "--alpha", "0.5", "--a=-1e308", "--x", "1e308"], {0, 2}),
+    (["convexity", "--f", "t^2", "--alpha", "0.5", "--a=-1e308", "--b", "1e308", "--delta", "1e307",
+      "--pairs", "1"], {0, 2}),
+    (["fracint", "--f", "t", "--alpha=-1e308:1e308:3", "--a", "0", "--x", "1"], {1}),
+])
+def test_intervals_near_the_float_range_leak_no_overflow(argv, codes):
+    # spans and steps near 1e308: a grid wider than a float is one clean error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = capture(argv + ["--output", "csv"])
+    assert code in codes
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+
+
 def test_fracderiv_fractional_power_at_zero_base():
     code, out, err = capture(["fracderiv", "--f", "t^1.5", "--alpha", "0.5", "--a", "0", "--x", "1",
                               "--output", "csv"])
@@ -452,3 +477,66 @@ def test_mono_on_a_large_grid_is_fast():
     assert code == 0
     assert csv_rows(out)[1][0] == ["holds", "true"]
     assert elapsed < 2.0
+
+
+# --- every command on random input fails cleanly ------------------------------
+
+
+def _mostly(usual, edges):
+    # a usual value three times in four, else one of the edge values
+    return st.one_of(usual, usual, usual, st.sampled_from(edges))
+
+
+_REAL = _mostly(st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False),
+                [0.0, 1.0, -1.0, 1e-300, -1e-300, 1e308, -1e308, 1.7e308])
+
+
+def _count_flag(minimum, cap, largest_drawn):
+    # a small valid count, or the minimum, one below it or one above the cap
+    return _mostly(st.integers(minimum, largest_drawn), [minimum, minimum - 1, cap + 1])
+
+
+_GRID = _count_flag(2, MAX_GRID_N, 64)
+_SCAN = _count_flag(1, MAX_SCAN_N, 64)
+_FLAGS = {
+    "fracint": {"--a": _REAL, "--x": _REAL, "--grid-n": _GRID},
+    "fracderiv": {"--a": _REAL, "--x": _REAL, "--grid-n": _GRID},
+    "meanvalue": {"--a": _REAL, "--x": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
+    "polyxi": {"--a": _REAL, "--delta": _REAL, "--n": _count_flag(1, MAX_TAYLOR_N, MAX_TAYLOR_N), "--grid-n": _GRID},
+    "critpoints": {"--a": _REAL, "--b": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
+    "ralpha": {"--a": _REAL, "--b": _REAL, "--x0": _REAL, "--eps": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
+    "dilation": {"--a": _REAL, "--b": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
+    "convexity": {"--a": _REAL, "--b": _REAL, "--delta": _REAL, "--pairs": _count_flag(1, MAX_PAIRS, 4),
+                  "--seed": st.integers(0, 3), "--scan-n": _SCAN},
+    "mono": {"--b": _REAL, "--tau": _REAL, "--grid-n": _GRID},
+    "periodic": {"--a": _REAL, "--b": _REAL, "--tau": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
+}
+_SWEEPS = ("fracint", "fracderiv", "critpoints", "ralpha")
+_ORDER = _mostly(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), [0.0, 1.0, -1.0, 1e-300, 1e308, 1.7e308])
+_SWEEP = st.tuples(_ORDER, _ORDER, _count_flag(1, MAX_SWEEP, 5)).map(lambda s: "{!r}:{!r}:{}".format(*s))
+_EXPRESSION = st.recursive(_leaves | st.sampled_from([Num(0.0), Num(1e300)]), _grow, max_leaves=6)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    source = Expression(draw(_EXPRESSION)).pretty()
+    argv = [command] + ([f"--f={source}"] if source.startswith("-") else ["--f", source])
+    sweep = command in _SWEEPS and draw(st.booleans())
+    argv.append(f"--alpha={draw(_SWEEP) if sweep else repr(draw(_ORDER))}")
+    for flag, values in _FLAGS[command].items():
+        argv.append(f"{flag}={draw(values)!r}")
+    if command in ("fracderiv", "critpoints") and draw(st.booleans()):
+        argv.append("--allow-nonzero-base")  # a nonzero f(a) then warns, on one line
+    return argv + ["--output", "csv"]
+
+
+@settings(max_examples=500, deadline=5000, derandomize=True, database=None)
+@given(_cli_argv())
+def test_every_command_fails_cleanly_on_random_input(argv):
+    # exit 0, 1 or 2 with at most one line on stderr, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = capture(argv)
+    assert code in (0, 1, 2)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err

@@ -568,8 +568,8 @@ def test_weight_overflow_is_one_domain_error_and_never_cached():
     fracops._WEIGHT_CACHE.clear()
 
 
-def _weight_cache_bytes_agree(fracops):
-    return fracops._weight_cache_bytes == sum(c.nbytes for c in fracops._WEIGHT_CACHE.values())
+def _cached_bytes(fracops):
+    return sum(c.nbytes for c in fracops._WEIGHT_CACHE.values())
 
 
 @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
@@ -609,6 +609,26 @@ def test_warm_sweep_transforms_the_data_once_per_block(monkeypatch):
     fracops._WEIGHT_CACHE.clear()
 
 
+def test_warm_sweep_holds_few_copies_of_its_output():
+    import tracemalloc
+
+    from fraccalc import fracops
+
+    n = 1 << 16
+    fv = np.cos(np.arange(n + 1) / n)
+    fracops._WEIGHT_CACHE.clear()
+    integral_on_grid(fv, 1.0 / n, 0.3)
+    tracemalloc.start()
+    try:
+        integral_on_grid(fv, 1.0 / n, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, the last block's data spectrum and its inverse transform
+    assert peak <= 6 * 8 * (n + 1)
+    fracops._WEIGHT_CACHE.clear()
+
+
 def test_caching_weight_spectra_never_evicts(monkeypatch):
     from fraccalc import fracops
 
@@ -616,15 +636,14 @@ def test_caching_weight_spectra_never_evicts(monkeypatch):
     fv = np.linspace(1.0, 2.0, 4097)
     for mu in (0.2, 0.4):
         integral_on_grid(fv, 0.01, mu)
-    assert _weight_cache_bytes_agree(fracops)
     held = dict(fracops._WEIGHT_CACHE)
     # room for the weights of one more sweep, not for its spectra
-    budget = fracops._weight_cache_bytes + (2 * 4096 + 1) * 8
+    budget = _cached_bytes(fracops) + (2 * 4096 + 1) * 8
     monkeypatch.setattr(fracops, "_WEIGHT_CACHE_MAX_BYTES", budget)
     integral_on_grid(fv, 0.01, 0.6)
     assert (4096, 0.6) in fracops._WEIGHT_CACHE and (4096, 0.6, "spectra") not in fracops._WEIGHT_CACHE
     assert all(fracops._WEIGHT_CACHE[key] is arr for key, arr in held.items())
-    assert _weight_cache_bytes_agree(fracops) and fracops._weight_cache_bytes <= budget
+    assert _cached_bytes(fracops) <= budget
     fracops._WEIGHT_CACHE.clear()
 
 
@@ -646,7 +665,6 @@ def test_weights_that_need_room_drop_the_spectra_first(monkeypatch):
     # the spectra make room; the weights stay, as in a cache without spectra
     assert list(fracops._WEIGHT_CACHE) == [(4096, 0.2), (4096, 0.4)]
     assert fracops._WEIGHT_CACHE[(4096, 0.2)] is first
-    assert _weight_cache_bytes_agree(fracops)
     fracops._WEIGHT_CACHE.clear()
 
 
