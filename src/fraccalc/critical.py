@@ -33,7 +33,7 @@ from .fracops import (
     _kernel_quad_grid,
     _prime_sampler,
     _sampler,
-    integral_on_grid,
+    _strided_integral,
 )
 from .meanval import _find_roots, _sign_brackets, check_strictly_monotone, mean_value
 
@@ -111,7 +111,7 @@ def _d_alpha(
     """Fast x -> D^alpha f(x) with the base-value check done once, and
     ``scan(b, n)``: the nodes a + (b - a) i / n, i = 1..n, with D^alpha f
     there, read off one f' sample on k n >= grid_n panels of [a, b] (its
-    nodes k i), in O(k n^2) work."""
+    nodes k i)."""
     base_value(f, p.a, allow_nonzero=allow_nonzero_base)
     fp = _prime_sampler(f, fprime)
     mu = 1.0 - p.alpha
@@ -122,7 +122,7 @@ def _d_alpha(
     def scan(b: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
         k = -(-p.grid_n // n)
         ts, h = _grid(p.a, b, k * n)
-        return ts[k::k], integral_on_grid(fp(ts), h, mu, at=k * np.arange(1, n + 1))
+        return ts[k::k], _strided_integral(fp(ts), h, mu, k)
 
     return d, scan
 

@@ -110,6 +110,12 @@ def gamma(z: float) -> float:
 # Parameter and result containers
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse a derivative order outside (0, 1)."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class FractionalParams:
     """Order, base point and grid resolution for the operators.
@@ -123,8 +129,7 @@ class FractionalParams:
     grid_n: int = 2048
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not math.isfinite(self.a):
             raise ValueError("base point a must be finite")
         if int(self.grid_n) != self.grid_n or self.grid_n < 2:
@@ -291,7 +296,9 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float, at: Optional[Sequ
     repeated (n, mu) costs two FFTs per block, unless they do not fit in the
     cache's free budget; then they are rebuilt on every sweep, with the same
     result.  Given node indices ``at`` in 0..n, only those entries are
-    returned, in O(len(at) * n) work; an index outside 0..n is a ValueError.
+    returned, one dot product each; an index outside 0..n is a ValueError.
+    That loop serves the three nodes of ``rl_derivative(method="direct")``,
+    and goes with it; scans read their nodes through ``_strided_integral``.
     """
     samples = np.asarray(samples, dtype=float)
     n = len(samples) - 1
@@ -325,6 +332,45 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float, at: Optional[Sequ
                 del spec  # freed before the next block's transforms claim their scratch
             out[1:] += w[n + 1 :] * samples[0]
             out[1:] *= scale
+    if not np.isfinite(out).all():
+        raise DomainError(f"product-trapezoid sums for I^{mu!r} overflow a float")
+    return out
+
+
+def _strided_integral(samples: np.ndarray, h: float, mu: float, k: int) -> np.ndarray:
+    """I^mu of gridded data at the nodes k, 2k, ..., n of its own grid (k divides n).
+
+    Entries equal those of ``integral_on_grid(samples, h, mu)[k::k]`` up to
+    round-off.  The data and the weights are cut into M <= 65 chunks of
+    L = k*p points, p = ceil(m/64) for the m nodes.  The nodes j = Q*L + rho
+    of one phase rho in 0, k, ..., L - k meet the same weight chunks, so
+    one product C of the weight chunks and the data chunks holds every
+    chunk-by-chunk sum of the phase, and one np.bincount adds up the
+    diagonal of C that belongs to each node.  That is O(m n) work in p
+    BLAS calls, with temporaries of O(n) plus an M x M matrix.
+    """
+    n = len(samples) - 1
+    m = n // k
+    w = _l1_weights(n, mu)
+    p = -(-m // 64)
+    L = k * p
+    M = n // L + 1  # the last chunk is part padding
+    data = np.zeros((M, L))
+    data.ravel()[:n] = samples[1:]
+    # g[M*L - 1 - d] is the weight of the point at distance d from the
+    # node, 0 for d < 0 and d >= n
+    g = np.zeros((M + 1) * L)
+    g[M * L - n : M * L] = w[1 : n + 1]
+    # row i of the phase's weight chunks meets data chunk c at node chunk c + M - 1 - i
+    diag = (np.arange(M) - np.arange(M)[:, None] + (M - 1)).ravel()
+    sums = np.empty((M, p))  # sums[Q, r]: node Q*L + r*k
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for r in range(p):
+            rho = r * k
+            c = g[L - rho : (M + 1) * L - rho].reshape(M, L) @ data.T
+            sums[:, r] = np.bincount(diag, c.ravel())[:M]
+        out = sums.ravel()[1 : m + 1] + w[n + k :: k] * samples[0]
+        out *= _power(h, mu) / gamma(mu + 2.0)
     if not np.isfinite(out).all():
         raise DomainError(f"product-trapezoid sums for I^{mu!r} overflow a float")
     return out

@@ -193,7 +193,7 @@ def _mean_value(sample: Sampler, p: FractionalParams, x: float, iv: float, scan_
     that integral."""
     if scan_n < 16:
         raise ValueError("scan_n must be >= 16")
-    g = gamma(2.0 - p.alpha) * iv * (x - p.a) ** (p.alpha - 1.0)
+    g = gamma(2.0 - p.alpha) * iv * _power(x - p.a, p.alpha - 1.0)
     ts = _grid(p.a, x, scan_n + 2)[0][1:-1]
     vals = sample(ts) - g
     if float(np.max(np.abs(vals))) <= 1e-12 * (1.0 + abs(g)):

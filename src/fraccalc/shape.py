@@ -43,6 +43,7 @@ from .fracops import (
     Sampler,
     gamma,
     integral_on_grid,
+    _check_alpha,
     _grid,
     _kernel_quad,
     _prime_sampler,
@@ -345,6 +346,7 @@ def monotonicity_certificate(
     refinement.  Failed hypotheses yield a not-applicable verdict (None),
     never a violation claim.
     """
+    _check_alpha(alpha)
     if not (0.0 < tau < b):
         raise ValueError(f"need 0 < tau < b, got tau={tau!r}, b={b!r}")
     m = int(grid_n)
@@ -424,6 +426,7 @@ def comparison_check(
     then f <= g (conclusion).  Requires f(0) = g(0) = 0; a failed
     hypothesis yields a not-applicable verdict.
     """
+    _check_alpha(alpha)
     f0 = f.eval(0.0)
     g0 = g.eval(0.0)
     if abs(f0 - g0) > 1e-12 or abs(f0) > 1e-12:
@@ -480,6 +483,7 @@ def periodicity_defect(
     derivative is not expected at finite times even though the defect
     fades as t grows.
     """
+    _check_alpha(alpha)
     if not tau > 0.0:
         raise ValueError(f"period tau must be > 0, got tau={tau!r}")
     ts = np.asarray([float(t) for t in t_grid])

@@ -445,6 +445,8 @@ def test_grid_sum_overflow_exits_2_with_one_line(argv):
     (["convexity", "--f", "t^2", "--alpha", "0.5", "--a=-1e308", "--b", "1e308", "--delta", "1e307",
       "--pairs", "1"], {0, 2}),
     (["fracint", "--f", "t", "--alpha=-1e308:1e308:3", "--a", "0", "--x", "1"], {1}),
+    # a subnormal span: (x - a)^(alpha - 1) of the mean-value level overflows
+    (["meanvalue", "--f", "t", "--alpha", "0.03125", "--a", "0", "--x", "5e-324", "--grid-n", "2"], {2}),
 ])
 def test_intervals_near_the_float_range_leak_no_overflow(argv, codes):
     # spans and steps near 1e308: a grid wider than a float is one clean error
@@ -497,7 +499,8 @@ def _count_flag(minimum, cap, largest_drawn):
 
 
 _GRID = _count_flag(2, MAX_GRID_N, 64)
-_SCAN = _count_flag(1, MAX_SCAN_N, 64)
+# scans of more than 64 nodes read them in several phases
+_SCAN = _count_flag(1, MAX_SCAN_N, 256)
 _FLAGS = {
     "fracint": {"--a": _REAL, "--x": _REAL, "--grid-n": _GRID},
     "fracderiv": {"--a": _REAL, "--x": _REAL, "--grid-n": _GRID},
@@ -524,8 +527,15 @@ def _cli_argv(draw):
     argv = [command] + ([f"--f={source}"] if source.startswith("-") else ["--f", source])
     sweep = command in _SWEEPS and draw(st.booleans())
     argv.append(f"--alpha={draw(_SWEEP) if sweep else repr(draw(_ORDER))}")
-    for flag, values in _FLAGS[command].items():
-        argv.append(f"{flag}={draw(values)!r}")
+    flags = {flag: draw(values) for flag, values in _FLAGS[command].items()}
+    end = "--x" if "--x" in flags else "--b"
+    if "--a" in flags and end in flags and draw(st.integers(0, 3)):
+        # an ordered interval three times in four, so that the computations
+        # run; half of them start at 0, where many expressions vanish
+        if draw(st.booleans()):
+            flags["--a"] = 0.0
+        flags[end] = flags["--a"] + draw(st.floats(1e-3, 10.0))
+    argv += [f"{flag}={value!r}" for flag, value in flags.items()]
     if command in ("fracderiv", "critpoints") and draw(st.booleans()):
         argv.append("--allow-nonzero-base")  # a nonzero f(a) then warns, on one line
     return argv + ["--output", "csv"]

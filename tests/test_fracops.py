@@ -502,6 +502,50 @@ def test_integral_on_grid_at_node_zero_is_zero_and_outside_nodes_are_refused():
             integral_on_grid(fv, 0.1, 0.5, at=[1, bad])
 
 
+@pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("n, m", [
+    (12, 12), (96, 96), (288, 96), (2112, 96), (2304, 384), (3072, 1536), (6144, 6144), (8256, 96), (32768, 128),
+])
+def test_strided_integral_matches_the_dot_product_per_node(n, m, mu):
+    from fraccalc.fracops import _strided_integral
+
+    k = n // m
+    h = 3.0 / n
+    fv = np.cos(2.0 * h * np.arange(n + 1)) + 1.2  # positive, so every node's sum is well away from 0
+    loop = integral_on_grid(fv, h, mu, at=k * np.arange(1, m + 1))
+    got = _strided_integral(fv, h, mu, k)
+    assert got.shape == (m,)
+    assert np.max(np.abs(got - loop) / np.abs(loop)) <= 4e-15
+
+
+def test_strided_integral_at_every_node_keeps_its_temporaries_small():
+    import tracemalloc
+
+    from fraccalc.fracops import _strided_integral, _l1_weights
+
+    n = 1 << 14
+    fv = np.cos(np.arange(n + 1) / n)
+    _l1_weights(n, 0.5)
+    tracemalloc.start()
+    try:
+        _strided_integral(fv, 1.0 / n, 0.5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one n x n matrix of chunk products would be 2 GB
+    assert peak < 16 << 20
+
+
+def test_strided_integral_overflow_is_one_domain_error():
+    from fraccalc.fracops import _strided_integral
+
+    fv = np.full(97, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="product-trapezoid sums for I\\^0.5 overflow a float"):
+            _strided_integral(fv, 1.0, 0.5, 1)
+
+
 def _sweep_by_direct_convolution(samples, h, mu):
     # the product-trapezoid sweep with its inner sum as one np.convolve
     n = len(samples) - 1

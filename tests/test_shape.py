@@ -229,6 +229,20 @@ def test_certificate_validates_tau():
         monotonicity_certificate(parse("t"), 0.5, 1.5, 1.0, 128)
 
 
+@pytest.mark.parametrize("alpha", [1.5, -0.5, 0.0, 1.0, math.nan])
+@pytest.mark.parametrize("check", [
+    lambda al: monotonicity_certificate(parse("t^2"), al, 0.5, 2.0, 64),
+    lambda al: comparison_check(parse("t^2"), parse("t^2+t"), al, 2.0, 64),
+    lambda al: periodicity_defect(parse("sin(t)"), al, 2.0 * math.pi, [1.0, 2.0], grid_n=64),
+], ids=["monotonicity_certificate", "comparison_check", "periodicity_defect"])
+def test_shape_checks_refuse_orders_outside_0_1_as_fractional_params_does(check, alpha):
+    with pytest.raises(ValueError) as expected:
+        FractionalParams(alpha, 0.0)
+    with pytest.raises(ValueError, match="^alpha must satisfy 0 < alpha < 1") as refused:
+        check(alpha)
+    assert str(refused.value) == str(expected.value)
+
+
 # --- dominated derivative comparison ----------------------------------------------
 
 
