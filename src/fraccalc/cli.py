@@ -126,7 +126,9 @@ def _alpha_list(text: str, *, sweep_ok: bool) -> List[float]:
         alpha = float(text)
     except ValueError:
         raise _UsageError(f"bad alpha value {text!r}") from None
-    if not 0.0 < alpha < 1.0:  # mono and periodic pass the order on unchecked
+    # r_alpha_curve clamps its orders into [ALPHA_MIN, ALPHA_MAX], so without
+    # this check ralpha would run an order of 1.5 as 0.99
+    if not 0.0 < alpha < 1.0:
         raise _UsageError(f"alpha must satisfy 0 < alpha < 1, got {alpha!r}")
     return [alpha]
 
@@ -339,9 +341,7 @@ def _selftest_checks(grid_n: int):
                    1e-8, (ident.est_error + ref.est_error) / 10.0 + 1e-14))
 
     # composition round trips on a shared grid
-    n = grid_n
-    h = 1.5 / n
-    ts = h * np.arange(n + 1)
+    ts, h = _grid(0.0, 1.5, grid_n)
     al = 0.4
     inner = integral_on_grid(np.sin(ts), h, al)      # I^alpha sin at nodes
     outer = integral_on_grid(inner, h, 1.0 - al)     # I^(1-alpha) of that

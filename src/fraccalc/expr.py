@@ -769,10 +769,6 @@ class TaylorJet:
     center: float
     coefficients: tuple
 
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
     def derivative(self, j: int) -> float:
         """Return f^(j)(center)."""
         return self.coefficients[j] * math.factorial(j)
@@ -795,9 +791,6 @@ class Expression:
     def pretty(self) -> str:
         """Render back to source; re-parsing reproduces the same tree."""
         return _format(self.root)
-
-    def derivatives(self, center: float, n: int) -> TaylorJet:
-        return derivatives(self, center, n)
 
     @cached_property
     def _jets(self) -> dict:
@@ -844,7 +837,8 @@ def _sample(e: Expression, t, order: int, what: str, where: str, jet: bool = Fal
         if run is None:
             run = e._jets[order] = _compile(e.root, order)
         coeffs = run(seed)
-    out = [coeffs] if order == 0 else list(coeffs) if jet else [coeffs[order] * math.factorial(order)]
+        # a finite scaled coefficient times order! may overflow: checked below
+        out = [coeffs] if order == 0 else list(coeffs) if jet else [coeffs[order] * math.factorial(order)]
     for c in out:
         if not (np.isfinite(c).all() if array else math.isfinite(c)):
             raise DomainError(f"non-finite {what} {_format(e.root)} " + where.format(t))

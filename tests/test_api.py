@@ -22,7 +22,7 @@ DEFAULTED = {
     "rl_derivative": {"method": "caputo_form", "fprime": None, "allow_nonzero_base": False, "backend": PT},
     "caputo_derivative": {"fprime": None, "backend": PT},
     "f_lower": {"fprime": None, "backend": PT},
-    "integral_on_grid": {"at": None},
+    "integral_on_grid": {},
     "mean_value": {"scan_n": 128, "backend": PT},
     "mean_value_polynomial": {},
     "xi_smoothness_profile": {"backend": PT},

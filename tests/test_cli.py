@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraccalc import FractionalParams
 from fraccalc.cli import MAX_GRID_N, MAX_PAIRS, MAX_SCAN_N, MAX_SWEEP, MAX_TAYLOR_N, run
 from fraccalc.expr import Expression, Num
 from test_expr import _grow, _leaves
@@ -169,6 +170,15 @@ def test_ralpha_command():
     assert len(rows) == 5
     assert rows[0][header.index("r_alpha")] == ""  # empty marker, not interpolated
     assert float(rows[-1][header.index("r_alpha")]) == pytest.approx(math.pi / 2, abs=0.05)
+
+
+def test_ralpha_refuses_a_single_order_outside_0_1():
+    # r_alpha_curve clamps its orders into [0.01, 0.99]; the CLI refuses 1.5
+    # with the message of FractionalParams instead of running it as 0.99
+    with pytest.raises(ValueError) as refused:
+        FractionalParams(1.5, 0.0)
+    code, out, err = capture(["ralpha", "--f", "sin(t)", "--alpha", "1.5", "--a", "0", "--b", "4.7", "--x0", "1.57"])
+    assert code == 1 and out == "" and str(refused.value) in err
 
 
 def test_mono_command():
@@ -422,7 +432,7 @@ def test_polyxi_series_term_overflow_exits_2_with_one_line():
 
 @pytest.mark.parametrize("argv", [
     ["mono", "--f", "1e307*t^2", "--alpha", "0.5", "--b", "1.5", "--tau", "0.5"],  # FFT sweep
-    ["critpoints", "--f", "1e307*t^2-1e307*t", "--alpha", "0.5", "--a", "0", "--b", "1.5"],  # at= sums
+    ["critpoints", "--f", "1e307*t^2-1e307*t", "--alpha", "0.5", "--a", "0", "--b", "1.5"],  # strided scan sums
     ["fracderiv", "--f", "1e307*t^2-1e307*t", "--alpha", "0.5", "--a", "0", "--x", "1"],  # one grid sum
 ])
 def test_grid_sum_overflow_exits_2_with_one_line(argv):
@@ -485,8 +495,11 @@ def test_mono_on_a_large_grid_is_fast():
 
 
 def _mostly(usual, edges):
-    # a usual value three times in four, else one of the edge values
-    return st.one_of(usual, usual, usual, st.sampled_from(edges))
+    # a usual value three times in four, else one of the edge values: the
+    # branch is an index drawn first, as st.one_of(usual, usual, usual,
+    # edges) picks the edges about half the time; index 0, the simplest
+    # choice, is a usual value
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(edges) if i == 3 else usual)
 
 
 _REAL = _mostly(st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False),

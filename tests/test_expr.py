@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ def test_domain_errors_name_the_node():
         parse("t^0.5").eval(-2.0)
     with pytest.raises(DomainError):
         parse("t^-2").eval(0.0)
+
+
+def test_derivative_that_overflows_only_through_the_factorial_is_one_domain_error():
+    # f'''(t) / 3! of 1e300^t is a finite float, f'''(t) itself is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for ts in (np.array([0.0, 0.5, 1.0]), 1.0):
+            with pytest.raises(DomainError, match="non-finite derivative"):
+                derivative_values(parse("1e300^t"), ts, 3)
 
 
 def test_negative_base_integer_exponent_ok():

@@ -482,37 +482,20 @@ def test_integral_on_grid_matches_pointwise_rule():
         assert sweep[i] == pytest.approx(_l1_sum(fv[: i + 1], h, 0.35), rel=1e-13)
 
 
-def test_integral_on_grid_at_selected_nodes_matches_full_sweep():
-    n = 96
-    h = 2.0 / n
-    fv = np.cos(h * np.arange(n + 1)) + 0.5
-    nodes = [1, 2, 24, 47, 96]
-    sweep = integral_on_grid(fv, h, 0.35)
-    picked = integral_on_grid(fv, h, 0.35, at=nodes)
-    np.testing.assert_allclose(picked, sweep[nodes], rtol=1e-13)
-
-
-def test_integral_on_grid_at_node_zero_is_zero_and_outside_nodes_are_refused():
-    fv = np.ones(9)
-    sweep = integral_on_grid(fv, 0.1, 0.5)
-    assert integral_on_grid(fv, 0.1, 0.5, at=[0, 8]).tolist() == [0.0, sweep[8]]
-    assert integral_on_grid(fv[:1], 0.1, 0.5, at=[0, 0]).tolist() == [0.0, 0.0]
-    for bad in (-1, 9, -8):
-        with pytest.raises(ValueError, match=rf"node index {bad} is outside 0\.\.8"):
-            integral_on_grid(fv, 0.1, 0.5, at=[1, bad])
-
-
 @pytest.mark.parametrize("mu", [0.05, 0.3, 0.5, 0.9])
 @pytest.mark.parametrize("n, m", [
     (12, 12), (96, 96), (288, 96), (2112, 96), (2304, 384), (3072, 1536), (6144, 6144), (8256, 96), (32768, 128),
 ])
 def test_strided_integral_matches_the_dot_product_per_node(n, m, mu):
-    from fraccalc.fracops import _strided_integral
+    from fraccalc.fracops import _l1_weights, _strided_integral
 
     k = n // m
     h = 3.0 / n
     fv = np.cos(2.0 * h * np.arange(n + 1)) + 1.2  # positive, so every node's sum is well away from 0
-    loop = integral_on_grid(fv, h, mu, at=k * np.arange(1, m + 1))
+    # node j's prefix rule read from the packed n-panel table, one dot product per node
+    w = _l1_weights(n, mu)
+    scale = h**mu / math.gamma(mu + 2.0)
+    loop = scale * np.array([w[n + j] * fv[0] + w[n - j + 1 : n + 1] @ fv[1 : j + 1] for j in range(k, n + 1, k)])
     got = _strided_integral(fv, h, mu, k)
     assert got.shape == (m,)
     assert np.max(np.abs(got - loop) / np.abs(loop)) <= 4e-15
