@@ -202,9 +202,9 @@ def _cache_put(key: tuple, value: np.ndarray) -> None:
     spectra go first and the whole cache only if that is not enough, so the
     weights kept are the same as in a cache that never held spectra.  That
     rule, with spectra cached only in free room, bounds the peak memory:
-    ``mono --grid-n 1048576`` peaks at 270 MB RSS, and at 334-336 MB when
+    ``mono --grid-n 1048576`` peaks at 240 MB RSS, and at 287 MB when
     spectra may evict weights through this function like any entry (2-core
-    Linux VM), over the 300 MB bound the test workflow sets."""
+    Linux VM), over the 263.6 MB bound the test workflow sets."""
     if value.nbytes > _WEIGHT_CACHE_MAX_BYTES:
         return
     if value.nbytes > _cache_room():
@@ -248,8 +248,10 @@ def _l1_weights(n: int, mu: float) -> np.ndarray:
 
 
 def _block_spectra(n: int, mu: float, v: np.ndarray):
-    """Yield ``lo`` and the weight spectrum ``rfft(v[:2*lo], 4*lo)`` for each
-    FFT block [lo, 2*lo) of the n-panel sweep, lo = 64, 128, ... < n.
+    """Yield ``lo`` and the weight spectrum ``rfft(v[:2*lo], 3*lo)`` for each
+    FFT block [lo, 2*lo) of the n-panel sweep, lo = 64, 128, ... < n; at
+    length 3*lo nothing wraps onto the block's nodes (see
+    ``integral_on_grid``).
 
     The spectra depend only on (n, mu) and are built once into one packed
     complex array, cached under (n, mu, "spectra") when it fits in the free
@@ -259,18 +261,18 @@ def _block_spectra(n: int, mu: float, v: np.ndarray):
     blocks = []  # (lo, the slice of the packed array that holds block lo)
     size, lo = 0, 64
     while lo < n:
-        blocks.append((lo, slice(size, size + 2 * lo + 1)))
-        size += 2 * lo + 1
+        blocks.append((lo, slice(size, size + 3 * lo // 2 + 1)))
+        size += 3 * lo // 2 + 1
         lo *= 2
     key = (n, mu, "spectra")
     packed = _WEIGHT_CACHE.get(key)
     if packed is None and 0 < 16 * size <= _cache_room():
         packed = np.empty(size, dtype=complex)
         for lo, at in blocks:
-            packed[at] = np.fft.rfft(v[: 2 * lo], 4 * lo)
+            packed[at] = np.fft.rfft(v[: 2 * lo], 3 * lo)
         _cache_put(key, packed)
     for lo, at in blocks:
-        yield lo, np.fft.rfft(v[: 2 * lo], 4 * lo) if packed is None else packed[at]
+        yield lo, np.fft.rfft(v[: 2 * lo], 3 * lo) if packed is None else packed[at]
 
 
 def _power(x: float, p: float) -> float:
@@ -294,8 +296,11 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float) -> np.ndarray:
     The inner sum is a discrete convolution: direct for the first 64 nodes,
     then for each block of nodes [lo, 2*lo) a product of spectra, one real
     FFT of the data up to index 2*lo and one of the block's weights, and one
-    inverse FFT.  The sweep costs O(n log n), and each node's round-off is
-    relative to the data up to twice its index, not to the whole array.
+    inverse FFT, all of length 3*lo: the linear convolution of two arrays of
+    2*lo entries ends at index 4*lo - 2, so a circular one of length 3*lo
+    folds nothing onto the indices lo..2*lo-1 that the block keeps.
+    The sweep costs O(n log n), and each node's round-off is relative to
+    the data up to twice its index, not to the whole array.
     The weight spectra of all blocks are cached with the weights, so a
     repeated (n, mu) costs two FFTs per block, unless they do not fit in the
     cache's free budget; then they are rebuilt on every sweep, with the same
@@ -316,11 +321,11 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float) -> np.ndarray:
         m = min(n, 64)
         out[1 : m + 1] = np.convolve(samples[1:65], v[:64])[:m]
         for lo, wspec in _block_spectra(n, mu, v):
-            spec = np.fft.rfft(samples[1 : 2 * lo + 1], 4 * lo)
+            spec = np.fft.rfft(samples[1 : 2 * lo + 1], 3 * lo)
             spec *= wspec
             del wspec  # a spectrum built for this sweep alone is freed before the inverse FFT
             hi = min(2 * lo, n)
-            out[lo + 1 : hi + 1] = np.fft.irfft(spec, 4 * lo)[lo:hi]
+            out[lo + 1 : hi + 1] = np.fft.irfft(spec, 3 * lo)[lo:hi]
             del spec  # freed before the next block's transforms claim their scratch
         out[1:] += w[n + 1 :] * samples[0]
         out[1:] *= scale

@@ -7,6 +7,7 @@ from fraccalc import (
     AssumptionError,
     FractionalParams,
     HypothesisError,
+    SolverError,
     caputo_derivative,
     critical_points,
     dilation_scenario,
@@ -103,6 +104,64 @@ def test_existence_degenerate_zero_function():
     res = derivative_zero_before(parse("0"), p, 1.0)
     assert res.degenerate
     assert res.residual == 0.0
+
+
+def _count_scans(monkeypatch):
+    # the number of nodes of every scan derivative_zero_before reads
+    from fraccalc import critical
+
+    scans = []
+    strided = critical._strided_integral
+
+    def counting(*args):
+        out = strided(*args)
+        scans.append(len(out))
+        return out
+
+    monkeypatch.setattr(critical, "_strided_integral", counting)
+    return scans
+
+
+def _zero_at_0_and_1(t):
+    # only f(a) and f(x_zero) are read; the explicit fprime shapes D^alpha f
+    return t * (1.0 - t)
+
+
+def test_existence_point_past_the_first_scan(monkeypatch):
+    # D^alpha f = I^0.1 f' dips below 0 only between two nodes of the
+    # 96-node scan; the 384-node scan has a node at the dip's centre c
+    scans = _count_scans(monkeypatch)
+    c, w = 50.5 / 96, 0.002
+    res = derivative_zero_before(
+        _zero_at_0_and_1, FractionalParams(0.9, 0.0, 2048), 1.0,
+        fprime=lambda t: 1.0 - 2.0 * np.exp(-(((t - c) / w) ** 2)),
+    )
+    assert scans == [96, 384]
+    assert c < res.xi < c + 2 * w  # the dip's right edge, the last root
+    assert res.residual <= 1e-10 and not res.degenerate
+
+
+def test_existence_point_at_a_tangent_root(monkeypatch):
+    # D^alpha f = 1e-12 x^0.5 / Gamma(1.5) on (0, 1/2] comes within 1e-12 of
+    # 0 without a sign change: after four scans the smallest |D^alpha f| is
+    # accepted
+    scans = _count_scans(monkeypatch)
+    res = derivative_zero_before(
+        _zero_at_0_and_1, FractionalParams(0.5, 0.0, 2048), 1.0,
+        fprime=lambda t: 1e-12 + np.maximum(t - 0.5, 0.0) ** 2,
+    )
+    assert scans == [96, 384, 1536, 6144]
+    assert res.xi == 1.0 / 6144  # the first node of the finest scan
+    assert res.residual <= 1e-13 and not res.degenerate
+
+
+def test_existence_point_not_resolved_is_a_solver_error(monkeypatch):
+    # D^alpha f = x^0.5 / Gamma(1.5) has no root and no value near 0 on the
+    # scans, so the search fails after refining to 6144 nodes
+    scans = _count_scans(monkeypatch)
+    with pytest.raises(SolverError, match="after refining to 6144 scan points"):
+        derivative_zero_before(_zero_at_0_and_1, FractionalParams(0.5, 0.0, 2048), 1.0, fprime=np.ones_like)
+    assert scans == [96, 384, 1536, 6144]
 
 
 # --- order duality for monotone functions ---------------------------------------
