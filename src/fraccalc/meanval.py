@@ -37,8 +37,9 @@ from .fracops import (
     FractionalParams,
     FuncLike,
     Sampler,
+    base_value,
+    caputo_derivative,
     gamma,
-    rl_derivative,
     rl_integral,
     _grid,
     _kernel_quad,
@@ -285,8 +286,6 @@ def xi_smoothness_profile(
     f: FuncLike,
     p: FractionalParams,
     x_grid: Sequence[float],
-    *,
-    backend: str = PRODUCT_TRAPEZOID,
 ) -> List[Tuple[float, float, float]]:
     """Tabulate x, xi_sup(x) and a finite-difference slope of xi_sup.
 
@@ -300,7 +299,7 @@ def xi_smoothness_profile(
     if sorted(xs) != xs:
         raise ValueError("x_grid must be ascending")
     check_strictly_monotone(f, p.a, xs[-1])
-    xis = [mean_value(f, p, x, backend=backend).xi_sup for x in xs]
+    xis = [mean_value(f, p, x).xi_sup for x in xs]
     rows: List[Tuple[float, float, float]] = []
     for i, x in enumerate(xs):
         if i == 0:
@@ -332,6 +331,7 @@ def mean_path_witness(
     if np.any(xs <= p.a):
         raise ValueError("x_grid must lie strictly right of the base point")
     a, alpha = p.a, p.alpha
+    base_value(f, a, allow_nonzero=allow_nonzero_base)  # once: each residual is a Caputo derivative
     s = 1e-6 * (float(xs[-1]) - a)
     scale = 1.0 / gamma(2.0 - alpha)
 
@@ -339,7 +339,7 @@ def mean_path_witness(
         return f.eval(h.eval(x)) * (x - a) ** (1.0 - alpha) * scale
 
     def residual(x: float) -> float:
-        d = rl_derivative(f, p, x, allow_nonzero_base=allow_nonzero_base).value
+        d = caputo_derivative(f, p, x).value
         x_arr = np.asarray([x - s, x + s])
         lo, hi = reparam(x_arr)
         return d - (hi - lo) / (2.0 * s)

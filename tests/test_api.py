@@ -25,7 +25,7 @@ DEFAULTED = {
     "integral_on_grid": {},
     "mean_value": {"scan_n": 128, "backend": PT},
     "mean_value_polynomial": {},
-    "xi_smoothness_profile": {"backend": PT},
+    "xi_smoothness_profile": {},
     "mean_path_witness": {"allow_nonzero_base": False},
     "critical_points": {"scan_n": 96, "fprime": None, "allow_nonzero_base": False},
     "order_duality_check": {},

@@ -226,6 +226,46 @@ def test_leading_minus_expression_is_passed_with_equals():
     assert code == 0 and "--f=EXPR" in out
 
 
+def test_critpoints_without_roots_says_so():
+    # D^alpha t^2 is positive on (0, 1]
+    code, out, _ = capture(["critpoints", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "1",
+                            "--output", "csv"])
+    assert code == 0
+    assert csv_rows(out) == (["alpha", "root", "residual"], [])
+    assert "# alpha=0.5: no critical points in (a, b]" in out.splitlines()
+
+
+def test_mono_not_applicable_reports_its_note_and_witness():
+    code, out, _ = capture(["mono", "--f", "sin(t)", "--alpha", "0.5", "--b", "6", "--tau", "0.5",
+                            "--output", "csv"])
+    assert code == 0
+    assert csv_rows(out)[1][0] == ["holds", "not_applicable"]
+    comments = [ln for ln in out.splitlines() if ln.startswith("#")]
+    assert comments[0] == "# not applicable: D^alpha f(x + tau) - D^alpha f(x) is negative on the grid"
+    assert comments[1].startswith("# witness x=(") and " margin -" in comments[1]
+
+
+def test_convexity_of_a_concave_function_reports_witness_windows():
+    code, out, _ = capture(["convexity", "--f=1.5*t-0.6*t^2", "--alpha", "0.5", "--a", "0", "--b", "2",
+                            "--delta", "0.5", "--pairs", "4", "--output", "csv"])
+    assert code == 0
+    rows = dict((r[0], r[1]) for r in csv_rows(out)[1])
+    assert rows["convex_sampled"] == rows["delta_increasing"] == rows["fprime_xi_monotone"] == "false"
+    witnesses = [ln for ln in out.splitlines() if ln.startswith("# witness windows (")]
+    assert len(witnesses) == 8 and all(" margin " in ln for ln in witnesses)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--alpha", "0.1:0.9"], "alpha sweep must be start:stop:count"),
+    (["--alpha", "a:b:3"], "bad alpha sweep 'a:b:3'"),
+    (["--alpha", "x"], "bad alpha value 'x'"),
+    (["--alpha", "0.5", "--x", "abc"], "argument --x: invalid float value: 'abc'"),
+])
+def test_malformed_numbers_are_usage_errors(argv, message):
+    code, out, err = capture(["fracint", "--f", "t", "--a", "0", "--x", "1"] + argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_polyxi_command():
     code, out, _ = capture(["polyxi", "--f", "t", "--alpha", "0.5", "--a", "0",
                             "--delta", "1", "--n", "1", "--output", "csv"])
@@ -245,12 +285,6 @@ def test_selftest_fails_on_coarse_grid():
     code, out, _ = capture(["selftest", "--grid-n", "8"])
     assert code == 3
     assert "FAIL" in out
-
-
-def test_selftest_infeasible_tolerance_distinguished():
-    code, out, _ = capture(["selftest", "--tol", "1e-15"])
-    assert code == 3
-    assert "INFEASIBLE-TOL" in out
 
 
 def test_parser_reuse_matches_fresh_parser():
@@ -277,6 +311,21 @@ def test_parser_reuse_matches_fresh_parser():
     assert cli._build_parser() is cli._build_parser()
 
 
+def test_readme_and_help_name_exactly_the_commands():
+    import os
+    import re
+
+    import fraccalc.cli as cli
+
+    commands = set(cli._COMMANDS) | {"selftest"}
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        listed = fh.read().split("\nCommands: ", 1)[1].split(".", 1)[0]
+    assert set(re.findall(r"`(\w+)`", listed)) == commands
+    code, out, _ = capture(["--help"])
+    choices = re.findall(r"\{([\w,]+)\}", out)
+    assert code == 0 and choices and all(set(c.split(",")) == commands for c in choices)
+
+
 def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
     import os
     import subprocess
@@ -290,11 +339,12 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
 
 
 def test_dead_flags_are_rejected():
-    # --tol belongs to selftest and --seed to convexity; elsewhere they did nothing,
-    # and neither did --grid-n on convexity, whose oracle has no grid
+    # --seed belongs to convexity; elsewhere it did nothing, and neither did
+    # --grid-n on convexity, whose oracle has no grid; no command takes --tol
     convexity = ["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4", "--delta", "0.5"]
     fracint = ["fracint", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1"]
-    for argv in (fracint + ["--tol", "1e-3"], fracint + ["--seed", "3"], convexity + ["--grid-n", "64"]):
+    for argv in (fracint + ["--tol", "1e-3"], fracint + ["--seed", "3"], convexity + ["--grid-n", "64"],
+                 ["selftest", "--tol", "1e-3"]):
         code, out, err = capture(argv)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and "unrecognized arguments" in err

@@ -267,6 +267,12 @@ def test_r_alpha_hypothesis_violations_detected():
     with pytest.raises(HypothesisError):
         r_alpha_curve(parse("sin(t)"), 0.0, 1.5 * math.pi, 2.8, 0.5,
                       [0.5], grid_n=256, scan_n=48)  # wrong claimed stationary point
+    with pytest.raises(HypothesisError, match="exactly one root of f"):
+        r_alpha_curve(parse("t^2-1"), -2.0, 2.0, 0.0, 0.5,
+                      [0.5], grid_n=256, scan_n=48)  # roots at -1 and 1
+    with pytest.raises(HypothesisError, match="claimed root 0.5 is far"):
+        r_alpha_curve(parse("t^2-2*t"), 0.0, 2.5, 1.0, 0.5,
+                      [0.5], x1=0.5, grid_n=256, scan_n=48)  # the root is at 2
 
 
 def test_r_alpha_hypothesis_check_uses_the_given_fprime():

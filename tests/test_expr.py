@@ -78,6 +78,14 @@ def test_parse_errors_carry_offset():
         parse("foo(t)")
     with pytest.raises(ParseError):
         parse("sin(t")
+    # an e without exponent digits is the constant, which needs an operator before it
+    with pytest.raises(ParseError) as err:
+        parse("2e")
+    assert err.value.offset == 1
+    assert parse("2e1").eval(0.0) == 20.0
+    with pytest.raises(ParseError, match="bad number literal '.'") as err:
+        parse(".")
+    assert err.value.offset == 0
 
 
 def test_domain_errors_name_the_node():

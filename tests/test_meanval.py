@@ -6,6 +6,7 @@ import pytest
 
 from fraccalc import (
     ADAPTIVE_ORACLE,
+    AssumptionError,
     DomainError,
     FractionalParams,
     HypothesisError,
@@ -17,6 +18,7 @@ from fraccalc import (
     rl_integral,
     xi_smoothness_profile,
 )
+from fraccalc.meanval import check_strictly_monotone
 
 
 def power_ratio(beta, al):
@@ -272,6 +274,23 @@ def test_witness_constant_sign_residual_gives_none():
     p = FractionalParams(0.5, 0.0, 512)
     out = mean_path_witness(parse("t"), parse("5"), p, np.linspace(1.0, 2.0, 9))
     assert out is None
+
+
+def test_witness_checks_a_nonzero_base_once():
+    # f(a) = 1 is refused by default; allowed, it warns once for the whole search
+    p = FractionalParams(0.5, 0.0, 256)
+    f, h, xs = parse("t+1"), parse("0.5"), np.linspace(0.05, 1.5, 12)
+    with pytest.raises(AssumptionError, match="f\\(a\\) must be 0"):
+        mean_path_witness(f, h, p, xs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mean_path_witness(f, h, p, xs, allow_nonzero_base=True)
+    assert len(caught) == 1 and "Caputo" in str(caught[0].message)
+
+
+def test_strict_monotonicity_check_reports_the_direction():
+    assert check_strictly_monotone(parse("t"), 0.0, 1.0) == 1
+    assert check_strictly_monotone(parse("exp(-t)"), 0.0, 1.0) == -1
 
 
 def test_bracket_refinement_is_fast_and_within_half_tolerance():

@@ -19,7 +19,7 @@ from fraccalc import (
     sample_window_pairs,
 )
 from fraccalc.fracops import _prime_sampler
-from fraccalc.shape import _window_table
+from fraccalc.shape import WindowPairSample, _window_table
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,20 @@ def test_window_values_are_caputo_derivatives_at_the_window_start(backend):
         assert w.margin == table[w.where[0]][0] - table[w.where[1]][0]
     rc = convexity_equivalence(f, al, delta, pairs, grid_n=n, backend=backend)
     assert rc.delta_incr == verdict
+
+
+def test_window_table_integrates_a_shared_start_once():
+    # both pairs start a window at 0; the product rule samples each window once
+    fprime = _prime_sampler(parse("t^2"), None)
+    starts = []
+
+    def phi(ts):
+        starts.append(float(np.min(ts)))
+        return fprime(ts)
+
+    pairs = [WindowPairSample(0.0, 1.0, 0.5), WindowPairSample(0.0, 2.0, 0.5)]
+    table = _window_table(phi, 0.5, 0.5, pairs, 256, PRODUCT_TRAPEZOID)
+    assert list(table) == starts == [0.0, 1.0, 2.0]
 
 
 def test_concave_mirror_fails_with_witnesses(pairs):
