@@ -389,6 +389,38 @@ def test_bad_constant_exponent_is_raised_after_the_base_checks():
                 sample(1.0)
 
 
+_DIFF_SQRT = "sqrt not differentiable at non-positive value in "
+
+# (source, t, what orders 0, 1 and 2 give there): a float, or the DomainError message
+_ERROR_ORDER = [
+    ("t + log(-1)", 1.0, ["log of non-positive value in log(-1.0)"] * 3),
+    ("log(t) + log(-1)", -1.0, ["log of non-positive value in log(t)"] * 3),
+    ("t*(1/0)", 1.0, ["division by zero in 1.0/0.0"] * 3),
+    ("log(t)/0", -1.0, ["log of non-positive value in log(t)"] * 3),
+    ("log(t)/0", 1.0, ["division by zero in log(t)/0.0"] * 3),
+    ("1/(t-t)", 1.0, ["division by zero in 1.0/(t - t)"] * 3),
+    ("(-1)^t", 1.0, ["log of non-positive value in (-1.0)^t"] * 3),
+    ("(0-1)^log(t)", -1.0, ["log of non-positive value in log(t)"] * 3),  # the exponent first
+    ("(0-1)^log(t)", 2.0, ["log of non-positive value in (0.0 - 1.0)^log(t)"] * 3),
+    ("sqrt(0-1)", 1.0, ["sqrt of negative value in sqrt(0.0 - 1.0)"] + [_DIFF_SQRT + "sqrt(0.0 - 1.0)"] * 2),
+    ("sqrt(0)*t", 1.0, [0.0] + [_DIFF_SQRT + "sqrt(0.0)"] * 2),
+    ("t^sqrt(-1)", 1.0, ["sqrt of negative value in sqrt(-1.0)"] * 3),  # a constant exponent is order 0
+]
+
+
+@pytest.mark.parametrize("source, t, outcomes", _ERROR_ORDER)
+def test_a_constant_subtree_raises_its_domain_error_where_a_sample_reaches_it(source, t, outcomes):
+    e = parse(source)
+    for order, outcome in enumerate(outcomes):
+        for x in (t, np.array([t])):
+            if isinstance(outcome, float):
+                assert derivative_values(e, x, order) == outcome
+                continue
+            with pytest.raises(DomainError) as err:
+                derivative_values(e, x, order)
+            assert str(err.value) == outcome
+
+
 def test_jet_is_compiled_once_per_expression(monkeypatch):
     compiled = []
     compile_ = expr_module._compile
@@ -411,6 +443,11 @@ def test_jet_is_compiled_once_per_expression(monkeypatch):
     derivative_values(g, 0.5, 1)
     assert g._jets[2] is jets[2]
     assert [order for node, order in compiled if node is g.root] == [2, 1]
+    h = parse("t + log(-1)")  # fails at every point, and is still compiled once per order
+    for order in (0, 1, 0, 1):
+        with pytest.raises(DomainError):
+            derivative_values(h, 1.0, order)
+    assert [order for node, order in compiled if node is h.root] == [0, 1]
 
 
 # --- round-trip stability -----------------------------------------------
