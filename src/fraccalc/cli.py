@@ -40,6 +40,7 @@ from .fracops import (
     f_lower,
     rl_derivative,
     rl_integral,
+    _check_alpha,
     _grid,
 )
 from .meanval import mean_value, mean_value_polynomial
@@ -135,8 +136,7 @@ def _alpha_list(text: str, *, sweep_ok: bool) -> List[float]:
         raise _UsageError(f"bad alpha value {text!r}") from None
     # r_alpha_curve clamps its orders into [ALPHA_MIN, ALPHA_MAX], so without
     # this check ralpha would run an order of 1.5 as 0.99
-    if not 0.0 < alpha < 1.0:
-        raise _UsageError(f"alpha must satisfy 0 < alpha < 1, got {alpha!r}")
+    _check_alpha(alpha)
     return [alpha]
 
 

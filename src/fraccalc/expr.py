@@ -18,8 +18,11 @@ are propagated through the expression tree, so a single pass yields f, f',
 differences, and a value is the jet of order 0.  Orders go up to
 ``MAX_ORDER`` (170; 171! overflows a float).  Each expression is compiled
 once per order, on first use, into a tree of closures with the node
-dispatch resolved and every constant subtree folded to a float, so a
-constant shifts or scales a jet and never enters a product.  Orders 0 and 1
+dispatch resolved and every constant subtree that passes its domain checks
+folded to a float, so a constant shifts or scales a jet and never enters a
+product.  A constant subtree that fails them (``log(-1)``, ``1/0``) is
+compiled like a variable one: ``parse`` never raises its error, a sample
+does, after the checks of the operands evaluated before it.  Orders 0 and 1
 (values, and the f' that every fractional derivative samples) run as
 straight-line code on values and on (value, slope) pairs; orders >= 2
 (``derivatives``, ``polyxi``) run the coefficient recurrences on lists.  A
@@ -618,59 +621,40 @@ def _ipow(alg, m: int, node):
     return ipow
 
 
-# The jet map of a subtree is a float for a constant subtree, a DomainError
-# for a constant subtree that fails its checks (raised when a sample reaches
-# it, after the checks of the operands before it), else a closure.
+def _lift(alg, c: float):
+    """The map of the constant ``c``: its jet, shaped like the jet of t."""
+    const = alg.const
+    return lambda jet: const(c, jet)
 
 
-def _raising(error: DomainError, before=None):
-    def raise_(jet):
-        if before is not None:
-            before(jet)
-        raise error.with_traceback(None)
-
-    return raise_
-
-
-def _failure(left, right):
-    """What a sample raises before an operation on ``left`` and ``right``
-    (evaluated in this order) runs: a DomainError or a closure; else None."""
-    if isinstance(left, DomainError):
-        return left
-    if isinstance(right, DomainError):
-        return right if isinstance(left, float) else _raising(right, left)
-    return None
+# The jet map of a subtree is a float for a constant subtree whose fold passes
+# its domain checks, else a closure.  An operation whose fold fails is
+# compiled on its lifted operand like any other, so the same check raises on
+# a sample, after the checks of the operands evaluated before it.
 
 
 def _unary(make, alg, arg):
     """The map of the operation ``make(alg)`` applied to the map ``arg``."""
-    if isinstance(arg, DomainError):
-        return arg
     if isinstance(arg, float):
         try:
             return float(make(alg.fold)(arg))
-        except DomainError as exc:
-            return exc
+        except DomainError:
+            arg = _lift(alg, arg)
     op = make(alg)
     return lambda jet: op(arg(jet))
 
 
 def _binary(node: BinOp, left, right, alg):
     """The map of ``left op right`` for + - * /; a constant operand shifts or
-    scales the other one."""
+    scales the other one, and a zero divisor is left to ``div``, which
+    refuses it after the left operand's checks."""
     op = node.op
-    failed = _failure(left, right)
-    if failed is not None:
-        return failed
+    if op == "/" and isinstance(right, float) and right == 0:
+        right = _lift(alg, right)
     if isinstance(left, float) and isinstance(right, float):
-        try:
-            return float(alg.fold.div(left, right, node) if op == "/" else _FOLDS[op](left, right))
-        except DomainError as exc:
-            return exc
+        return float(_FOLDS[op](left, right))
     if isinstance(right, float):
         c = -right if op == "-" else right
-        if op == "/" and c == 0:
-            return _raising(DomainError(f"division by zero in {_format(node)}"), left)
         f = {"+": alg.shift, "-": alg.shift, "*": alg.scale, "/": alg.divc}[op]
         return lambda jet: f(left(jet), c)
     if isinstance(left, float):
@@ -690,31 +674,31 @@ def _binary(node: BinOp, left, right, alg):
     return lambda jet: f(left(jet), right(jet))
 
 
-_FOLDS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_FOLDS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _power(node: BinOp, left, alg):
     """The map of ``left ^ node.right``: a constant exponent is resolved here,
-    at order 0; a variable one is ``exp(right * log(left))``."""
+    at order 0, and one that fails its checks raises their order-0 message on
+    a sample, after the base's checks; a variable one is ``exp(right *
+    log(left))``, its exponent evaluated before the log of its base."""
     var = _contains_var(node.right)
     right = _build(node.right, alg if var else _Values())
-    failed = _failure(left, right)
-    if failed is not None:
-        return failed
-    if not var:
+    if isinstance(right, float):
         c = right
         if _is_int(c):
             m = int(c)
             return _unary(lambda a: _ipow(a, m, node), alg, left)
         return _unary(lambda a: a.powc(c, node), alg, left)
+    if not var:  # a failing exponent: its order-0 map raises on any value
+        return _unary(lambda a: lambda u: right(0.0), alg, left)
     exp, log, mul = alg.call("exp", node), alg.call("log", node), alg.mul
     if isinstance(left, float):
         log_c = _unary(lambda a: a.call("log", node), alg, left)
-        failed = _failure(right, log_c)
-        if failed is not None:
-            return failed
-        scale = alg.scale
-        return lambda jet: exp(scale(right(jet), log_c))
+        if isinstance(log_c, float):
+            scale = alg.scale
+            return lambda jet: exp(scale(right(jet), log_c))
+        left = _lift(alg, left)
 
     def power(jet):
         u = left(jet)
@@ -743,15 +727,11 @@ def _build(node: Node, alg):
 
 def _compile(root: Node, order: int) -> Callable:
     """The map from the jet of t to the jet of ``root`` at ``order``: a tree
-    of closures with the node dispatch, every constant subtree and every
-    constant exponent resolved here, once."""
+    of closures with the node dispatch and every constant subtree and constant
+    exponent that passes its checks resolved here, once."""
     alg = _Values() if order == 0 else _Duals if order == 1 else _Series(order)
     jet = _build(root, alg)
-    if isinstance(jet, DomainError):
-        return _raising(jet)
-    if isinstance(jet, float):
-        return lambda seed: alg.const(jet, seed)
-    return jet
+    return _lift(alg, jet) if isinstance(jet, float) else jet
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@ import io
 import math
 import sys
 import warnings
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraccalc import FractionalParams
 from fraccalc.cli import MAX_GRID_N, MAX_PAIRS, MAX_SCAN_N, MAX_SWEEP, MAX_TAYLOR_N, run
-from fraccalc.expr import Expression, Num
+from fraccalc.expr import BinOp, Expression, Num, Var
 from test_expr import _grow, _leaves
 
 
@@ -544,68 +545,128 @@ def test_mono_on_a_large_grid_is_fast():
 # --- every command on random input fails cleanly ------------------------------
 
 
-def _mostly(usual, edges):
-    # a usual value three times in four, else one of the edge values: the
+class _Flag(NamedTuple):
+    usual: st.SearchStrategy
+    edges: list
+
+
+def _value(draw, flag, edgy):
+    # in an example that takes edge values, an edge one time in four: the
     # branch is an index drawn first, as st.one_of(usual, usual, usual,
     # edges) picks the edges about half the time; index 0, the simplest
     # choice, is a usual value
-    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(edges) if i == 3 else usual)
+    if edgy and draw(st.integers(0, 3)) == 3:
+        return draw(st.sampled_from(flag.edges))
+    return draw(flag.usual)
 
 
-_REAL = _mostly(st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False),
-                [0.0, 1.0, -1.0, 1e-300, -1e-300, 1e308, -1e308, 1.7e308])
+# a real flag's usual value comes from the example's interval [a, a + span]
+# (see _WITHIN); in an example with edges, one time in four every real flag
+# is any finite float instead, so intervals may be reversed or huge
+_REAL = _Flag(st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity=False),
+              [0.0, 1.0, -1.0, 1e-300, -1e-300, 1e308, -1e308, 1.7e308])
 
 
-def _count_flag(minimum, cap, largest_drawn):
+def _count_flag(minimum, cap, largest_drawn, smallest_drawn=None):
     # a small valid count, or the minimum, one below it or one above the cap
-    return _mostly(st.integers(minimum, largest_drawn), [minimum, minimum - 1, cap + 1])
+    usual = st.integers(minimum if smallest_drawn is None else smallest_drawn, largest_drawn)
+    return _Flag(usual, [minimum, minimum - 1, cap + 1])
 
 
 _GRID = _count_flag(2, MAX_GRID_N, 64)
-# scans of more than 64 nodes read them in several phases
-_SCAN = _count_flag(1, MAX_SCAN_N, 256)
+# scans of more than 64 nodes read them in several phases; critical points
+# need 4 nodes and mean values (meanvalue, convexity) 16, so smaller counts
+# come from the edges
+_SCAN, _SCAN_16 = _count_flag(1, MAX_SCAN_N, 256, 4), _count_flag(1, MAX_SCAN_N, 256, 16)
 _FLAGS = {
     "fracint": {"--a": _REAL, "--x": _REAL, "--grid-n": _GRID},
     "fracderiv": {"--a": _REAL, "--x": _REAL, "--grid-n": _GRID},
-    "meanvalue": {"--a": _REAL, "--x": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
+    "meanvalue": {"--a": _REAL, "--x": _REAL, "--scan-n": _SCAN_16, "--grid-n": _GRID},
     "polyxi": {"--a": _REAL, "--delta": _REAL, "--n": _count_flag(1, MAX_TAYLOR_N, MAX_TAYLOR_N), "--grid-n": _GRID},
     "critpoints": {"--a": _REAL, "--b": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
     "ralpha": {"--a": _REAL, "--b": _REAL, "--x0": _REAL, "--eps": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
     "dilation": {"--a": _REAL, "--b": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
     "convexity": {"--a": _REAL, "--b": _REAL, "--delta": _REAL, "--pairs": _count_flag(1, MAX_PAIRS, 4),
-                  "--seed": st.integers(0, 3), "--scan-n": _SCAN},
+                  "--seed": _Flag(st.integers(0, 3), [-1, 2**32]), "--scan-n": _SCAN_16},
     "mono": {"--b": _REAL, "--tau": _REAL, "--grid-n": _GRID},
     "periodic": {"--a": _REAL, "--b": _REAL, "--tau": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
 }
+# each real flag's usual value from a, span and a fraction u in [0.1, 0.9]:
+# x0 in its left half, eps and tau shorter than the interval, and a delta that
+# leaves room for convexity's two disjoint windows
+_WITHIN = {
+    "--a": lambda a, span, u: a,
+    "--b": lambda a, span, u: a + span,
+    "--x": lambda a, span, u: a + span,
+    "--x0": lambda a, span, u: a + 0.5 * u * span,
+    "--eps": lambda a, span, u: u * span,
+    "--tau": lambda a, span, u: u * span,
+    "--delta": lambda a, span, u: 0.45 * u * span,
+}
 _SWEEPS = ("fracint", "fracderiv", "critpoints", "ralpha")
-_ORDER = _mostly(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), [0.0, 1.0, -1.0, 1e-300, 1e308, 1.7e308])
-_SWEEP = st.tuples(_ORDER, _ORDER, _count_flag(1, MAX_SWEEP, 5)).map(lambda s: "{!r}:{!r}:{}".format(*s))
+_ORDER = _Flag(st.floats(0.05, 0.95), [0.0, 1.0, -1.0, 1e-300, 1e308, 1.7e308])
+_SWEEP_COUNT = _count_flag(1, MAX_SWEEP, 5)
 _EXPRESSION = st.recursive(_leaves | st.sampled_from([Num(0.0), Num(1e300)]), _grow, max_leaves=6)
 
 
 @st.composite
 def _cli_argv(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
-    source = Expression(draw(_EXPRESSION)).pretty()
+    edgy = draw(st.booleans())  # whether any flag may take an edge value
+    # half of the intervals start at 0
+    a = 0.0 if "--a" not in _FLAGS[command] or draw(st.booleans()) else draw(st.floats(-10.0, 10.0))
+    span = draw(st.floats(1e-3, 10.0))
+    wild = edgy and draw(st.integers(0, 3)) == 3
+    flags = {}
+    for flag, values in _FLAGS[command].items():
+        if values is _REAL and not wild:
+            values = _Flag(st.floats(0.1, 0.9).map(lambda u, within=_WITHIN[flag]: within(a, span, u)), _REAL.edges)
+        flags[flag] = _value(draw, values, edgy)
+    base = flags.get("--a", 0.0)
+    root = draw(_EXPRESSION)
+    if command == "ralpha" and draw(st.integers(0, 3)) < 3:
+        # times t - a below, a parabola with one stationary point, x0, and one root
+        root = BinOp("-", Var(), Num(2.0 * flags["--x0"] - base))
+    if command != "periodic" and draw(st.integers(0, 3)) < 3:  # three in four vanish at the base
+        root = BinOp("*", BinOp("-", Var(), Num(base)), root)
+    source = Expression(root).pretty()
     argv = [command] + ([f"--f={source}"] if source.startswith("-") else ["--f", source])
-    sweep = command in _SWEEPS and draw(st.booleans())
-    argv.append(f"--alpha={draw(_SWEEP) if sweep else repr(draw(_ORDER))}")
-    flags = {flag: draw(values) for flag, values in _FLAGS[command].items()}
-    end = "--x" if "--x" in flags else "--b"
-    if "--a" in flags and end in flags and draw(st.integers(0, 3)):
-        # an ordered interval three times in four, so that the computations
-        # run; half of them start at 0, where many expressions vanish
-        if draw(st.booleans()):
-            flags["--a"] = 0.0
-        flags[end] = flags["--a"] + draw(st.floats(1e-3, 10.0))
+    if command in _SWEEPS and draw(st.booleans()):
+        start, stop, count = (_value(draw, flag, edgy) for flag in (_ORDER, _ORDER, _SWEEP_COUNT))
+        argv.append(f"--alpha={start!r}:{stop!r}:{count}")
+    else:
+        argv.append(f"--alpha={_value(draw, _ORDER, edgy)!r}")
     argv += [f"{flag}={value!r}" for flag, value in flags.items()]
     if command in ("fracderiv", "critpoints") and draw(st.booleans()):
         argv.append("--allow-nonzero-base")  # a nonzero f(a) then warns, on one line
     return argv + ["--output", "csv"]
 
 
+# the usual flags of the edge examples: f = t*(t - 2) on [0, 2] vanishes at
+# the base and has one stationary point, x0 = 1, and one root, b
+_PLAIN = {"--alpha": 0.5, "--a": 0.0, "--b": 2.0, "--x": 2.0, "--x0": 1.0, "--eps": 0.5, "--tau": 0.5,
+          "--delta": 0.5, "--grid-n": 16, "--scan-n": 16, "--n": 4, "--pairs": 2, "--seed": 0}
+
+
+def _edge_examples(test):
+    # every edge value of every flag once, however the random examples fall:
+    # in the first command that takes the flag, its other flags plain
+    done = set()
+    for command, flags in _FLAGS.items():
+        counts = _SWEEP_COUNT.edges if command in _SWEEPS else []
+        edges = {"--alpha": [repr(a) for a in _ORDER.edges] + [f"0.2:0.8:{n}" for n in counts]}
+        edges |= {flag: [repr(v) for v in values.edges] for flag, values in flags.items()}
+        for flag in [flag for flag in edges if flag not in done]:
+            for edge in edges[flag]:
+                plain = {k: repr(_PLAIN[k]) for k in edges} | {flag: edge}
+                test = example([command, "--f", "t*(t - 2.0)"] + [f"{k}={v}" for k, v in plain.items()])(test)
+        done |= edges.keys()
+    return test
+
+
 @settings(max_examples=500, deadline=5000, derandomize=True, database=None)
 @given(_cli_argv())
+@_edge_examples
 def test_every_command_fails_cleanly_on_random_input(argv):
     # exit 0, 1 or 2 with at most one line on stderr, and no warning
     with warnings.catch_warnings():
