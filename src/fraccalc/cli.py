@@ -416,8 +416,9 @@ def _real(flag: str, default: Optional[float] = None, help: Optional[str] = None
     return flag, dict(type=_finite, required=default is None, default=default, help=help)
 
 
-def _scan(default: int):
-    return "--scan-n", dict(type=_count(1, MAX_SCAN_N), default=default)
+def _scan(default: int, minimum: int = 1):
+    """The --scan-n flag; a mean value needs 16 scan nodes, a critical point 4."""
+    return "--scan-n", dict(type=_count(minimum, MAX_SCAN_N), default=default)
 
 
 _A, _B, _X = _real("--a"), _real("--b"), _real("--x")
@@ -439,18 +440,19 @@ class _Command(NamedTuple):
 _COMMANDS = {
     "fracint": _Command(_cmd_operator, "fractional integral I^alpha f(x)", True, (_A, _X)),
     "fracderiv": _Command(_cmd_operator, "fractional derivative D^alpha f(x)", True, (_A, _X, _NONZERO_BASE)),
-    "meanvalue": _Command(_cmd_meanvalue, "fractional mean values over (a, x)", False, (_A, _X, _scan(128))),
+    "meanvalue": _Command(_cmd_meanvalue, "fractional mean values over (a, x)", False, (_A, _X, _scan(128, 16))),
     "polyxi": _Command(_cmd_polyxi, "polynomial estimate of the mean value", False, (
         _A, _real("--delta"),
         ("--n", dict(type=_count(1, MAX_TAYLOR_N), required=True, help="Taylor truncation order")))),
-    "critpoints": _Command(_cmd_critpoints, "roots of D^alpha f on (a, b]", True, (_A, _B, _scan(96), _NONZERO_BASE)),
+    "critpoints": _Command(_cmd_critpoints, "roots of D^alpha f on (a, b]", True, (
+        _A, _B, _scan(96, 4), _NONZERO_BASE)),
     "ralpha": _Command(_cmd_ralpha, "largest critical point near x0 as alpha varies", True, (
-        _A, _B, _real("--x0", help="claimed stationary point"), _real("--eps", 0.5), _scan(96))),
+        _A, _B, _real("--x0", help="claimed stationary point"), _real("--eps", 0.5), _scan(96, 4))),
     "dilation": _Command(_cmd_dilation, "memory-kernel velocity table (preset: sin on [0, pi])", False, (
         _real("--a", 0.0), _real("--b", math.pi), _scan(25)), preset=("sin(t)", "0.5")),
     "convexity": _Command(_cmd_convexity, "convexity vs sliding-window order", False, (
         _A, _B, _real("--delta"), ("--pairs", dict(type=_count(1, MAX_PAIRS), default=32)),
-        ("--seed", dict(type=int, default=0, help="seed of the window-pair sample")), _scan(96)), grid=False),
+        ("--seed", dict(type=int, default=0, help="seed of the window-pair sample")), _scan(96, 16)), grid=False),
     "mono": _Command(_cmd_mono, "tau-step monotonicity certificate on [0, b]", False, (_B, _real("--tau"))),
     "periodic": _Command(_cmd_periodic, "periodicity defect of D^alpha f", False, (
         _real("--a", 0.0, "start of the sampled t range"), _real("--b", help="end of the sampled t range"),

@@ -621,15 +621,16 @@ def _ipow(alg, m: int, node):
     return ipow
 
 
-def _lift(alg, c: float):
-    """The map of the constant ``c``: its jet, shaped like the jet of t."""
-    const = alg.const
-    return lambda jet: const(c, jet)
+def _held(alg, c: float):
+    """The map of a constant ``c`` whose operation fails: one jet at every t, nan too."""
+    order = alg.fold.order
+    jet = alg.const(c, [0.0] * (order + 1) if order else 0.0)
+    return lambda _: jet
 
 
 # The jet map of a subtree is a float for a constant subtree whose fold passes
 # its domain checks, else a closure.  An operation whose fold fails is
-# compiled on its lifted operand like any other, so the same check raises on
+# compiled on its held operand like any other, so the same check raises on
 # a sample, after the checks of the operands evaluated before it.
 
 
@@ -639,7 +640,7 @@ def _unary(make, alg, arg):
         try:
             return float(make(alg.fold)(arg))
         except DomainError:
-            arg = _lift(alg, arg)
+            arg = _held(alg, arg)
     op = make(alg)
     return lambda jet: op(arg(jet))
 
@@ -650,7 +651,7 @@ def _binary(node: BinOp, left, right, alg):
     refuses it after the left operand's checks."""
     op = node.op
     if op == "/" and isinstance(right, float) and right == 0:
-        right = _lift(alg, right)
+        right = _held(alg, right)
     if isinstance(left, float) and isinstance(right, float):
         return float(_FOLDS[op](left, right))
     if isinstance(right, float):
@@ -698,7 +699,7 @@ def _power(node: BinOp, left, alg):
         if isinstance(log_c, float):
             scale = alg.scale
             return lambda jet: exp(scale(right(jet), log_c))
-        left = _lift(alg, left)
+        left = _held(alg, left)
 
     def power(jet):
         u = left(jet)
@@ -731,7 +732,7 @@ def _compile(root: Node, order: int) -> Callable:
     exponent that passes its checks resolved here, once."""
     alg = _Values() if order == 0 else _Duals if order == 1 else _Series(order)
     jet = _build(root, alg)
-    return _lift(alg, jet) if isinstance(jet, float) else jet
+    return (lambda seed: alg.const(jet, seed)) if isinstance(jet, float) else jet
 
 
 # ---------------------------------------------------------------------------

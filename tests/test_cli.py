@@ -389,6 +389,13 @@ def test_nonfinite_numbers_and_nonpositive_period_are_usage_errors(argv):
     (["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4", "--delta", "0.5",
       "--pairs", "-2"], "--pairs"),
     (["dilation", "--scan-n", "0"], "--scan-n"),
+    # a mean value needs 16 scan nodes and a critical point 4
+    (["meanvalue", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1", "--scan-n", "15"], "--scan-n"),
+    (["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4", "--delta", "0.5",
+      "--scan-n", "15"], "--scan-n"),
+    (["critpoints", "--f", "sin(t)", "--alpha", "0.5", "--a", "0", "--b", "3", "--scan-n", "3"], "--scan-n"),
+    (["ralpha", "--f", "sin(t)", "--alpha", "0.5", "--a", "0", "--b", "4.7", "--x0", "1.57",
+      "--scan-n", "3"], "--scan-n"),
     (["polyxi", "--f", "t", "--alpha", "0.5", "--a", "0", "--delta", "0.5", "--n", "0"], "--n"),
     (["fracint", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1", "--grid-n", "1"], "--grid-n"),
     (["selftest", "--grid-n", "1.5"], "--grid-n"),
@@ -567,24 +574,22 @@ _REAL = _Flag(st.floats(-10.0, 10.0) | st.floats(allow_nan=False, allow_infinity
               [0.0, 1.0, -1.0, 1e-300, -1e-300, 1e308, -1e308, 1.7e308])
 
 
-def _count_flag(minimum, cap, largest_drawn, smallest_drawn=None):
+def _count_flag(minimum, cap, largest_drawn):
     # a small valid count, or the minimum, one below it or one above the cap
-    usual = st.integers(minimum if smallest_drawn is None else smallest_drawn, largest_drawn)
-    return _Flag(usual, [minimum, minimum - 1, cap + 1])
+    return _Flag(st.integers(minimum, largest_drawn), [minimum, minimum - 1, cap + 1])
 
 
 _GRID = _count_flag(2, MAX_GRID_N, 64)
-# scans of more than 64 nodes read them in several phases; critical points
-# need 4 nodes and mean values (meanvalue, convexity) 16, so smaller counts
-# come from the edges
-_SCAN, _SCAN_16 = _count_flag(1, MAX_SCAN_N, 256, 4), _count_flag(1, MAX_SCAN_N, 256, 16)
+# scans of more than 64 nodes read them in several phases; a scan takes from
+# 4 nodes in critpoints and ralpha and from 16 in meanvalue and convexity
+_SCAN, _SCAN_4, _SCAN_16 = (_count_flag(minimum, MAX_SCAN_N, 256) for minimum in (1, 4, 16))
 _FLAGS = {
     "fracint": {"--a": _REAL, "--x": _REAL, "--grid-n": _GRID},
     "fracderiv": {"--a": _REAL, "--x": _REAL, "--grid-n": _GRID},
     "meanvalue": {"--a": _REAL, "--x": _REAL, "--scan-n": _SCAN_16, "--grid-n": _GRID},
     "polyxi": {"--a": _REAL, "--delta": _REAL, "--n": _count_flag(1, MAX_TAYLOR_N, MAX_TAYLOR_N), "--grid-n": _GRID},
-    "critpoints": {"--a": _REAL, "--b": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
-    "ralpha": {"--a": _REAL, "--b": _REAL, "--x0": _REAL, "--eps": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
+    "critpoints": {"--a": _REAL, "--b": _REAL, "--scan-n": _SCAN_4, "--grid-n": _GRID},
+    "ralpha": {"--a": _REAL, "--b": _REAL, "--x0": _REAL, "--eps": _REAL, "--scan-n": _SCAN_4, "--grid-n": _GRID},
     "dilation": {"--a": _REAL, "--b": _REAL, "--scan-n": _SCAN, "--grid-n": _GRID},
     "convexity": {"--a": _REAL, "--b": _REAL, "--delta": _REAL, "--pairs": _count_flag(1, MAX_PAIRS, 4),
                   "--seed": _Flag(st.integers(0, 3), [-1, 2**32]), "--scan-n": _SCAN_16},
@@ -604,7 +609,8 @@ _WITHIN = {
     "--delta": lambda a, span, u: 0.45 * u * span,
 }
 _SWEEPS = ("fracint", "fracderiv", "critpoints", "ralpha")
-_ORDER = _Flag(st.floats(0.05, 0.95), [0.0, 1.0, -1.0, 1e-300, 1e308, 1.7e308])
+_ORDER = _Flag(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+               [0.0, 1.0, -1.0, 5e-324, 1e-300, 0.9999999999999999, 1e308, 1.7e308])
 _SWEEP_COUNT = _count_flag(1, MAX_SWEEP, 5)
 _EXPRESSION = st.recursive(_leaves | st.sampled_from([Num(0.0), Num(1e300)]), _grow, max_leaves=6)
 
@@ -650,22 +656,23 @@ _PLAIN = {"--alpha": 0.5, "--a": 0.0, "--b": 2.0, "--x": 2.0, "--x0": 1.0, "--ep
 
 def _edge_examples(test):
     # every edge value of every flag once, however the random examples fall:
-    # in the first command that takes the flag, its other flags plain
+    # in the first command that takes the flag with that edge, its other
+    # flags plain
     done = set()
     for command, flags in _FLAGS.items():
         counts = _SWEEP_COUNT.edges if command in _SWEEPS else []
         edges = {"--alpha": [repr(a) for a in _ORDER.edges] + [f"0.2:0.8:{n}" for n in counts]}
         edges |= {flag: [repr(v) for v in values.edges] for flag, values in flags.items()}
-        for flag in [flag for flag in edges if flag not in done]:
-            for edge in edges[flag]:
-                plain = {k: repr(_PLAIN[k]) for k in edges} | {flag: edge}
-                test = example([command, "--f", "t*(t - 2.0)"] + [f"{k}={v}" for k, v in plain.items()])(test)
-        done |= edges.keys()
+        for flag, edge in [(flag, edge) for flag in edges for edge in edges[flag] if (flag, edge) not in done]:
+            plain = {k: repr(_PLAIN[k]) for k in edges} | {flag: edge}
+            test = example([command, "--f", "t*(t - 2.0)"] + [f"{k}={v}" for k, v in plain.items()])(test)
+            done.add((flag, edge))
     return test
 
 
 @settings(max_examples=500, deadline=5000, derandomize=True, database=None)
 @given(_cli_argv())
+@example(["meanvalue", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1", "--scan-n", "8"])  # argparse refuses it
 @_edge_examples
 def test_every_command_fails_cleanly_on_random_input(argv):
     # exit 0, 1 or 2 with at most one line on stderr, and no warning

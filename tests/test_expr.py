@@ -405,6 +405,10 @@ _ERROR_ORDER = [
     ("sqrt(0-1)", 1.0, ["sqrt of negative value in sqrt(0.0 - 1.0)"] + [_DIFF_SQRT + "sqrt(0.0 - 1.0)"] * 2),
     ("sqrt(0)*t", 1.0, [0.0] + [_DIFF_SQRT + "sqrt(0.0)"] * 2),
     ("t^sqrt(-1)", 1.0, ["sqrt of negative value in sqrt(-1.0)"] * 3),  # a constant exponent is order 0
+    # where t is not finite, a failing constant is refused by the same check
+    ("t + log(-1)", math.nan, ["log of non-positive value in log(-1.0)"] * 3),
+    ("t*(1/0)", math.inf, ["division by zero in 1.0/0.0"] * 3),
+    ("sqrt(0-1)*t", math.nan, ["sqrt of negative value in sqrt(0.0 - 1.0)"] + [_DIFF_SQRT + "sqrt(0.0 - 1.0)"] * 2),
 ]
 
 
