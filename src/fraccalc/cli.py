@@ -452,7 +452,8 @@ _COMMANDS = {
         _real("--a", 0.0), _real("--b", math.pi), _scan(25)), preset=("sin(t)", "0.5")),
     "convexity": _Command(_cmd_convexity, "convexity vs sliding-window order", False, (
         _A, _B, _real("--delta"), ("--pairs", dict(type=_count(1, MAX_PAIRS), default=32)),
-        ("--seed", dict(type=int, default=0, help="seed of the window-pair sample")), _scan(96, 16)), grid=False),
+        ("--seed", dict(type=_count(0, 2**32 - 1), default=0, help="seed of the window-pair sample")),
+        _scan(96, 16)), grid=False),
     "mono": _Command(_cmd_mono, "tau-step monotonicity certificate on [0, b]", False, (_B, _real("--tau"))),
     "periodic": _Command(_cmd_periodic, "periodicity defect of D^alpha f", False, (
         _real("--a", 0.0, "start of the sampled t range"), _real("--b", help="end of the sampled t range"),

@@ -396,6 +396,8 @@ def test_nonfinite_numbers_and_nonpositive_period_are_usage_errors(argv):
     (["critpoints", "--f", "sin(t)", "--alpha", "0.5", "--a", "0", "--b", "3", "--scan-n", "3"], "--scan-n"),
     (["ralpha", "--f", "sin(t)", "--alpha", "0.5", "--a", "0", "--b", "4.7", "--x0", "1.57",
       "--scan-n", "3"], "--scan-n"),
+    (["convexity", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--b", "4", "--delta", "0.5",
+      "--seed=-1"], "--seed"),
     (["polyxi", "--f", "t", "--alpha", "0.5", "--a", "0", "--delta", "0.5", "--n", "0"], "--n"),
     (["fracint", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1", "--grid-n", "1"], "--grid-n"),
     (["selftest", "--grid-n", "1.5"], "--grid-n"),
