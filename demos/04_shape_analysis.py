@@ -53,7 +53,6 @@ for src in ("t^2", "exp(t) - 1 - t", "t", "-t^2", "t^3"):
 v = monotonicity_certificate(parse("t"), 0.5, 0.1, 1.0, 2048)
 print(f"\nstep certificate for f = t, tau = 0.1: holds={v.holds}")
 print(f"  reconstruction error {v.info['reconstruction_error']:.2e}")
-print(f"  transform-style literal form misses by {v.info['literal_defect']:.2e} (diagnostic)")
 
 # Dominated derivative implies dominated function.
 v = comparison_check(parse("t"), parse("2*t"), 0.5, 1.0, 1024)

@@ -338,25 +338,34 @@ def monotonicity_certificate(
         Df(x) = Df(0) + I^alpha [ I^(1-alpha) (f'(. + tau) - f') ](x),
 
     by two discrete convolution sweeps; ``defect`` is the largest
-    reconstruction error.  ``info['literal_defect']`` additionally reports
-    the mismatch of the x^(alpha-1) Df(0) / Gamma(alpha) + I^alpha [D-difference]
-    form of the same reconstruction, which is kept as a diagnostic only:
-    its initial term originates from a transform step that does not
-    commute with the shift, so its defect does not vanish with grid
-    refinement.  Failed hypotheses yield a not-applicable verdict (None),
-    never a violation claim.
+    reconstruction error.  Failed hypotheses yield a not-applicable
+    verdict (None), never a violation claim.
+
+    f and f' are sampled once, on one grid of step h = tau/s over [0, b]
+    with s = round(tau*grid_n/(b - tau)) clipped to [1, grid_n], so that
+    x + tau is the node s places right of x.  Its conclusion nodes are
+    0, h, ..., k*h with k = floor((b - tau)/h): the last may sit up to one
+    step short of b - tau, no node lies past b, and the grid has at most
+    2*grid_n + 1 panels.  A tau outside [(b - tau)/(2*grid_n),
+    grid_n*(b - tau)] leaves no such grid and is a ValueError.
     """
     _check_alpha(alpha)
     if not (0.0 < tau < b):
         raise ValueError(f"need 0 < tau < b, got tau={tau!r}, b={b!r}")
     m = int(grid_n)
-    xs, h = _grid(0.0, b - tau, m)
+    span = b - tau
+    s = min(max(round(min(tau / span * m, m)), 1), m)  # tau is s steps
+    k = math.floor(min(span / tau, 2 * m) * s)  # conclusion panels
+    if 2 * m * tau < span or k < 1:
+        raise ValueError(f"tau={tau!r} must lie in [(b - tau)/(2*grid_n), grid_n*(b - tau)] for b={b!r}, "
+                         f"grid_n={m}: change --tau or raise --grid-n")
+    ts, h = _grid(0.0, min(tau / s * (s + k), b), s + k)
+    ts[s] = tau  # the first step reads f(tau) itself, not f(s*h) rounded
 
-    fv_x = f.eval(xs)
-    fv_xt = f.eval(xs + tau)
-    direct = fv_xt - fv_x
+    fv = f.eval(ts)
+    direct = fv[s:] - fv[: k + 1]
     df0 = float(direct[0])
-    scale = 1.0 + float(np.max(np.abs(fv_xt)))
+    scale = 1.0 + float(np.max(np.abs(fv[s:])))
 
     if df0 < -_HYPOTHESIS_TOL * scale:
         return ShapeVerdict(
@@ -366,10 +375,9 @@ def monotonicity_certificate(
         )
 
     # hypothesis: the tau-difference of D^alpha f is nonnegative on the grid
-    grid_b, h_b = _grid(0.0, b, 2 * m)
-    d_all = integral_on_grid(derivative_values(f, grid_b, 1), h_b, 1.0 - alpha)
-    d_at = lambda pts: np.interp(pts, grid_b, d_all)  # noqa: E731
-    delta_d = d_at(xs + tau) - d_at(xs)
+    fpv = derivative_values(f, ts, 1)
+    d_all = integral_on_grid(fpv, h, 1.0 - alpha)
+    delta_d = d_all[s:] - d_all[: k + 1]
     bad = np.nonzero(delta_d < -_HYPOTHESIS_TOL * (1.0 + np.max(np.abs(d_all))))[0]
 
     conclusion_ok = bool(np.all(direct >= -_HYPOTHESIS_TOL * scale))
@@ -377,30 +385,18 @@ def monotonicity_certificate(
     # reconstruction from derivative data (two convolution sweeps); the
     # identity holds for any C^1 f, so it is reported whether or not the
     # monotonicity hypotheses gate the verdict
-    dfp = derivative_values(f, xs + tau, 1) - derivative_values(f, xs, 1)
-    inner = integral_on_grid(dfp, h, 1.0 - alpha)
+    inner = integral_on_grid(fpv[s:] - fpv[: k + 1], h, 1.0 - alpha)
     recon = df0 + integral_on_grid(inner, h, alpha)
     recon_err = float(np.max(np.abs(recon - direct)))
 
-    # literal transform-style form, reported as a diagnostic measurement;
-    # its leading term diverges at the base point, so the mismatch is
-    # measured away from it (x >= span/4) to keep the number meaningful
-    tail = xs >= 0.25 * (b - tau)
-    lit = xs[tail] ** (alpha - 1.0) * df0 / gamma(alpha) + integral_on_grid(delta_d, h, alpha)[tail]
-    literal_defect = float(np.max(np.abs(lit - direct[tail])))
-
-    info = {
-        "df0": df0,
-        "reconstruction_error": recon_err,
-        "literal_defect": literal_defect,
-    }
+    info = {"df0": df0, "reconstruction_error": recon_err}
     if len(bad):
         worst = float(np.min(delta_d[bad]))
         info["worst_hypothesis_margin"] = worst
         return ShapeVerdict(
             "monotone_up_to_tau", None,
             defect=recon_err,
-            witnesses=(Violation((float(xs[bad[0]]),), worst),),
+            witnesses=(Violation((float(ts[bad[0]]),), worst),),
             note="not applicable: D^alpha f(x + tau) - D^alpha f(x) is negative on the grid",
             info=info,
         )

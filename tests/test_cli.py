@@ -246,6 +246,24 @@ def test_mono_not_applicable_reports_its_note_and_witness():
     assert comments[1].startswith("# witness x=(") and " margin -" in comments[1]
 
 
+@pytest.mark.parametrize("flags, want", [
+    (["--b", "1e6", "--tau", "1e-3", "--grid-n", "64"], 1),  # tau under (b - tau)/(2*grid_n)
+    (["--b", "2", "--tau", "1e-300"], 1),
+    (["--b", "1", "--tau", "0.9999999", "--grid-n", "64"], 1),  # b - tau under one step tau/grid_n
+    (["--b", "1", "--tau", "0.5", "--grid-n", "2"], 0),
+])
+def test_mono_refuses_a_tau_without_an_aligned_grid(flags, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = capture(["mono", "--f", "t^2+0.5*t", "--alpha", "0.4", "--output", "csv"] + flags)
+    assert code == want
+    if want:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "--tau" in err and "--grid-n" in err
+    else:
+        assert err == "" and csv_rows(out)[1][0] == ["holds", "true"]
+
+
 def test_convexity_of_a_concave_function_reports_witness_windows():
     code, out, _ = capture(["convexity", "--f=1.5*t-0.6*t^2", "--alpha", "0.5", "--a", "0", "--b", "2",
                             "--delta", "0.5", "--pairs", "4", "--output", "csv"])

@@ -203,7 +203,6 @@ def test_certificate_linear_function():
     assert v.holds is True
     assert v.info["df0"] == pytest.approx(0.1, abs=1e-14)
     assert v.info["reconstruction_error"] <= 1e-12  # identity is exact for t
-    assert v.info["literal_defect"] > 1e-3  # the transform-style form is not
 
 
 def test_certificate_sine_small_order():
@@ -229,18 +228,75 @@ def test_certificate_decreasing_not_applicable():
 
 
 def test_certificate_reconstruction_halves_under_doubling():
-    e1 = monotonicity_certificate(parse("sin(t)"), 0.5, 0.1, math.pi / 2.0, 1024).info[
-        "reconstruction_error"
-    ]
-    e2 = monotonicity_certificate(parse("sin(t)"), 0.5, 0.1, math.pi / 2.0, 2048).info[
-        "reconstruction_error"
-    ]
-    assert e2 <= e1 / 1.8
+    # tau is no whole number of (b - tau)/grid_n in any case, so the step
+    # count s of tau rounds: the error still halves with each doubling
+    for src, alpha, tau, b in [("sin(t)", 0.5, 0.1, math.pi / 2.0), ("exp(0.8*t)-1", 0.7, 0.35, 2.5),
+                               ("t^3+0.5*t", 0.15, 0.77, 3.7)]:
+        errors = [monotonicity_certificate(parse(src), alpha, tau, b, m).info["reconstruction_error"]
+                  for m in (1024, 2048, 4096, 8192)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine <= coarse / 1.8, (src, errors)
 
 
 def test_certificate_validates_tau():
     with pytest.raises(ValueError):
         monotonicity_certificate(parse("t"), 0.5, 1.5, 1.0, 128)
+
+
+def test_certificate_grid_is_aligned_and_bounded(monkeypatch):
+    # the one grid of a certificate has at most 2*grid_n + 1 panels and ends
+    # at or before b, or the input is refused; the grid is recorded and the
+    # certificate stopped before any sampling
+    import fraccalc.shape as shape
+
+    class Built(Exception):
+        pass
+
+    def recorded(a, x, n):
+        raise Built(a, x, n)
+
+    monkeypatch.setattr(shape, "_grid", recorded)
+    f, rng = parse("t"), np.random.default_rng(21)
+    outcomes = {"built": 0, "tau too short": 0, "tau too near b": 0}
+    for _ in range(20000):
+        grid_n = int(2 ** rng.uniform(1.0, 20.0))
+        b = 10.0 ** rng.uniform(-3.0, 3.0)
+        tiny = 10.0 ** -rng.uniform(0.0, 9.0)
+        tau = b * rng.choice([rng.uniform(0.0, 1.0), tiny, 1.0 - tiny])
+        if not 0.0 < tau < b:
+            continue
+        try:
+            monotonicity_certificate(f, 0.5, tau, b, grid_n)
+        except ValueError as exc:
+            assert "--tau" in str(exc) and "--grid-n" in str(exc)
+            outcomes["tau too short" if 2 * grid_n * tau < b - tau else "tau too near b"] += 1
+        except Built as grid:
+            a, x, n = grid.args
+            assert a == 0.0 and 0.0 < x <= b and 2 <= n <= 2 * grid_n + 1, (tau, b, grid_n, x, n)
+            outcomes["built"] += 1
+    assert min(outcomes.values()) > 2000, outcomes
+
+
+def test_certificate_samples_once_and_sweeps_three_times(monkeypatch):
+    # f and f' are sampled on one array each; D^alpha, I^(1-alpha) of the f'
+    # step and I^alpha of that are the three sweeps
+    import fraccalc.shape as shape
+
+    calls = []
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls.append((name, type(args[1]).__name__))
+            return func(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(shape.Expression, "eval", counted("eval", shape.Expression.eval))
+    monkeypatch.setattr(shape, "derivative_values", counted("derivative_values", shape.derivative_values))
+    monkeypatch.setattr(shape, "integral_on_grid", counted("integral_on_grid", shape.integral_on_grid))
+    assert monotonicity_certificate(parse("t^2+0.7*t"), 0.4, 0.5, 3.0, 4096).holds is True
+    sweeps = [("integral_on_grid", "float")] * 3
+    assert sorted(calls) == [("derivative_values", "ndarray"), ("eval", "ndarray")] + sweeps
 
 
 @pytest.mark.parametrize("alpha", [1.5, -0.5, 0.0, 1.0, math.nan])
