@@ -300,6 +300,8 @@ def xi_smoothness_profile(
         raise ValueError("x_grid must be ascending")
     check_strictly_monotone(f, p.a, xs[-1])
     xis = [mean_value(f, p, x).xi_sup for x in xs]
+    if None in xis:  # a degenerate mean value has no xi
+        raise HypothesisError(f"mean value degenerate at x={xs[xis.index(None)]!r}; xi_sup undefined")
     rows: List[Tuple[float, float, float]] = []
     for i, x in enumerate(xs):
         if i == 0:

@@ -11,6 +11,7 @@ from fraccalc import (
     DomainError,
     FractionalParams,
     caputo_derivative,
+    critical_points,
     derivative_values,
     f_lower,
     gamma,
@@ -19,6 +20,7 @@ from fraccalc import (
     rl_derivative,
     rl_integral,
 )
+from fraccalc.fracops import _extrapolate, _kernel_quad_grid, _l1_sum, base_value
 
 # closed forms: I^mu t^beta = G(b+1)/G(b+1+mu) x^(b+mu),
 #               D^al t^beta = G(b+1)/G(b+1-al) x^(b-al)   (math.gamma oracle)
@@ -335,6 +337,24 @@ def test_assumption_gate_and_override():
         out = rl_derivative(f, p, 1.0, allow_nonzero_base=True)
     assert any("Caputo" in str(w.message) for w in caught)
     assert out.value == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("fa", [1.0, math.nan, math.inf, -math.inf])
+def test_a_nonzero_or_nonfinite_base_value_is_refused(fa):
+    # abs(nan) > 1e-12 is False, so the gate must read "not |f(a)| <= 1e-12"
+    p = FractionalParams(0.5, 0.0, 256)
+
+    def f(t):
+        return np.where(t == 0.0, fa, np.sin(t))
+
+    with pytest.raises(AssumptionError, match="f\\(a\\) must be 0"):
+        rl_derivative(f, p, 1.0, fprime=np.cos)
+    with pytest.raises(AssumptionError, match="f\\(a\\) must be 0"):
+        critical_points(f, p, 4.0, fprime=np.cos)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert repr(base_value(f, 0.0, allow_nonzero=True)) == repr(fa)
+    assert [str(w.message) for w in caught] == [f"f(a) = {fa!r} != 0: result has Caputo (not Riemann-Liouville) semantics"]
 
 
 # --- lowered function ---------------------------------------------------------
@@ -693,6 +713,60 @@ def test_weights_that_need_room_drop_the_spectra_first(monkeypatch):
     assert list(fracops._WEIGHT_CACHE) == [(4096, 0.2), (4096, 0.4)]
     assert fracops._WEIGHT_CACHE[(4096, 0.2)] is first
     fracops._WEIGHT_CACHE.clear()
+
+
+# --- the Richardson step -------------------------------------------------------
+
+
+def _refined(v1, v2, v4):
+    order = math.log(abs(v2 - v4) / abs(v1 - v2)) / math.log(2.0)
+    return v1 + (v1 - v2) / (2.0**order - 1.0)
+
+
+@pytest.mark.parametrize(
+    "v1, v2, v4, value",
+    [
+        (1.0, 1.0, 0.5, 1.0),  # d1 = 0
+        (0.0, -1e-15, -3e-15, 0.0),  # |d1| equal to the floor, at a ratio that would refine
+        (1e6, 1e6 - 1e-10, 1e6 - 3e-10, 1e6),  # |d1| under a floor scaled by |v1|
+        (1.0, 0.9, 0.85, 1.0),  # |d2| <= |d1|
+        (1.0, 0.9, 0.72, 1.0),  # measured order log2(1.8) below 0.9
+        (1.0, 0.9, 0.3, 1.0),  # measured order log2(6) above 2.5
+        (1.0, 0.9, 0.7, _refined(1.0, 0.9, 0.7)),  # order about 1
+        (1.0, 0.9, 0.5, _refined(1.0, 0.9, 0.5)),  # order about 2
+        (-2.0, -1.9, -1.5, _refined(-2.0, -1.9, -1.5)),  # order about 2, negative values
+    ],
+)
+def test_extrapolate_branches(v1, v2, v4, value):
+    assert _extrapolate(v1, v2, v4) == (value, abs(v1 - v2) + 1e-15 * max(abs(v1), abs(v2), 1.0))
+
+
+def test_extrapolate_refines_to_the_limit_at_orders_one_and_two():
+    # v = L + c h^p on h, 2h and 4h: the refined value is L up to round-off
+    assert _extrapolate(1.0, 0.9, 0.7)[0] == pytest.approx(1.1, rel=1e-13)
+    assert _extrapolate(1.0, 0.9, 0.5)[0] == pytest.approx(1.0 + 0.1 / 3.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("grid_n", [2, 17, 2047, 2050])
+def test_nested_values_are_extrapolate_of_the_three_slices(grid_n):
+    a, x, mu = 0.25, 1.75, 0.4
+
+    def slices(n):
+        n = -(-n // 4) * 4  # rounded up so the half and quarter grids nest
+        fv, h = np.sin(np.linspace(a, x, n + 1)), (x - a) / n
+        return [(np.ascontiguousarray(fv[::k]), k * h) for k in (1, 2, 4)]
+
+    want = _extrapolate(*(_l1_sum(fv, h, mu) for fv, h in slices(grid_n)))
+    assert _kernel_quad_grid(np.sin, a, x, mu, grid_n) == want
+
+    def slope(fv, h):
+        m = len(fv) - 1
+        u0, u1, u2 = (_l1_sum(fv[: j + 1], h, mu) for j in (m - 2, m - 1, m))
+        return (3.0 * u2 - 4.0 * u1 + u0) / (2.0 * h)
+
+    v, est = _extrapolate(*(slope(fv, h) for fv, h in slices(max(12, grid_n))))
+    out = rl_derivative(parse("sin(t)"), FractionalParams(1.0 - mu, a, grid_n), x, method="direct")
+    assert (out.value, out.est_error) == (v, est)
 
 
 # --- limit behaviour ----------------------------------------------------------

@@ -242,6 +242,13 @@ def test_profile_smooth_slopes_no_jumps():
     assert np.max(jumps) <= 10.0 * max(typical, 1e-4)
 
 
+def test_profile_refuses_a_degenerate_mean_value_naming_its_point():
+    # a level within 1e-12 of zero has no certified root, so there is no xi to tabulate
+    p = FractionalParams(0.5, 0.0, 256)
+    with pytest.raises(HypothesisError, match="x=0.5"):
+        xi_smoothness_profile(parse("1e-14*t"), p, [0.5, 1.0, 1.5])
+
+
 def test_profile_requires_monotonicity():
     p = FractionalParams(0.5, 0.0, 256)
     with pytest.raises(HypothesisError):
