@@ -35,7 +35,7 @@ from .fracops import (
     _sampler,
     _strided_integral,
 )
-from .meanval import _find_roots, _sign_brackets, check_strictly_monotone, mean_value
+from .meanval import _find_roots, check_strictly_monotone, mean_value
 
 __all__ = [
     "CriticalPointReport",
@@ -220,23 +220,16 @@ def _verify_single_extremum_and_root(
     f: FuncLike, a: float, b: float, x0: float, x1: Optional[float], fprime: Optional[FuncLike]
 ) -> Tuple[float, float]:
     """Sampled check that f has exactly one stationary point and one root
-    in (a, b], close to the claimed x0 (and x1 when given); returns the
-    detected locations."""
+    in (a, b], close to the claimed x0 (and x1 when given); returns them,
+    bracketed on a 2048-step scan and refined by Brent's method."""
     ts = _grid(a, b, 2048)[0][1:]
-    vals = _sampler(f)(ts)
-    dvals = _prime_sampler(f, fprime)(ts)
-
-    def zero_events(arr: np.ndarray) -> List[float]:
-        zeros, changes = _sign_brackets(arr)  # located to half a sample step
-        return sorted(np.concatenate((ts[zeros], 0.5 * ts[changes] + 0.5 * ts[changes + 1])).tolist())
-
-    ext = zero_events(dvals)
-    roots = zero_events(vals)
-    if (
-        vals[-1] != 0.0
-        and abs(float(vals[-1])) <= 1e-9 * max(1.0, float(np.max(np.abs(vals))))
-    ):
-        roots.append(float(ts[-1]))  # root sitting on the right endpoint
+    sample, slope = _sampler(f), _prime_sampler(f, fprime)
+    vals = np.array(sample(ts))  # a copy: a callable may return its own array
+    if abs(float(vals[-1])) <= 1e-9 * max(1.0, float(np.max(np.abs(vals)))):
+        vals[-1] = 0.0  # a root on the right endpoint, on whichever side of b it rounds
+    tol = 1e-12 * (b - a)
+    ext = [x for x, _ in _find_roots(ts, slope(ts), slope, tol)]
+    roots = [x for x, _ in _find_roots(ts, vals, sample, tol)]
     if len(ext) != 1:
         raise HypothesisError(f"expected exactly one stationary point in ({a}, {b}), found {len(ext)}")
     if len(roots) != 1:
@@ -269,7 +262,8 @@ def r_alpha_curve(
     defined conditionally) together with the unrestricted largest critical
     point in (a, b], whose low-order limit is checked against the root x1
     while the ball-restricted high-order limit is checked against x0.
-    ``x1`` may be omitted; the unique root is then located by sampling.
+    ``x1`` may be omitted; either way ``limit_targets`` holds f's unique
+    root and stationary point, refined by Brent's method.
     """
     if not eps > 0.0:
         raise ValueError("eps must be > 0")

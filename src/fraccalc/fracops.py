@@ -514,13 +514,16 @@ def rl_derivative(
     derivative under the f(a) = 0 convention (enforced).  ``direct``
     differentiates the (1-alpha)-order integral by the one-sided difference
     (3 u_n - 4 u_(n-1) + u_(n-2)) / (2h) at the last three grid nodes,
-    samples f only on [a, x] and needs no derivative of f at all.
+    samples f only on [a, x] and needs no derivative of f at all; it is a
+    product-trapezoid rule, so any other ``backend`` is a ValueError.
     """
     if method == "caputo_form":
         base_value(f, p.a, allow_nonzero=allow_nonzero_base)
         return caputo_derivative(f, p, x, fprime=fprime, backend=backend)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
+    if backend != PRODUCT_TRAPEZOID:
+        raise ValueError(f"method='direct' runs only on backend={PRODUCT_TRAPEZOID!r}, got backend={backend!r}")
 
     mu = 1.0 - p.alpha
 
@@ -556,6 +559,8 @@ def f_lower(
     if x == p.a:
         return OperatorValue(0.0, backend, 0.0)
     fa = _sampler(f)(p.a)
+    if not math.isfinite(fa):
+        raise DomainError(f"f(a) = {fa!r} is not finite at a={p.a!r}")
     fp = _prime_sampler(f, fprime)
     mu = 2.0 - p.alpha  # kernel (x-t)^(1-alpha) = (x-t)^(mu-1)
     inner = _kernel_quad(fp, p.a, x, mu, p.grid_n, backend)

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import DomainError, HypothesisError, MeanValueNotFoundError
 from .expr import Expression, check_order, derivative_values, derivatives
 from .fracops import (
-    PRODUCT_TRAPEZOID,
     FractionalParams,
     FuncLike,
     Sampler,
@@ -42,7 +41,6 @@ from .fracops import (
     gamma,
     rl_integral,
     _grid,
-    _kernel_quad,
     _power,
     _sampler,
 )
@@ -147,12 +145,16 @@ def _find_roots(
     still shows no sign change), and a root reached from two brackets is
     reported once."""
     xs, vals = np.asarray(xs, dtype=float), np.array(vals, dtype=float)
-    known = dict(enumerate(vals)) if exact else {}
-    at = lambda j: known[j] if j in known else known.setdefault(j, fn(float(xs[j])))  # noqa: E731
+    if exact:  # the scan holds fn at every node
+        at = vals.__getitem__
+    else:
+        known: dict = {}
+        at = lambda j: known[j] if j in known else known.setdefault(j, fn(float(xs[j])))  # noqa: E731
     same = lambda i, j: np.sign(at(i)) == np.sign(at(j)) != 0.0  # noqa: E731
-    zeros = _sign_brackets(vals)[0]
-    vals[zeros] = [at(j) for j in zeros]
     zeros, changes = _sign_brackets(vals)
+    if not exact:  # a zero of the scan is checked with fn
+        vals[zeros] = [at(j) for j in zeros]
+        zeros, changes = _sign_brackets(vals)
     roots = [(float(xs[j]), at(j)) for j in zeros]
     for lo in changes:
         hi = lo + 1
@@ -174,8 +176,6 @@ def mean_value(
     p: FractionalParams,
     x: float,
     scan_n: int = 128,
-    *,
-    backend: str = PRODUCT_TRAPEZOID,
 ) -> MeanValueResult:
     """All bracketed mean values of f over (p.a, x) and their supremum.
 
@@ -183,9 +183,8 @@ def mean_value(
     brackets nothing and the level is not degenerate; absence is reported,
     never fabricated.
     """
-    sample = _sampler(f)
-    iv = _kernel_quad(sample, p.a, x, 1.0 - p.alpha, p.grid_n, backend)  # checks x > a
-    return _mean_value(sample, p, x, iv.value, scan_n)
+    iv = rl_integral(f, p, 1.0 - p.alpha, x).value  # checks x > a
+    return _mean_value(_sampler(f), p, x, iv, scan_n)
 
 
 def _mean_value(sample: Sampler, p: FractionalParams, x: float, iv: float, scan_n: int) -> MeanValueResult:
@@ -323,7 +322,8 @@ def mean_path_witness(
     allow_nonzero_base: bool = False,
 ) -> Optional[float]:
     """Search for a point where D^alpha f matches the derivative of the
-    reparametrised average x -> f(h(x)) (x-a)^(1-alpha) / Gamma(2-alpha).
+    reparametrised average x -> f(h(x)) (x-a)^(1-alpha) / Gamma(2-alpha),
+    taken on first-order jets of f and h by the chain and product rules.
 
     Returns a refined root of the difference, or None when the grid shows
     no sign change; None is a legitimate outcome (the existence statement
@@ -334,17 +334,12 @@ def mean_path_witness(
         raise ValueError("x_grid must lie strictly right of the base point")
     a, alpha = p.a, p.alpha
     base_value(f, a, allow_nonzero=allow_nonzero_base)  # once: each residual is a Caputo derivative
-    s = 1e-6 * (float(xs[-1]) - a)
     scale = 1.0 / gamma(2.0 - alpha)
 
-    def reparam(x: np.ndarray) -> np.ndarray:
-        return f.eval(h.eval(x)) * (x - a) ** (1.0 - alpha) * scale
-
     def residual(x: float) -> float:
-        d = caputo_derivative(f, p, x).value
-        x_arr = np.asarray([x - s, x + s])
-        lo, hi = reparam(x_arr)
-        return d - (hi - lo) / (2.0 * s)
+        hx = h.eval(x)
+        slope = derivative_values(f, hx, 1) * derivative_values(h, x, 1) * (x - a) + (1.0 - alpha) * f.eval(hx)
+        return caputo_derivative(f, p, x).value - slope * (x - a) ** -alpha * scale
 
     roots = _find_roots(xs, [residual(float(x)) for x in xs], residual, 1e-10 * (xs[-1] - a))
     return roots[0][0] if roots else None

@@ -224,10 +224,9 @@ def delta_increasing_check(
     grid_n: int = 1024,
     *,
     fprime: Optional[FuncLike] = None,
-    backend: str = PRODUCT_TRAPEZOID,
 ) -> ShapeVerdict:
     """Is the windowed derivative nondecreasing across the sampled pairs?"""
-    table = _window_table(_prime_sampler(f, fprime), alpha, delta, pair_samples, grid_n, backend)
+    table = _window_table(_prime_sampler(f, fprime), alpha, delta, pair_samples, grid_n, PRODUCT_TRAPEZOID)
     return _delta_increasing_verdict(table, pair_samples)
 
 
@@ -239,7 +238,6 @@ def property_P_check(
     *,
     grid_n: int = 1024,
     scan_n: int = 96,
-    backend: str = PRODUCT_TRAPEZOID,
 ) -> ShapeVerdict:
     """Translation invariance of the window mean-value offset.
 
@@ -250,7 +248,7 @@ def property_P_check(
     nothing and counts as satisfied; a window where no crossing brackets
     makes the pair inconclusive and the verdict None.
     """
-    table = _window_table(_sampler(f), alpha, delta, pair_samples, grid_n, backend, scan_n)
+    table = _window_table(_sampler(f), alpha, delta, pair_samples, grid_n, PRODUCT_TRAPEZOID, scan_n)
     return _property_P_verdict(table, pair_samples, delta)
 
 

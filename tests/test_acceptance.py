@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from fraccalc import (
-    ADAPTIVE_ORACLE,
     FractionalParams,
     convexity_equivalence,
     integral_on_grid,
@@ -81,7 +80,7 @@ def test_criterion_02_mean_value_closed_forms():
             assert abs(res.xi_sup / x - 2.0 / 3.0) <= 1e-8
         ratio = math.sqrt(math.gamma(1.5) * 2.0 / math.gamma(3.5))
         for x in XS:
-            res = mean_value(parse("t^2"), p, x, backend=ADAPTIVE_ORACLE)
+            res = mean_value(parse("t^2"), p, x)
             assert abs(res.xi_sup / x - ratio) <= 1e-6
 
 

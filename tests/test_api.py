@@ -8,6 +8,8 @@ this table makes visible.
 """
 
 import inspect
+import os
+import re
 
 import fraccalc
 
@@ -23,7 +25,7 @@ DEFAULTED = {
     "caputo_derivative": {"fprime": None, "backend": PT},
     "f_lower": {"fprime": None, "backend": PT},
     "integral_on_grid": {},
-    "mean_value": {"scan_n": 128, "backend": PT},
+    "mean_value": {"scan_n": 128},
     "mean_value_polynomial": {},
     "xi_smoothness_profile": {},
     "mean_path_witness": {"allow_nonzero_base": False},
@@ -33,8 +35,8 @@ DEFAULTED = {
     "r_alpha_curve": {"x1": None, "grid_n": 1024, "scan_n": 96, "fprime": None},
     "dilation_scenario": {"fprime": None},
     "sample_window_pairs": {"n_pairs": 32, "seed": 0},
-    "delta_increasing_check": {"grid_n": 1024, "fprime": None, "backend": PT},
-    "property_P_check": {"grid_n": 1024, "scan_n": 96, "backend": PT},
+    "delta_increasing_check": {"grid_n": 1024, "fprime": None},
+    "property_P_check": {"grid_n": 1024, "scan_n": 96},
     "convexity_equivalence": {"grid_n": 1024, "scan_n": 96, "backend": ORACLE},
     "monotonicity_certificate": {"grid_n": 2048},
     "comparison_check": {"grid_n": 1024},
@@ -55,3 +57,13 @@ def test_every_public_function_is_pinned():
 def test_defaulted_parameters_are_pinned():
     for name, want in DEFAULTED.items():
         assert _defaulted(getattr(fraccalc, name)) == want, name
+
+
+def test_readme_names_exactly_the_functions_that_take_a_backend():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        quick = fh.read().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    listed = re.search(r"functions that take `backend=`:(.*?):\n", quick, re.S).group(1)
+    named = set(re.findall(r"`(\w+)`", listed))
+    public = (getattr(fraccalc, name) for name in fraccalc.__all__)
+    have = {fn.__name__ for fn in public if inspect.isfunction(fn) and "backend" in inspect.signature(fn).parameters}
+    assert named == have

@@ -235,6 +235,23 @@ def test_r_alpha_endpoints_for_sine():
     assert x0 == pytest.approx(math.pi / 2.0, abs=0.01)
 
 
+def test_r_alpha_limit_targets_are_refined_roots():
+    # the root of sin and of its derivative are bracketed on the check's scan
+    # and refined by Brent, not read off as a bracket's midpoint
+    curve = r_alpha_curve(parse("sin(t)"), 0.0, 4.712, 1.5708, 0.5, [0.5], grid_n=256, scan_n=32)
+    x1, x0 = curve.limit_targets
+    assert abs(x1 - math.pi) <= 1e-12
+    assert abs(x0 - math.pi / 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [math.pi, math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 0.0)])
+def test_r_alpha_root_on_the_right_endpoint_counts_once(b):
+    # sin(b) rounds to +1.2e-16 at pi and to -3.2e-16 one ulp above it, where
+    # the scan also changes sign into b: either way f has one root, at b
+    curve = r_alpha_curve(parse("sin(t)"), 0.0, b, math.pi / 2.0, 0.5, [0.5], grid_n=64, scan_n=16)
+    assert curve.limit_targets[0] == b
+
+
 def test_r_alpha_empty_ball_is_marked_not_interpolated():
     # mid orders park the critical point outside a small ball around pi/2
     curve = r_alpha_curve(

@@ -292,6 +292,16 @@ def test_direct_derivative_samples_only_inside_the_interval():
         assert out.value == pytest.approx(math.gamma(1.5), rel=1e-6)
 
 
+def test_direct_derivative_refuses_the_oracle():
+    # the direct method is a product-trapezoid rule: an oracle request is
+    # refused, not silently answered with the grid value
+    p = FractionalParams(0.5, 0.0, 256)
+    with pytest.raises(ValueError, match="method='direct'.*backend='adaptive_oracle'"):
+        rl_derivative(parse("t"), p, 1.0, method="direct", backend=ADAPTIVE_ORACLE)
+    out = rl_derivative(parse("t"), p, 1.0, method="direct", backend=PRODUCT_TRAPEZOID)
+    assert out == rl_derivative(parse("t"), p, 1.0, method="direct")
+
+
 @pytest.mark.parametrize("beta", [1.5, 2.5])
 def test_power_law_derivative_on_default_path(beta):
     # f' = beta t^(beta-1) is sampled at the base point t = 0 itself
@@ -363,6 +373,18 @@ def test_a_nonzero_or_nonfinite_base_value_is_refused(fa):
 def test_f_lower_vanishes_at_base():
     p = FractionalParams(0.5, 0.0, 128)
     assert f_lower(parse("t"), p, 0.0).value == 0.0
+
+
+@pytest.mark.parametrize("fa", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("backend", [PRODUCT_TRAPEZOID, ADAPTIVE_ORACLE])
+def test_f_lower_refuses_a_nonfinite_base_value(fa, backend):
+    p = FractionalParams(0.5, 0.0, 256)
+
+    def f(t):
+        return np.where(t == 0.0, fa, np.sin(t))
+
+    with pytest.raises(DomainError, match=f"f\\(a\\) = {fa!r} is not finite"):
+        f_lower(f, p, 1.0, fprime=np.cos, backend=backend)
 
 
 def test_f_lower_power_law():

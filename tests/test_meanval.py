@@ -18,7 +18,14 @@ from fraccalc import (
     rl_integral,
     xi_smoothness_profile,
 )
-from fraccalc.meanval import check_strictly_monotone
+from fraccalc.meanval import _mean_value, check_strictly_monotone
+
+
+def oracle_mean_value(f, p, x):
+    # mean_value with its level integral taken by the QUADPACK oracle instead
+    # of the product rule: an independent cross-check of the level
+    iv = rl_integral(f, p, 1.0 - p.alpha, x, backend=ADAPTIVE_ORACLE).value
+    return _mean_value(f.eval, p, x, iv, 128)
 
 
 def power_ratio(beta, al):
@@ -47,7 +54,7 @@ def test_power_law_scale_covariance():
     p = FractionalParams(0.5, 0.0, 1024)
     for beta, src in ((2.0, "t^2"), (3.0, "t^3")):
         for x in (0.5, 1.0, 2.0):
-            res = mean_value(parse(src), p, x, backend=ADAPTIVE_ORACLE)
+            res = oracle_mean_value(parse(src), p, x)
             assert res.xi_sup / x == pytest.approx(power_ratio(beta, 0.5), abs=1e-8)
     # the default grid backend on a coarser grid
     res = mean_value(parse("t^2"), FractionalParams(0.5, 0.0, 512), 0.5)
@@ -56,15 +63,13 @@ def test_power_law_scale_covariance():
 
 def test_defining_residual_invariant():
     # |f(xi) (x-a)^(1-al)/G(2-al) - I^(1-al) f(x)| small at every root
-    from fraccalc import rl_integral
-
     rng = np.random.RandomState(5)
     for _ in range(6):
         al = float(rng.uniform(0.1, 0.9))
         x = float(rng.uniform(0.5, 2.5))
         p = FractionalParams(al, 0.0, 1024)
         f = parse("t*exp(-t/2)")
-        res = mean_value(f, p, x, backend=ADAPTIVE_ORACLE)
+        res = oracle_mean_value(f, p, x)
         iv = rl_integral(f, p, 1.0 - al, x, backend=ADAPTIVE_ORACLE).value
         for xi in res.lambda_set:
             lhs = f.eval(xi) * x ** (1.0 - al) / math.gamma(2.0 - al)
@@ -274,6 +279,25 @@ def test_witness_for_constant_h():
     out = mean_path_witness(parse("t"), parse(repr(c)), p, np.linspace(0.05, 1.5, 25))
     assert out is not None
     assert out == pytest.approx(c * (1.0 - al), abs=1e-6)
+
+
+def test_witness_differentiates_the_average_exactly():
+    # f = t, h = 1.3: the root is 1.3 (1 - alpha) = 0.65.  The average's
+    # derivative comes from first-order jets, so the residual has no
+    # difference-quotient noise and Brent lands on the root
+    p = FractionalParams(0.5, 0.0, 512)
+    out = mean_path_witness(parse("t"), parse("1.3"), p, np.linspace(0.05, 1.5, 11))
+    assert abs(out - 0.65) <= 1e-12
+
+
+@pytest.mark.parametrize("al", [0.3, 0.5, 0.7])
+def test_witness_chain_rule_through_a_varying_h(al):
+    # f = t^2, h = sqrt(t): f(h(x)) = x, so the average's derivative is
+    # (2 - al) x^(1-al) / G(2-al) against D^al f = 2 x^(2-al) / G(3-al);
+    # they meet at x = (2 - al)^2 / 2
+    p = FractionalParams(al, 0.0, 512)
+    out = mean_path_witness(parse("t^2"), parse("sqrt(t)"), p, np.linspace(0.05, 2.5, 11))
+    assert abs(out - (2.0 - al) ** 2 / 2.0) <= 1e-9
 
 
 def test_witness_constant_sign_residual_gives_none():

@@ -18,8 +18,13 @@ from fraccalc import (
     property_P_check,
     sample_window_pairs,
 )
-from fraccalc.fracops import _prime_sampler
-from fraccalc.shape import WindowPairSample, _window_table
+from fraccalc.fracops import _prime_sampler, _sampler
+from fraccalc.shape import (
+    WindowPairSample,
+    _delta_increasing_verdict,
+    _property_P_verdict,
+    _window_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -61,17 +66,20 @@ def test_quadratic_is_delta_increasing(pairs):
 @pytest.mark.parametrize("backend", [PRODUCT_TRAPEZOID, ADAPTIVE_ORACLE])
 def test_window_values_are_caputo_derivatives_at_the_window_start(backend):
     # the window [x0, x0 + delta] is caputo_derivative with base x0 at x0 + delta,
-    # and the verdicts of both window checks read exactly those values
+    # and the verdicts of both window checks read exactly those values; the
+    # standalone check always runs the product rule
     f, al, delta, n = parse("exp(t)*cos(2*t)"), 0.4, 0.5, 256
     pairs = sample_window_pairs(0.0, 4.0, delta, n_pairs=4, seed=2)
     table = _window_table(_prime_sampler(f, None), al, delta, pairs, n, backend)
     assert set(table) == {x for p in pairs for x in (p.x0, p.y0)}
     for x0, (value, _) in table.items():
         assert value == caputo_derivative(f, FractionalParams(al, x0, n), x0 + delta, backend=backend).value
-    verdict = delta_increasing_check(f, al, delta, pairs, n, backend=backend)
+    verdict = _delta_increasing_verdict(table, pairs)
     assert verdict.holds is False and verdict.witnesses
     for w in verdict.witnesses:
         assert w.margin == table[w.where[0]][0] - table[w.where[1]][0]
+    if backend == PRODUCT_TRAPEZOID:
+        assert delta_increasing_check(f, al, delta, pairs, n) == verdict
     rc = convexity_equivalence(f, al, delta, pairs, grid_n=n, backend=backend)
     assert rc.delta_incr == verdict
 
@@ -404,13 +412,21 @@ def test_convexity_integrates_each_window_once(monkeypatch):
 
 @pytest.mark.parametrize("src", ["t^2", "-t^2", "exp(t)-1-t"])
 def test_convexity_verdicts_match_standalone_checks(pairs8, src):
-    from fraccalc import ADAPTIVE_ORACLE, derivative_values
+    from fraccalc import derivative_values
 
     f = parse(src)
     fprime = lambda ts: derivative_values(f, np.asarray(ts, dtype=float), 1)  # noqa: E731
+    # the oracle-backed report against the standalone checks' verdicts on
+    # oracle window tables, sampled as those checks sample
     rc = convexity_equivalence(f, 0.5, 0.5, pairs8, grid_n=512)
-    assert rc.delta_incr == delta_increasing_check(f, 0.5, 0.5, pairs8, 512, backend=ADAPTIVE_ORACLE)
-    assert rc.property_P_fprime == property_P_check(fprime, 0.5, 0.5, pairs8, grid_n=512, backend=ADAPTIVE_ORACLE)
+    table = _window_table(_prime_sampler(f, None), 0.5, 0.5, pairs8, 512, ADAPTIVE_ORACLE)
+    assert rc.delta_incr == _delta_increasing_verdict(table, pairs8)
+    table = _window_table(_sampler(fprime), 0.5, 0.5, pairs8, 512, ADAPTIVE_ORACLE, 96)
+    assert rc.property_P_fprime == _property_P_verdict(table, pairs8, 0.5)
+    # the product-rule report against the standalone checks themselves
+    rc = convexity_equivalence(f, 0.5, 0.5, pairs8, grid_n=512, backend=PRODUCT_TRAPEZOID)
+    assert rc.delta_incr == delta_increasing_check(f, 0.5, 0.5, pairs8, 512)
+    assert rc.property_P_fprime == property_P_check(fprime, 0.5, 0.5, pairs8, grid_n=512)
 
 
 def test_unbracketed_window_raises_in_convexity_inconclusive_in_gate(pairs8):
