@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import HypothesisError, SolverError
 # bench/tracing.py wraps derivative_values at each module that binds it
-from .expr import derivative_values  # noqa: F401
+from .expr import Expression, derivative_values  # noqa: F401
 from .fracops import (
     FractionalParams,
     FuncLike,
@@ -60,7 +60,6 @@ class CriticalPointReport:
     alpha: float
     roots: Tuple[float, ...]
     residuals: Tuple[float, ...]
-    method_grid_n: int
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,6 @@ class RAlphaSample:
 
 @dataclass(frozen=True)
 class RAlphaCurve:
-    center_x0: float
-    radius_eps: float
     samples: Tuple[RAlphaSample, ...]
     limit_targets: Tuple[float, float]  # (root of f, stationary point of f)
     gap_low_alpha: Optional[float]      # |global_sup(alpha_min) - root|
@@ -101,19 +98,13 @@ class DilationResult:
     xi_residual: Optional[float]
 
 
-def _d_alpha(
-    f: FuncLike,
-    p: FractionalParams,
-    *,
-    fprime: Optional[FuncLike] = None,
-    allow_nonzero_base: bool = False,
-) -> tuple:
+def _d_alpha(f: Expression, p: FractionalParams, allow_nonzero_base: bool = False) -> tuple:
     """Fast x -> D^alpha f(x) with the base-value check done once, and
     ``scan(b, n)``: the nodes a + (b - a) i / n, i = 1..n, with D^alpha f
     there, read off one f' sample on k n >= grid_n panels of [a, b] (its
     nodes k i)."""
     base_value(f, p.a, allow_nonzero=allow_nonzero_base)
-    fp = _prime_sampler(f, fprime)
+    fp = _prime_sampler(f)
     mu = 1.0 - p.alpha
 
     def d(x: float) -> float:
@@ -128,12 +119,11 @@ def _d_alpha(
 
 
 def critical_points(
-    f: FuncLike,
+    f: Expression,
     p: FractionalParams,
     b: float,
     scan_n: int = 96,
     *,
-    fprime: Optional[FuncLike] = None,
     allow_nonzero_base: bool = False,
 ) -> CriticalPointReport:
     """Roots of D^alpha f on (a, b], bracketed on a scan and refined by Brent."""
@@ -141,10 +131,10 @@ def critical_points(
         raise ValueError(f"need b > a, got b={b!r}, a={p.a!r}")
     if scan_n < 4:
         raise ValueError("scan_n must be >= 4")
-    d, scan = _d_alpha(f, p, fprime=fprime, allow_nonzero_base=allow_nonzero_base)
+    d, scan = _d_alpha(f, p, allow_nonzero_base)
     xs, vals = scan(b, scan_n)
     found = _find_roots(xs, vals, d, 1e-10 * (b - p.a), exact=False)
-    return CriticalPointReport(p.alpha, tuple(r for r, _ in found), tuple(abs(v) for _, v in found), p.grid_n)
+    return CriticalPointReport(p.alpha, tuple(r for r, _ in found), tuple(abs(v) for _, v in found))
 
 
 def order_duality_check(f: FuncLike, p: FractionalParams, x: float) -> OrderDualityResult:
@@ -173,11 +163,10 @@ def order_duality_check(f: FuncLike, p: FractionalParams, x: float) -> OrderDual
 
 
 def derivative_zero_before(
-    f: FuncLike,
+    f: Expression,
     p: FractionalParams,
     x_zero: float,
     *,
-    fprime: Optional[FuncLike] = None,
     zero_tol: float = 1e-10,
 ) -> DerivativeZeroResult:
     """A point xi in (a, x_zero] where D^alpha f vanishes, given f(x_zero) = 0.
@@ -188,7 +177,7 @@ def derivative_zero_before(
     fx = _sampler(f)(x_zero)
     if abs(fx) > zero_tol:
         raise HypothesisError(f"f(x_zero) = {fx!r} is not 0 within {zero_tol!r}")
-    d, scan = _d_alpha(f, p, fprime=fprime)
+    d, scan = _d_alpha(f, p)
     span = x_zero - p.a
 
     n = 96
@@ -216,63 +205,55 @@ def derivative_zero_before(
     )
 
 
-def _verify_single_extremum_and_root(
-    f: FuncLike, a: float, b: float, x0: float, x1: Optional[float], fprime: Optional[FuncLike]
-) -> Tuple[float, float]:
+def _verify_single_extremum_and_root(f: Expression, a: float, b: float, x0: float) -> Tuple[float, float]:
     """Sampled check that f has exactly one stationary point and one root
-    in (a, b], close to the claimed x0 (and x1 when given); returns them,
+    in (a, b], the stationary point close to the claimed x0; returns them,
     bracketed on a 2048-step scan and refined by Brent's method."""
     ts = _grid(a, b, 2048)[0][1:]
-    sample, slope = _sampler(f), _prime_sampler(f, fprime)
-    vals = np.array(sample(ts))  # a copy: a callable may return its own array
+    slope = _prime_sampler(f)
+    vals = np.array(f.eval(ts))  # a copy: the sample of f = t is ts itself
     if abs(float(vals[-1])) <= 1e-9 * max(1.0, float(np.max(np.abs(vals)))):
         vals[-1] = 0.0  # a root on the right endpoint, on whichever side of b it rounds
     tol = 1e-12 * (b - a)
     ext = [x for x, _ in _find_roots(ts, slope(ts), slope, tol)]
-    roots = [x for x, _ in _find_roots(ts, vals, sample, tol)]
+    roots = [x for x, _ in _find_roots(ts, vals, f.eval, tol)]
     if len(ext) != 1:
         raise HypothesisError(f"expected exactly one stationary point in ({a}, {b}), found {len(ext)}")
     if len(roots) != 1:
         raise HypothesisError(f"expected exactly one root of f in ({a}, {b}], found {len(roots)}")
-    coarse = (b - a) / 16.0
-    if abs(ext[0] - x0) > coarse:
+    if abs(ext[0] - x0) > (b - a) / 16.0:
         raise HypothesisError(f"claimed stationary point {x0!r} is far from detected {ext[0]!r}")
-    if x1 is not None and abs(roots[0] - x1) > coarse:
-        raise HypothesisError(f"claimed root {x1!r} is far from detected {roots[0]!r}")
     return ext[0], roots[0]
 
 
 def r_alpha_curve(
-    f: FuncLike,
+    f: Expression,
     a: float,
     b: float,
     x0: float,
     eps: float,
     alpha_grid: Sequence[float],
     *,
-    x1: Optional[float] = None,
     grid_n: int = 1024,
     scan_n: int = 96,
-    fprime: Optional[FuncLike] = None,
 ) -> RAlphaCurve:
     """Trace alpha -> r(alpha), the largest critical point near x0.
 
     For each order the ball-restricted supremum over B(x0, eps) is
     recorded (None when the ball holds no critical point: the quantity is
     defined conditionally) together with the unrestricted largest critical
-    point in (a, b], whose low-order limit is checked against the root x1
-    while the ball-restricted high-order limit is checked against x0.
-    ``x1`` may be omitted; either way ``limit_targets`` holds f's unique
-    root and stationary point, refined by Brent's method.
+    point in (a, b].  ``limit_targets`` holds f's unique root and
+    stationary point, refined by Brent's method: the low-order gap is
+    measured from the root, the high-order gap from the stationary point.
     """
     if not eps > 0.0:
         raise ValueError("eps must be > 0")
-    x0_ref, x1_ref = _verify_single_extremum_and_root(f, a, b, x0, x1, fprime)
+    x0_ref, x1_ref = _verify_single_extremum_and_root(f, a, b, x0)
     alphas = sorted(min(max(float(al), ALPHA_MIN), ALPHA_MAX) for al in alpha_grid)
     samples: List[RAlphaSample] = []
     for al in alphas:
         p = FractionalParams(al, a, grid_n)
-        report = critical_points(f, p, b, scan_n, fprime=fprime)
+        report = critical_points(f, p, b, scan_n)
         in_ball = [r for r in report.roots if abs(r - x0) <= eps]
         samples.append(
             RAlphaSample(
@@ -287,16 +268,10 @@ def r_alpha_curve(
     gap_high = None
     if samples and samples[-1].r_alpha is not None:
         gap_high = abs(samples[-1].r_alpha - x0_ref)
-    return RAlphaCurve(x0, eps, tuple(samples), (x1_ref, x0_ref), gap_low, gap_high)
+    return RAlphaCurve(tuple(samples), (x1_ref, x0_ref), gap_low, gap_high)
 
 
-def dilation_scenario(
-    v: FuncLike,
-    p: FractionalParams,
-    t_grid: Sequence[float],
-    *,
-    fprime: Optional[FuncLike] = None,
-) -> DilationResult:
+def dilation_scenario(v: Expression, p: FractionalParams, t_grid: Sequence[float]) -> DilationResult:
     """Tabulate V(t) = D^alpha v(t), the rate seen through a memory kernel.
 
     If the plain rate v vanishes at some time t* on the grid range, the
@@ -306,7 +281,7 @@ def dilation_scenario(
     ts = [float(t) for t in t_grid]
     if any(t <= p.a for t in ts):
         raise ValueError("t_grid must lie strictly right of the base point")
-    d, _ = _d_alpha(v, p, fprime=fprime)
+    d, _ = _d_alpha(v, p)
     rows = tuple((t, d(t)) for t in ts)
 
     sample = _sampler(v)
@@ -317,7 +292,5 @@ def dilation_scenario(
     if not zeros:
         return DilationResult(rows, None, None, None)
     zero_time = zeros[0][0]
-    res = derivative_zero_before(
-        v, p, zero_time, fprime=fprime, zero_tol=max(1e-10, 1e-9 * vscale)
-    )
+    res = derivative_zero_before(v, p, zero_time, zero_tol=max(1e-10, 1e-9 * vscale))
     return DilationResult(rows, zero_time, res.xi, res.residual)

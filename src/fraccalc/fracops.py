@@ -55,6 +55,11 @@ An expression's sampler is ``eval`` or ``derivative_values``, which take
 either; a callable's sampler hands it a single point as a 1-element array,
 the one place where a point is wrapped.  Code below a public function
 passes its sampler on and never wraps it again.
+
+f' comes only from an expression's Taylor jets (``derivative_values``), so
+every function that samples f' refuses a callable f with a TypeError.  A
+callable is integrated by ``rl_integral`` (a derivative the caller holds
+too) and differentiated by ``rl_derivative(..., method="direct")``.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -114,6 +119,12 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {alpha!r}")
 
 
+def _check_grid_n(grid_n: int) -> None:
+    """Refuse a grid resolution that is not an integer >= 2."""
+    if not (2 <= grid_n < math.inf and int(grid_n) == grid_n):
+        raise ValueError(f"grid_n must be an integer >= 2, got {grid_n!r}")
+
+
 @dataclass(frozen=True)
 class FractionalParams:
     """Order, base point and grid resolution for the operators.
@@ -130,8 +141,7 @@ class FractionalParams:
         _check_alpha(self.alpha)
         if not math.isfinite(self.a):
             raise ValueError("base point a must be finite")
-        if int(self.grid_n) != self.grid_n or self.grid_n < 2:
-            raise ValueError(f"grid_n must be an integer >= 2, got {self.grid_n!r}")
+        _check_grid_n(self.grid_n)
 
 
 @dataclass(frozen=True)
@@ -162,12 +172,13 @@ def _sampler(f: FuncLike) -> Sampler:
     return sample
 
 
-def _prime_sampler(f: FuncLike, fprime: Optional[FuncLike]) -> Sampler:
-    if fprime is not None:
-        return _sampler(fprime)
+def _prime_sampler(f: FuncLike) -> Sampler:
     if isinstance(f, Expression):
         return lambda ts: derivative_values(f, ts, 1)
-    raise TypeError("a callable f needs an explicit fprime for derivative sampling")
+    raise TypeError(
+        "f' is sampled from an Expression's jets, and a callable f has none: "
+        "use rl_derivative(..., method='direct'), or rl_integral of a derivative you hold"
+    )
 
 
 def base_value(f: FuncLike, a: float, *, allow_nonzero: bool = False) -> float:
@@ -309,6 +320,10 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float) -> np.ndarray:
     cache's free budget; then they are rebuilt on every sweep, with the same
     result.  Scans read their nodes through ``_strided_integral``.
     """
+    if not (0.0 < mu < math.inf):
+        raise ValueError(f"integral_on_grid order mu must be finite and > 0, got {mu!r}")
+    if not (0.0 < h < math.inf):
+        raise ValueError(f"integral_on_grid step h must be finite and > 0, got {h!r}")
     samples = np.asarray(samples, dtype=float)
     n = len(samples) - 1
     if n < 1:
@@ -486,16 +501,14 @@ def rl_integral(
 
 
 def caputo_derivative(
-    f: FuncLike,
+    f: Expression,
     p: FractionalParams,
     x: float,
     *,
-    fprime: Optional[FuncLike] = None,
     backend: str = PRODUCT_TRAPEZOID,
 ) -> OperatorValue:
     """Caputo derivative I^(1-alpha) f' at x.  Constants differentiate to 0."""
-    fp = _prime_sampler(f, fprime)
-    return _kernel_quad(fp, p.a, x, 1.0 - p.alpha, p.grid_n, backend)
+    return _kernel_quad(_prime_sampler(f), p.a, x, 1.0 - p.alpha, p.grid_n, backend)
 
 
 def rl_derivative(
@@ -504,7 +517,6 @@ def rl_derivative(
     x: float,
     method: str = "caputo_form",
     *,
-    fprime: Optional[FuncLike] = None,
     allow_nonzero_base: bool = False,
     backend: str = PRODUCT_TRAPEZOID,
 ) -> OperatorValue:
@@ -519,7 +531,7 @@ def rl_derivative(
     """
     if method == "caputo_form":
         base_value(f, p.a, allow_nonzero=allow_nonzero_base)
-        return caputo_derivative(f, p, x, fprime=fprime, backend=backend)
+        return caputo_derivative(f, p, x, backend=backend)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
     if backend != PRODUCT_TRAPEZOID:
@@ -541,11 +553,10 @@ def rl_derivative(
 
 
 def f_lower(
-    f: FuncLike,
+    f: Expression,
     p: FractionalParams,
     x: float,
     *,
-    fprime: Optional[FuncLike] = None,
     backend: str = PRODUCT_TRAPEZOID,
 ) -> OperatorValue:
     """The auxiliary lowered function
@@ -561,9 +572,8 @@ def f_lower(
     fa = _sampler(f)(p.a)
     if not math.isfinite(fa):
         raise DomainError(f"f(a) = {fa!r} is not finite at a={p.a!r}")
-    fp = _prime_sampler(f, fprime)
     mu = 2.0 - p.alpha  # kernel (x-t)^(1-alpha) = (x-t)^(mu-1)
-    inner = _kernel_quad(fp, p.a, x, mu, p.grid_n, backend)
+    inner = _kernel_quad(_prime_sampler(f), p.a, x, mu, p.grid_n, backend)
     # _kernel_quad folds in 1/Gamma(mu); the target formula wants 1/Gamma(2-alpha)
     boundary = fa * (x - p.a) ** (1.0 - p.alpha) / gamma(2.0 - p.alpha)
     return OperatorValue(boundary + inner.value, inner.backend, inner.est_error)

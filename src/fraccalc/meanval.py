@@ -42,6 +42,7 @@ from .fracops import (
     rl_integral,
     _grid,
     _power,
+    _prime_sampler,
     _sampler,
 )
 
@@ -318,8 +319,6 @@ def mean_path_witness(
     h: Expression,
     p: FractionalParams,
     x_grid: Sequence[float],
-    *,
-    allow_nonzero_base: bool = False,
 ) -> Optional[float]:
     """Search for a point where D^alpha f matches the derivative of the
     reparametrised average x -> f(h(x)) (x-a)^(1-alpha) / Gamma(2-alpha),
@@ -328,17 +327,19 @@ def mean_path_witness(
     Returns a refined root of the difference, or None when the grid shows
     no sign change; None is a legitimate outcome (the existence statement
     needs h to have an interior extremum that touches the mean value).
+    A nonzero f(a) is an AssumptionError.
     """
     xs = np.asarray([float(x) for x in x_grid])
     if np.any(xs <= p.a):
         raise ValueError("x_grid must lie strictly right of the base point")
     a, alpha = p.a, p.alpha
-    base_value(f, a, allow_nonzero=allow_nonzero_base)  # once: each residual is a Caputo derivative
+    base_value(f, a)  # once: each residual is a Caputo derivative
+    fp, hp = _prime_sampler(f), _prime_sampler(h)
     scale = 1.0 / gamma(2.0 - alpha)
 
     def residual(x: float) -> float:
         hx = h.eval(x)
-        slope = derivative_values(f, hx, 1) * derivative_values(h, x, 1) * (x - a) + (1.0 - alpha) * f.eval(hx)
+        slope = fp(hx) * hp(x) * (x - a) + (1.0 - alpha) * f.eval(hx)
         return caputo_derivative(f, p, x).value - slope * (x - a) ** -alpha * scale
 
     roots = _find_roots(xs, [residual(float(x)) for x in xs], residual, 1e-10 * (xs[-1] - a))

@@ -34,7 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, HypothesisError, MeanValueNotFoundError
-from .expr import Expression, derivative_values
+# bench/tracing.py wraps derivative_values at each module that binds it
+from .expr import Expression, derivative_values  # noqa: F401
 from .fracops import (
     ADAPTIVE_ORACLE,
     PRODUCT_TRAPEZOID,
@@ -44,6 +45,7 @@ from .fracops import (
     gamma,
     integral_on_grid,
     _check_alpha,
+    _check_grid_n,
     _grid,
     _kernel_quad,
     _prime_sampler,
@@ -217,16 +219,14 @@ def _property_P_verdict(table, pair_samples, delta: float) -> ShapeVerdict:
 
 
 def delta_increasing_check(
-    f: FuncLike,
+    f: Expression,
     alpha: float,
     delta: float,
     pair_samples: Sequence[WindowPairSample],
     grid_n: int = 1024,
-    *,
-    fprime: Optional[FuncLike] = None,
 ) -> ShapeVerdict:
     """Is the windowed derivative nondecreasing across the sampled pairs?"""
-    table = _window_table(_prime_sampler(f, fprime), alpha, delta, pair_samples, grid_n, PRODUCT_TRAPEZOID)
+    table = _window_table(_prime_sampler(f), alpha, delta, pair_samples, grid_n, PRODUCT_TRAPEZOID)
     return _delta_increasing_verdict(table, pair_samples)
 
 
@@ -272,7 +272,9 @@ def convexity_equivalence(
     ``grid_n`` applies only to the product-trapezoid backend; the default
     adaptive oracle ignores it.
     """
-    fp = _prime_sampler(f, None)
+    if not pair_samples:
+        raise ValueError("pair_samples must hold at least one window pair")
+    fp = _prime_sampler(f)
     # windowed derivative of f and mean value of f' on every window, once
     table = _window_table(fp, alpha, delta, pair_samples, grid_n, backend, scan_n)
     gate = _property_P_verdict(table, pair_samples, delta)
@@ -348,6 +350,8 @@ def monotonicity_certificate(
     grid_n*(b - tau)] leaves no such grid and is a ValueError.
     """
     _check_alpha(alpha)
+    _check_grid_n(grid_n)
+    fp = _prime_sampler(f)
     if not (0.0 < tau < b):
         raise ValueError(f"need 0 < tau < b, got tau={tau!r}, b={b!r}")
     m = int(grid_n)
@@ -373,7 +377,7 @@ def monotonicity_certificate(
         )
 
     # hypothesis: the tau-difference of D^alpha f is nonnegative on the grid
-    fpv = derivative_values(f, ts, 1)
+    fpv = fp(ts)
     d_all = integral_on_grid(fpv, h, 1.0 - alpha)
     delta_d = d_all[s:] - d_all[: k + 1]
     bad = np.nonzero(delta_d < -_HYPOTHESIS_TOL * (1.0 + np.max(np.abs(d_all))))[0]
@@ -421,6 +425,8 @@ def comparison_check(
     hypothesis yields a not-applicable verdict.
     """
     _check_alpha(alpha)
+    _check_grid_n(grid_n)
+    fp, gp = _prime_sampler(f), _prime_sampler(g)
     f0 = f.eval(0.0)
     g0 = g.eval(0.0)
     if abs(f0 - g0) > 1e-12 or abs(f0) > 1e-12:
@@ -429,8 +435,8 @@ def comparison_check(
         )
     npts = 2 * int(grid_n)
     grid_b, h = _grid(0.0, b, npts)
-    df = integral_on_grid(derivative_values(f, grid_b, 1), h, 1.0 - alpha)
-    dg = integral_on_grid(derivative_values(g, grid_b, 1), h, 1.0 - alpha)
+    df = integral_on_grid(fp(grid_b), h, 1.0 - alpha)
+    dg = integral_on_grid(gp(grid_b), h, 1.0 - alpha)
     xs_idx = np.linspace(1, npts, 64).round().astype(int)
     xs = grid_b[xs_idx]
     hyp_margin = dg[xs_idx] - df[xs_idx]
@@ -478,6 +484,8 @@ def periodicity_defect(
     fades as t grows.
     """
     _check_alpha(alpha)
+    _check_grid_n(grid_n)
+    fp = _prime_sampler(f)
     if not tau > 0.0:
         raise ValueError(f"period tau must be > 0, got tau={tau!r}")
     ts = np.asarray([float(t) for t in t_grid])
@@ -494,7 +502,7 @@ def periodicity_defect(
     if np.max(np.abs(fv_shift - fv)) > 1e-10 * fscale:
         raise HypothesisError(f"input is not periodic with period {tau!r} on the sampled range")
 
-    d_all = integral_on_grid(derivative_values(f, grid_b, 1), h, 1.0 - alpha)
+    d_all = integral_on_grid(fp(grid_b), h, 1.0 - alpha)
     d_at = lambda pts: np.interp(pts, grid_b, d_all)  # noqa: E731
     defects = np.abs(d_at(ts + tau) - d_at(ts))
     return ShapeVerdict(

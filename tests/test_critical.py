@@ -106,8 +106,9 @@ def test_existence_degenerate_zero_function():
     assert res.residual == 0.0
 
 
-def _count_scans(monkeypatch):
-    # the number of nodes of every scan derivative_zero_before reads
+def _count_scans(monkeypatch, fprime):
+    # the number of nodes of every scan derivative_zero_before reads, with
+    # fprime standing in for the f' it samples
     from fraccalc import critical
 
     scans = []
@@ -119,23 +120,21 @@ def _count_scans(monkeypatch):
         return out
 
     monkeypatch.setattr(critical, "_strided_integral", counting)
+    monkeypatch.setattr(critical, "_prime_sampler", lambda f: fprime)
     return scans
 
 
 def _zero_at_0_and_1(t):
-    # only f(a) and f(x_zero) are read; the explicit fprime shapes D^alpha f
+    # only f(a) and f(x_zero) are read; the f' put in by _count_scans shapes D^alpha f
     return t * (1.0 - t)
 
 
 def test_existence_point_past_the_first_scan(monkeypatch):
     # D^alpha f = I^0.1 f' dips below 0 only between two nodes of the
     # 96-node scan; the 384-node scan has a node at the dip's centre c
-    scans = _count_scans(monkeypatch)
     c, w = 50.5 / 96, 0.002
-    res = derivative_zero_before(
-        _zero_at_0_and_1, FractionalParams(0.9, 0.0, 2048), 1.0,
-        fprime=lambda t: 1.0 - 2.0 * np.exp(-(((t - c) / w) ** 2)),
-    )
+    scans = _count_scans(monkeypatch, lambda t: 1.0 - 2.0 * np.exp(-(((t - c) / w) ** 2)))
+    res = derivative_zero_before(_zero_at_0_and_1, FractionalParams(0.9, 0.0, 2048), 1.0)
     assert scans == [96, 384]
     assert c < res.xi < c + 2 * w  # the dip's right edge, the last root
     assert res.residual <= 1e-10 and not res.degenerate
@@ -145,11 +144,8 @@ def test_existence_point_at_a_tangent_root(monkeypatch):
     # D^alpha f = 1e-12 x^0.5 / Gamma(1.5) on (0, 1/2] comes within 1e-12 of
     # 0 without a sign change: after four scans the smallest |D^alpha f| is
     # accepted
-    scans = _count_scans(monkeypatch)
-    res = derivative_zero_before(
-        _zero_at_0_and_1, FractionalParams(0.5, 0.0, 2048), 1.0,
-        fprime=lambda t: 1e-12 + np.maximum(t - 0.5, 0.0) ** 2,
-    )
+    scans = _count_scans(monkeypatch, lambda t: 1e-12 + np.maximum(t - 0.5, 0.0) ** 2)
+    res = derivative_zero_before(_zero_at_0_and_1, FractionalParams(0.5, 0.0, 2048), 1.0)
     assert scans == [96, 384, 1536, 6144]
     assert res.xi == 1.0 / 6144  # the first node of the finest scan
     assert res.residual <= 1e-13 and not res.degenerate
@@ -158,9 +154,9 @@ def test_existence_point_at_a_tangent_root(monkeypatch):
 def test_existence_point_not_resolved_is_a_solver_error(monkeypatch):
     # D^alpha f = x^0.5 / Gamma(1.5) has no root and no value near 0 on the
     # scans, so the search fails after refining to 6144 nodes
-    scans = _count_scans(monkeypatch)
+    scans = _count_scans(monkeypatch, np.ones_like)
     with pytest.raises(SolverError, match="after refining to 6144 scan points"):
-        derivative_zero_before(_zero_at_0_and_1, FractionalParams(0.5, 0.0, 2048), 1.0, fprime=np.ones_like)
+        derivative_zero_before(_zero_at_0_and_1, FractionalParams(0.5, 0.0, 2048), 1.0)
     assert scans == [96, 384, 1536, 6144]
 
 
@@ -268,7 +264,7 @@ def test_r_alpha_downward_parabola_curve_recorded():
     # from near 2 at small order to near 1 at high order (recorded only)
     curve = r_alpha_curve(
         parse("t*(2 - t)"), 0.0, 2.0, 1.0, 0.4,
-        [0.01, 0.3, 0.6, 0.99], x1=2.0, grid_n=512, scan_n=64,
+        [0.01, 0.3, 0.6, 0.99], grid_n=512, scan_n=64,
     )
     first, last = curve.samples[0], curve.samples[-1]
     assert abs(first.global_sup - 2.0) <= 0.05
@@ -287,26 +283,6 @@ def test_r_alpha_hypothesis_violations_detected():
     with pytest.raises(HypothesisError, match="exactly one root of f"):
         r_alpha_curve(parse("t^2-1"), -2.0, 2.0, 0.0, 0.5,
                       [0.5], grid_n=256, scan_n=48)  # roots at -1 and 1
-    with pytest.raises(HypothesisError, match="claimed root 0.5 is far"):
-        r_alpha_curve(parse("t^2-2*t"), 0.0, 2.5, 1.0, 0.5,
-                      [0.5], x1=0.5, grid_n=256, scan_n=48)  # the root is at 2
-
-
-def test_r_alpha_hypothesis_check_uses_the_given_fprime():
-    # a callable f with an exact f' is checked with that f', not with
-    # differences of f; without f' it fails before any sampling of D^alpha f
-    grids = []
-
-    def fprime(ts):
-        grids.append(np.array(ts, dtype=float))
-        return np.cos(ts)
-
-    curve = r_alpha_curve(np.sin, 0.0, 4.0, math.pi / 2.0, 0.5, [0.5], grid_n=256, scan_n=32, fprime=fprime)
-    assert curve.limit_targets[1] == pytest.approx(math.pi / 2.0, abs=0.01)
-    check_grid = np.linspace(0.0, 4.0, 2049)[1:]
-    assert any(np.array_equal(g, check_grid) for g in grids)
-    with pytest.raises(TypeError, match="fprime"):
-        r_alpha_curve(np.sin, 0.0, 4.0, math.pi / 2.0, 0.5, [0.5], grid_n=256, scan_n=32)
 
 
 # --- memory-kernel velocity scenario ----------------------------------------------
@@ -348,19 +324,27 @@ def test_root_on_a_scan_node_found_once():
     assert abs(rep.roots[0] - 2.7) <= 1e-9
 
 
-def test_one_scan_sample_per_order_and_few_quadratures_per_root():
+def _record_prime_samples(monkeypatch, record):
+    # hands each f' sample's points to record before sampling
+    from fraccalc import fracops
+
+    sample = fracops.derivative_values
+
+    def recording(e, ts, order):
+        record(ts)
+        return sample(e, ts, order)
+
+    monkeypatch.setattr(fracops, "derivative_values", recording)
+
+
+def test_one_scan_sample_per_order_and_few_quadratures_per_root(monkeypatch):
     calls = []
-
-    def fprime(ts):
-        ts = np.asarray(ts, dtype=float)
-        calls.append(ts.size)
-        return 1.2 * np.cos(1.2 * ts)
-
+    _record_prime_samples(monkeypatch, lambda ts: calls.append(np.size(ts)))
     f = parse("sin(1.2*t)")
     b = 4.712 / 1.2
     for al in (0.1, 0.3, 0.5, 0.7, 0.9):
         calls.clear()
-        rep = critical_points(f, FractionalParams(al, 0.0, 2048), b, fprime=fprime)
+        rep = critical_points(f, FractionalParams(al, 0.0, 2048), b)
         assert len(rep.roots) == 1
         scans = [n for n in calls if n > 2049]  # the scan grid has k * 96 >= 2048 panels
         assert len(scans) == 1
@@ -387,24 +371,17 @@ def test_disagreeing_scan_brackets_give_one_root():
     assert abs(roots[0][0] - 0.5) <= 1e-12
 
 
-@pytest.mark.parametrize("source, fprime", [
-    ("sin(t)", np.cos),
-    ("t^3-3*t^2+2*t", lambda ts: 3.0 * ts * ts - 6.0 * ts + 2.0),
-])
-def test_critical_points_runs_the_pointwise_rule_once_per_point(source, fprime):
+@pytest.mark.parametrize("source", ["sin(t)", "t^3-3*t^2+2*t"])
+def test_critical_points_runs_the_pointwise_rule_once_per_point(monkeypatch, source):
     # Brent is handed both bracket ends and returns the value at its root, so
     # no residual or bracket end is computed twice; the pointwise rule samples
     # f' on a grid ending at its point, the scan on one ending at b
     ends = []
-
-    def recording(ts):
-        ends.append(float(ts[-1]))
-        return fprime(ts)
-
+    _record_prime_samples(monkeypatch, lambda ts: ends.append(float(ts[-1])))
     f, p = parse(source), FractionalParams(0.5, 0.0, 1024)
-    report = critical_points(f, p, 3.0, fprime=recording)
+    report = critical_points(f, p, 3.0)
     assert report.roots
     pointwise = ends[1:]  # the first sample is the scan's
     assert len(pointwise) == len(set(pointwise))
     for r, res in zip(report.roots, report.residuals):
-        assert res == abs(caputo_derivative(f, p, r, fprime=fprime).value)
+        assert res == abs(caputo_derivative(f, p, r).value)

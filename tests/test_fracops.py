@@ -75,8 +75,10 @@ def test_params_reject_endpoint_orders():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError):
             FractionalParams(bad, 0.0)
-    with pytest.raises(ValueError):
-        FractionalParams(0.5, 0.0, grid_n=1)
+    # nan and inf too, which int() refuses with errors of its own
+    for bad in (1, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"grid_n must be an integer >= 2, got {bad!r}"):
+            FractionalParams(0.5, 0.0, grid_n=bad)
     FractionalParams(0.5, 0.0, grid_n=2)  # minimum allowed
 
 
@@ -91,6 +93,20 @@ def test_rl_integral_rejects_bad_order_and_point():
         rl_integral(f, p, 0.5, 0.0)
     with pytest.raises(ValueError):
         rl_integral(f, p, 0.5, -1.0)
+
+
+@pytest.mark.parametrize("mu, h, name", [
+    (0.0, 0.1, "order mu"), (-0.5, 0.1, "order mu"), (-1.5, 0.1, "order mu"),
+    (math.nan, 0.1, "order mu"), (math.inf, 0.1, "order mu"),
+    (0.5, -0.1, "step h"), (0.5, 0.0, "step h"), (0.5, math.nan, "step h"), (0.5, math.inf, "step h"),
+])
+def test_integral_on_grid_refuses_a_bad_order_or_step(mu, h, name):
+    # as rl_integral does: one ValueError that names the argument, no warning
+    got = mu if name == "order mu" else h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"integral_on_grid {name} must be finite and > 0, got {got!r}"):
+            integral_on_grid(np.ones(9), h, mu)
 
 
 # --- fractional integral ----------------------------------------------------
@@ -358,9 +374,9 @@ def test_a_nonzero_or_nonfinite_base_value_is_refused(fa):
         return np.where(t == 0.0, fa, np.sin(t))
 
     with pytest.raises(AssumptionError, match="f\\(a\\) must be 0"):
-        rl_derivative(f, p, 1.0, fprime=np.cos)
+        rl_derivative(f, p, 1.0)
     with pytest.raises(AssumptionError, match="f\\(a\\) must be 0"):
-        critical_points(f, p, 4.0, fprime=np.cos)
+        critical_points(f, p, 4.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert repr(base_value(f, 0.0, allow_nonzero=True)) == repr(fa)
@@ -384,7 +400,7 @@ def test_f_lower_refuses_a_nonfinite_base_value(fa, backend):
         return np.where(t == 0.0, fa, np.sin(t))
 
     with pytest.raises(DomainError, match=f"f\\(a\\) = {fa!r} is not finite"):
-        f_lower(f, p, 1.0, fprime=np.cos, backend=backend)
+        f_lower(f, p, 1.0, backend=backend)
 
 
 def test_f_lower_power_law():

@@ -307,16 +307,11 @@ def test_witness_constant_sign_residual_gives_none():
     assert out is None
 
 
-def test_witness_checks_a_nonzero_base_once():
-    # f(a) = 1 is refused by default; allowed, it warns once for the whole search
+def test_witness_refuses_a_nonzero_base():
     p = FractionalParams(0.5, 0.0, 256)
     f, h, xs = parse("t+1"), parse("0.5"), np.linspace(0.05, 1.5, 12)
     with pytest.raises(AssumptionError, match="f\\(a\\) must be 0"):
         mean_path_witness(f, h, p, xs)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        mean_path_witness(f, h, p, xs, allow_nonzero_base=True)
-    assert len(caught) == 1 and "Caputo" in str(caught[0].message)
 
 
 def test_strict_monotonicity_check_reports_the_direction():

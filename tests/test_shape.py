@@ -70,7 +70,7 @@ def test_window_values_are_caputo_derivatives_at_the_window_start(backend):
     # standalone check always runs the product rule
     f, al, delta, n = parse("exp(t)*cos(2*t)"), 0.4, 0.5, 256
     pairs = sample_window_pairs(0.0, 4.0, delta, n_pairs=4, seed=2)
-    table = _window_table(_prime_sampler(f, None), al, delta, pairs, n, backend)
+    table = _window_table(_prime_sampler(f), al, delta, pairs, n, backend)
     assert set(table) == {x for p in pairs for x in (p.x0, p.y0)}
     for x0, (value, _) in table.items():
         assert value == caputo_derivative(f, FractionalParams(al, x0, n), x0 + delta, backend=backend).value
@@ -86,7 +86,7 @@ def test_window_values_are_caputo_derivatives_at_the_window_start(backend):
 
 def test_window_table_integrates_a_shared_start_once():
     # both pairs start a window at 0; the product rule samples each window once
-    fprime = _prime_sampler(parse("t^2"), None)
+    fprime = _prime_sampler(parse("t^2"))
     starts = []
 
     def phi(ts):
@@ -288,6 +288,7 @@ def test_certificate_grid_is_aligned_and_bounded(monkeypatch):
 def test_certificate_samples_once_and_sweeps_three_times(monkeypatch):
     # f and f' are sampled on one array each; D^alpha, I^(1-alpha) of the f'
     # step and I^alpha of that are the three sweeps
+    import fraccalc.fracops as fracops
     import fraccalc.shape as shape
 
     calls = []
@@ -300,7 +301,7 @@ def test_certificate_samples_once_and_sweeps_three_times(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(shape.Expression, "eval", counted("eval", shape.Expression.eval))
-    monkeypatch.setattr(shape, "derivative_values", counted("derivative_values", shape.derivative_values))
+    monkeypatch.setattr(fracops, "derivative_values", counted("derivative_values", fracops.derivative_values))
     monkeypatch.setattr(shape, "integral_on_grid", counted("integral_on_grid", shape.integral_on_grid))
     assert monotonicity_certificate(parse("t^2+0.7*t"), 0.4, 0.5, 3.0, 4096).holds is True
     sweeps = [("integral_on_grid", "float")] * 3
@@ -419,7 +420,7 @@ def test_convexity_verdicts_match_standalone_checks(pairs8, src):
     # the oracle-backed report against the standalone checks' verdicts on
     # oracle window tables, sampled as those checks sample
     rc = convexity_equivalence(f, 0.5, 0.5, pairs8, grid_n=512)
-    table = _window_table(_prime_sampler(f, None), 0.5, 0.5, pairs8, 512, ADAPTIVE_ORACLE)
+    table = _window_table(_prime_sampler(f), 0.5, 0.5, pairs8, 512, ADAPTIVE_ORACLE)
     assert rc.delta_incr == _delta_increasing_verdict(table, pairs8)
     table = _window_table(_sampler(fprime), 0.5, 0.5, pairs8, 512, ADAPTIVE_ORACLE, 96)
     assert rc.property_P_fprime == _property_P_verdict(table, pairs8, 0.5)
@@ -447,3 +448,19 @@ def test_periodicity_rejects_nonpositive_period():
     for tau in (0.0, -1.0):
         with pytest.raises(ValueError, match="period tau must be > 0"):
             periodicity_defect(parse("sin(t)"), 0.5, tau, [1.0, 2.0], grid_n=64)
+
+
+@pytest.mark.parametrize("grid_n", [0, 1, 2.5])
+@pytest.mark.parametrize("check", [
+    lambda n: monotonicity_certificate(parse("t^2"), 0.5, 0.5, 2.0, n),
+    lambda n: comparison_check(parse("t"), parse("t^2"), 0.5, 2.0, n),
+    lambda n: periodicity_defect(parse("sin(t)"), 0.5, 2.0 * math.pi, [1.0, 2.0], grid_n=n),
+], ids=["mono", "comparison", "periodic"])
+def test_grid_checks_refuse_the_grid_n_that_params_refuse(check, grid_n):
+    with pytest.raises(ValueError, match=f"grid_n must be an integer >= 2, got {grid_n!r}"):
+        check(grid_n)
+
+
+def test_convexity_refuses_an_empty_pair_sample():
+    with pytest.raises(ValueError, match="pair_samples"):
+        convexity_equivalence(parse("t^2"), 0.5, 0.5, [])
