@@ -98,8 +98,9 @@ class DilationResult:
     xi_residual: Optional[float]
 
 
-def _d_alpha(f: Expression, p: FractionalParams, allow_nonzero_base: bool = False) -> tuple:
-    """Fast x -> D^alpha f(x) with the base-value check done once, and
+def _d_alpha(f: Expression, p: FractionalParams, allow_nonzero_base: Optional[bool] = None) -> tuple:
+    """Fast x -> D^alpha f(x) with the base-value check done once (see
+    ``base_value`` for ``allow_nonzero_base``), and
     ``scan(b, n)``: the nodes a + (b - a) i / n, i = 1..n, with D^alpha f
     there, read off one f' sample on k n >= grid_n panels of [a, b] (its
     nodes k i)."""
@@ -124,9 +125,12 @@ def critical_points(
     b: float,
     scan_n: int = 96,
     *,
-    allow_nonzero_base: bool = False,
+    allow_nonzero_base: Optional[bool] = False,
 ) -> CriticalPointReport:
-    """Roots of D^alpha f on (a, b], bracketed on a scan and refined by Brent."""
+    """Roots of D^alpha f on (a, b], bracketed on a scan and refined by Brent.
+
+    A caller that offers no ``allow_nonzero_base`` of its own passes None,
+    so the refusal of a nonzero f(a) does not name it."""
     if not b > p.a:
         raise ValueError(f"need b > a, got b={b!r}, a={p.a!r}")
     if scan_n < 4:
@@ -158,7 +162,7 @@ def order_duality_check(f: FuncLike, p: FractionalParams, x: float) -> OrderDual
         raise HypothesisError("mean value degenerate; duality check undefined")
     fxi = _sampler(f)(mv.xi_sup)
     level_residual = abs(fxi - (x - p.a) ** p.alpha)
-    d = rl_derivative(f, p_flip, x).value
+    d = rl_derivative(f, p_flip, x, allow_nonzero_base=None).value
     return OrderDualityResult(level_residual, d)
 
 
@@ -253,7 +257,7 @@ def r_alpha_curve(
     samples: List[RAlphaSample] = []
     for al in alphas:
         p = FractionalParams(al, a, grid_n)
-        report = critical_points(f, p, b, scan_n)
+        report = critical_points(f, p, b, scan_n, allow_nonzero_base=None)
         in_ball = [r for r in report.roots if abs(r - x0) <= eps]
         samples.append(
             RAlphaSample(

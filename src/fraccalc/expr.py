@@ -23,8 +23,12 @@ folded to a float, so a constant shifts or scales a jet and never enters a
 product.  A constant subtree that fails them (``log(-1)``, ``1/0``) is
 compiled like a variable one: ``parse`` never raises its error, a sample
 does, after the checks of the operands evaluated before it.  Orders 0 and 1
-(values, and the f' that every fractional derivative samples) run as
-straight-line code on values and on (value, slope) pairs; orders >= 2
+run as straight-line code.  A value runs on values.  The f' that every
+fractional derivative samples computes the slope alone: along the root's
+chain of sums and constant scalings only slopes pass, and a product,
+quotient, power or call there reads its operands' (value, slope) pairs and
+returns its slope, so f's own value is never built; ``derivatives`` at
+order 1 compiles the whole (value, slope) jet on its own.  Orders >= 2
 (``derivatives``, ``polyxi``) run the coefficient recurrences on lists.  A
 jet runs on a float or on a numpy array of points: ``eval`` and
 ``derivative_values`` map a float to a float (a QUADPACK or root-finder
@@ -331,7 +335,8 @@ def _check_divisor(v0, node) -> None:
 
 _CHECKS = {"log": _check_log, "sqrt": _check_sqrt, "abs": _check_abs}
 
-# each function's value, and its slope from (u, u', value)
+# each function's value, and its slope from (u, u', value); only the slopes
+# of exp and sqrt read the value
 _CALLS = {
     "sin": (np.sin, lambda u0, u1, v: u1 * np.cos(u0)),
     "cos": (np.cos, lambda u0, u1, v: -(u1 * np.sin(u0))),
@@ -340,18 +345,30 @@ _CALLS = {
     "sqrt": (np.sqrt, lambda u0, u1, v: u1 / (2.0 * v)),
     "abs": (np.abs, lambda u0, u1, v: np.sign(u0) * u1),
 }
+_SLOPE_READS_VALUE = ("exp", "sqrt")
+
+
+def _whole(jet):
+    """The map of t in an arithmetic of whole jets: the seed itself."""
+    return jet
 
 
 class _Values:
     """Order-0 jets: the values themselves.  A constant subtree is folded in
-    this arithmetic with the domain checks of the order it is compiled for."""
+    this arithmetic with the domain checks of the order it is compiled for.
+
+    Every arithmetic has a ``fold`` (this one, at its order), a ``full``
+    arithmetic whose whole jets its products, quotients, powers and calls
+    read (itself, but for ``_Slopes``), and ``read``, the part of t's jet
+    that its maps pass on."""
 
     add, sub, mul, neg = operator.add, operator.sub, operator.mul, operator.neg
     shift, scale, divc = operator.add, operator.mul, operator.truediv
+    read = staticmethod(_whole)
 
     def __init__(self, order: int = 0):
         self.order = order
-        self.fold = self
+        self.fold = self.full = self
 
     @staticmethod
     def const(c, u):
@@ -383,10 +400,15 @@ class _Values:
         return powc
 
 
+def _product_slope(u, v):
+    return u[0] * v[1] + u[1] * v[0]
+
+
 class _Duals:
     """Order-1 jets: (value, slope) pairs."""
 
     fold = _Values(1)
+    read = staticmethod(_whole)
 
     @staticmethod
     def add(u, v):
@@ -398,7 +420,7 @@ class _Duals:
 
     @staticmethod
     def mul(u, v):
-        return u[0] * v[0], u[0] * v[1] + u[1] * v[0]
+        return u[0] * v[0], _product_slope(u, v)
 
     @staticmethod
     def neg(u):
@@ -460,6 +482,53 @@ class _Duals:
         return powc
 
 
+_Duals.full = _Duals
+
+
+def _slope_of(op):
+    """The (value, slope) operation ``op`` returning its slope alone."""
+    return lambda *args: op(*args)[1]
+
+
+class _Slopes:
+    """Order-1 maps that return the slope alone, the f' of ``derivative_values``.
+
+    Along the root's chain of + - and negation and a constant's shift,
+    scale or division, only slopes pass, and t's is the float 1.0.  A
+    product, a quotient, a power or a call on that chain reads its operands'
+    whole (value, slope) jets and returns its slope; it computes its own
+    value only where the slope reads it: exp, sqrt, a non-integer power, a
+    quotient and a variable exponent.  The formulas are ``_Duals``'s."""
+
+    fold, full = _Duals.fold, _Duals
+    read = staticmethod(operator.itemgetter(1))
+    add, sub, neg = operator.add, operator.sub, operator.neg
+    scale, divc = operator.mul, operator.truediv
+    mul = staticmethod(_product_slope)
+    div, cdiv, const = (staticmethod(_slope_of(op)) for op in (_Duals.div, _Duals.cdiv, _Duals.const))
+
+    @staticmethod
+    def shift(s, c):
+        return s
+
+    @staticmethod
+    def call(fn, node):
+        if fn in _SLOPE_READS_VALUE:
+            return _slope_of(_Duals.call(fn, node))
+        check, slope = _CHECKS.get(fn, _check_none), _CALLS[fn][1]
+
+        def call(u):
+            u0 = u[0]
+            check(u0, 1, node)
+            return slope(u0, u[1], None)
+
+        return call
+
+    @staticmethod
+    def powc(c, node):
+        return _slope_of(_Duals.powc(c, node))
+
+
 def _exp(u: list) -> list:
     out = [np.exp(u[0])]
     for k in range(1, len(u)):
@@ -516,9 +585,12 @@ _SERIES_CALLS = {"sin": lambda u: _sincos(u)[0], "cos": lambda u: _sincos(u)[1],
 class _Series:
     """Jets of order >= 2: coefficient lists, by the Taylor recurrences."""
 
+    read = staticmethod(_whole)
+
     def __init__(self, order: int):
         self.order = order
         self.fold = _Values(order)
+        self.full = self
 
     @staticmethod
     def add(u, v):
@@ -603,19 +675,27 @@ class _Series:
 
 def _ipow(alg, m: int, node):
     """u -> u^m by repeated squaring, valid for any base sign; a negative m is
-    1/u^-m, so it refuses a zero base."""
-    mul, cdiv, const = alg.mul, alg.cdiv, alg.const
+    1/u^-m, so it refuses a zero base.  The squarings and products are taken
+    on whole jets, but for m > 1 the last one is ``alg``'s own."""
+    if m == 0:
+        const = alg.const
+        return lambda u: const(1.0, u)
+    if m == 1:
+        return alg.read
+    k, cdiv = abs(m), alg.cdiv
+    muls = [alg.full.mul] * (k.bit_length() + bin(k).count("1") - 2)  # in the order the loop takes them
+    if m > 0:
+        muls[-1] = alg.mul
 
     def ipow(u):
-        if m == 0:
-            return const(1.0, u)
+        step = iter(muls)
         result, base, k = None, u, abs(m)
         while k:
             if k & 1:
-                result = base if result is None else mul(result, base)
+                result = base if result is None else next(step)(result, base)
             k >>= 1
             if k:
-                base = mul(base, base)
+                base = next(step)(base, base)
         return cdiv(1.0, result, node) if m < 0 else result
 
     return ipow
@@ -639,24 +719,29 @@ def _unary(make, alg, arg):
     if isinstance(arg, float):
         try:
             return float(make(alg.fold)(arg))
-        except DomainError:
-            arg = _held(alg, arg)
+        except DomainError:  # only a call or a power fails, and both read whole jets
+            arg = _held(alg.full, arg)
     op = make(alg)
     return lambda jet: op(arg(jet))
 
 
-def _binary(node: BinOp, left, right, alg):
+def _binary(node: BinOp, alg):
     """The map of ``left op right`` for + - * /; a constant operand shifts or
     scales the other one, and a zero divisor is left to ``div``, which
-    refuses it after the left operand's checks."""
+    refuses it after the left operand's checks.  A product or quotient of
+    two maps reads their whole jets (``alg.full``); a sum, a difference and
+    a constant's shift, scale or division read them in ``alg``."""
     op = node.op
+    sub = alg.full if op in "*/" else alg
+    left, right = _build(node.left, sub), _build(node.right, sub)
     if op == "/" and isinstance(right, float) and right == 0:
-        right = _held(alg, right)
+        right = _held(sub, right)
     if isinstance(left, float) and isinstance(right, float):
         return float(_FOLDS[op](left, right))
     if isinstance(right, float):
         c = -right if op == "-" else right
         f = {"+": alg.shift, "-": alg.shift, "*": alg.scale, "/": alg.divc}[op]
+        left = left if sub is alg else _build(node.left, alg)
         return lambda jet: f(left(jet), c)
     if isinstance(left, float):
         c = left
@@ -667,6 +752,7 @@ def _binary(node: BinOp, left, right, alg):
             shift, neg = alg.shift, alg.neg
             return lambda jet: shift(neg(right(jet)), c)
         f = alg.shift if op == "+" else alg.scale
+        right = right if sub is alg else _build(node.right, alg)
         return lambda jet: f(right(jet), c)
     if op == "/":
         div = alg.div
@@ -682,9 +768,10 @@ def _power(node: BinOp, left, alg):
     """The map of ``left ^ node.right``: a constant exponent is resolved here,
     at order 0, and one that fails its checks raises their order-0 message on
     a sample, after the base's checks; a variable one is ``exp(right *
-    log(left))``, its exponent evaluated before the log of its base."""
-    var = _contains_var(node.right)
-    right = _build(node.right, alg if var else _Values())
+    log(left))``, its exponent evaluated before the log of its base.  Only
+    the last operation is ``alg``'s; ``left`` and the rest read whole jets."""
+    full, var = alg.full, _contains_var(node.right)
+    right = _build(node.right, full if var else _Values())
     if isinstance(right, float):
         c = right
         if _is_int(c):
@@ -693,13 +780,13 @@ def _power(node: BinOp, left, alg):
         return _unary(lambda a: a.powc(c, node), alg, left)
     if not var:  # a failing exponent: its order-0 map raises on any value
         return _unary(lambda a: lambda u: right(0.0), alg, left)
-    exp, log, mul = alg.call("exp", node), alg.call("log", node), alg.mul
+    exp, log, mul = alg.call("exp", node), full.call("log", node), full.mul
     if isinstance(left, float):
-        log_c = _unary(lambda a: a.call("log", node), alg, left)
+        log_c = _unary(lambda a: a.call("log", node), full, left)
         if isinstance(log_c, float):
-            scale = alg.scale
+            scale = full.scale
             return lambda jet: exp(scale(right(jet), log_c))
-        left = _held(alg, left)
+        left = _held(full, left)
 
     def power(jet):
         u = left(jet)
@@ -715,24 +802,29 @@ def _build(node: Node, alg):
     if isinstance(node, Const):
         return _CONSTANTS[node.name]
     if isinstance(node, Var):
-        return lambda jet: jet
+        return alg.read
     if isinstance(node, Neg):
         return _unary(lambda a: a.neg, alg, _build(node.arg, alg))
     if isinstance(node, Call):
-        return _unary(lambda a: a.call(node.fn, node), alg, _build(node.arg, alg))
-    left = _build(node.left, alg)
+        return _unary(lambda a: a.call(node.fn, node), alg, _build(node.arg, alg.full))
     if node.op == "^":
-        return _power(node, left, alg)
-    return _binary(node, left, _build(node.right, alg), alg)
+        return _power(node, _build(node.left, alg.full), alg)
+    return _binary(node, alg)
+
+
+def _map(root: Node, alg) -> Callable:
+    """The map from the jet of t to ``root``'s in the arithmetic ``alg``: a
+    tree of closures with the node dispatch and every constant subtree and
+    constant exponent that passes its checks resolved here, once."""
+    jet = _build(root, alg)
+    return (lambda seed: alg.const(jet, seed)) if isinstance(jet, float) else jet
 
 
 def _compile(root: Node, order: int) -> Callable:
-    """The map from the jet of t to the jet of ``root`` at ``order``: a tree
-    of closures with the node dispatch and every constant subtree and constant
-    exponent that passes its checks resolved here, once."""
-    alg = _Values() if order == 0 else _Duals if order == 1 else _Series(order)
-    jet = _build(root, alg)
-    return (lambda seed: alg.const(jet, seed)) if isinstance(jet, float) else jet
+    """The map that ``eval`` and ``derivative_values`` run at ``order``: to
+    ``root``'s value at order 0, its slope alone at order 1 and every
+    coefficient of its jet at orders >= 2."""
+    return _map(root, _Values() if order == 0 else _Slopes if order == 1 else _Series(order))
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +867,11 @@ class Expression:
 
     @cached_property
     def _jets(self) -> dict:
-        """The jet map of this expression per order, each compiled on first use."""
+        """This expression's compiled maps, each on first use: per order the
+        one that ``eval`` and ``derivative_values`` run (at order 1 to the
+        slope alone), and under "duals" the whole (value, slope) jet that
+        ``derivatives`` reads at order 1; at other orders it shares the
+        order's map."""
         return {}
 
     def __str__(self) -> str:
@@ -799,27 +895,29 @@ def check_order(n: int) -> None:
 
 
 def _sample(e: Expression, t, order: int, what: str, where: str, jet: bool = False) -> list:
-    """One pass of ``e``'s compiled jet seeded at ``t`` to ``order``: at a
+    """One pass of ``e``'s compiled map seeded at ``t`` to ``order``: at a
     float, or at every point of an array.
 
     Returns ``[f^(order)]``, or with ``jet`` every scaled coefficient, each
     a float or shaped like ``t``; raises DomainError unless all of them are
-    finite.
+    finite.  The whole order-1 jet has its own map, under the key "duals".
     """
     array = isinstance(t, np.ndarray)
     x = t if array else float(t)
     if order == 0:
         seed = x
     else:
-        one = np.ones_like(x) if array else 1.0
-        seed = (x, one) if order == 1 else [x, one] + [np.zeros_like(x) if array else 0.0] * (order - 1)
+        seed = (x, 1.0) if order == 1 else [x, 1.0] + [np.zeros_like(x) if array else 0.0] * (order - 1)
+    key = "duals" if jet and order == 1 else order  # derivatives() reads the value beside the slope
     with np.errstate(all="ignore"):  # folding constants at compile time computes too
-        run = e._jets.get(order)
+        run = e._jets.get(key)
         if run is None:
-            run = e._jets[order] = _compile(e.root, order)
+            run = e._jets[key] = _map(e.root, _Duals) if key == "duals" else _compile(e.root, order)
         coeffs = run(seed)
         # a finite scaled coefficient times order! may overflow: checked below
-        out = [coeffs] if order == 0 else list(coeffs) if jet else [coeffs[order] * math.factorial(order)]
+        out = list(coeffs) if jet and order else [coeffs] if order < 2 else [coeffs[order] * math.factorial(order)]
+    if array and not isinstance(out[0], np.ndarray):  # a slope that reads no t, such as 2*t's
+        out = [np.full(x.shape, out[0])[()]]  # [()]: a scalar at a 0-d t, as numpy arithmetic gives
     for c in out:
         if not (np.isfinite(c).all() if array else math.isfinite(c)):
             raise DomainError(f"non-finite {what} {_format(e.root)} " + where.format(t))

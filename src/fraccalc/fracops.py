@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -181,15 +181,17 @@ def _prime_sampler(f: FuncLike) -> Sampler:
     )
 
 
-def base_value(f: FuncLike, a: float, *, allow_nonzero: bool = False) -> float:
-    """Return f(a), enforcing |f(a)| <= 1e-12 unless ``allow_nonzero``."""
+def base_value(f: FuncLike, a: float, *, allow_nonzero: Optional[bool] = None) -> float:
+    """Return f(a), enforcing |f(a)| <= 1e-12 unless ``allow_nonzero``.
+
+    A caller that takes ``allow_nonzero_base`` passes it on, True or False;
+    only then does the refusal name that remedy.  None refuses without it."""
     fa = _sampler(f)(a)
     if not abs(fa) <= 1e-12:  # "not <=", so a nan f(a) is refused too
         if not allow_nonzero:
-            raise AssumptionError(
-                f"f(a) must be 0 for this operation (got f({a!r}) = {fa!r}); "
-                "pass allow_nonzero_base=True to downgrade to Caputo semantics"
-            )
+            remedy = "" if allow_nonzero is None else (
+                "; pass allow_nonzero_base=True (CLI --allow-nonzero-base) to downgrade to Caputo semantics")
+            raise AssumptionError(f"f(a) must be 0 for this operation (got f({a!r}) = {fa!r}){remedy}")
         warnings.warn(
             f"f(a) = {fa!r} != 0: result has Caputo (not Riemann-Liouville) semantics",
             stacklevel=3,
@@ -517,13 +519,15 @@ def rl_derivative(
     x: float,
     method: str = "caputo_form",
     *,
-    allow_nonzero_base: bool = False,
+    allow_nonzero_base: Optional[bool] = False,
     backend: str = PRODUCT_TRAPEZOID,
 ) -> OperatorValue:
     """Riemann-Liouville derivative D^alpha f at x.
 
     ``caputo_form`` evaluates I^(1-alpha) f', which equals the RL
-    derivative under the f(a) = 0 convention (enforced).  ``direct``
+    derivative under the f(a) = 0 convention (enforced; a caller that
+    offers no ``allow_nonzero_base`` of its own passes None, so the
+    refusal does not name it).  ``direct``
     differentiates the (1-alpha)-order integral by the one-sided difference
     (3 u_n - 4 u_(n-1) + u_(n-2)) / (2h) at the last three grid nodes,
     samples f only on [a, x] and needs no derivative of f at all; it is a

@@ -162,7 +162,10 @@ def _window_table(
     over [x0, x0 + delta] and, given ``scan_n``, the offset xi - x0 of phi's
     mean value on the window: None when degenerate, the
     MeanValueNotFoundError when no crossing brackets.  The mean value reuses
-    the window integral, so each window is integrated once."""
+    the window integral, so each window is integrated once.  An empty pair
+    sample is a ValueError: no verdict rests on no evidence."""
+    if not pair_samples:
+        raise ValueError("pair_samples must hold at least one window pair")
     table: Dict[float, tuple] = {}
     for x0 in (x for pair in pair_samples for x in (pair.x0, pair.y0)):
         if x0 in table:
@@ -272,8 +275,6 @@ def convexity_equivalence(
     ``grid_n`` applies only to the product-trapezoid backend; the default
     adaptive oracle ignores it.
     """
-    if not pair_samples:
-        raise ValueError("pair_samples must hold at least one window pair")
     fp = _prime_sampler(f)
     # windowed derivative of f and mean value of f' on every window, once
     table = _window_table(fp, alpha, delta, pair_samples, grid_n, backend, scan_n)

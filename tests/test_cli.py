@@ -64,6 +64,19 @@ def test_bad_expression_exit_code():
     assert code == 1
     assert "offset" in err
 
+@pytest.mark.parametrize("argv, remedy", [
+    (["fracderiv", "--f", "t+1", "--alpha", "0.5", "--a", "0", "--x", "1"], True),
+    (["critpoints", "--f", "t+1", "--alpha", "0.5", "--a", "0", "--b", "2"], True),
+    (["dilation", "--f", "cos(t)"], False),
+    (["ralpha", "--f", "0.5-(t-1)^2", "--alpha", "0.5", "--a", "0", "--b", "1.5", "--x0", "1", "--eps", "0.2"], False),
+], ids=["fracderiv", "critpoints", "dilation", "ralpha"])
+def test_a_nonzero_base_names_the_flag_only_where_the_command_has_it(argv, remedy):
+    code, out, err = capture(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("computation error: f(a) must be 0 for this operation")
+    assert ("--allow-nonzero-base" in err) is remedy and len(err.splitlines()) == 1
+
+
 
 def test_missing_flags_exit_code():
     code, _, err = capture(["fracint", "--f", "t"])

@@ -430,6 +430,10 @@ def test_a_constant_subtree_raises_its_domain_error_where_a_sample_reaches_it(mo
 
 
 def test_jet_is_compiled_once_per_expression(monkeypatch):
+    # once per order and per form: eval and derivative_values run a map to
+    # the one coefficient they return (at order 1 the slope alone), and
+    # derivatives() the whole jet; at orders 0 and >= 2 the two are one map,
+    # and the whole order-1 jet is derivatives()' own, under "duals"
     compiled = []
     compile_ = expr_module._compile
 
@@ -443,14 +447,64 @@ def test_jet_is_compiled_once_per_expression(monkeypatch):
     rc = convexity_equivalence(f, 0.75, 0.45, pairs)  # thousands of oracle callbacks
     assert rc.equivalence is True
     assert [order for node, order in compiled if node is f.root] == [1, 0]  # f' callbacks, then f
+    assert list(f._jets) == [1, 0]
     g = parse("t*sin(t)")
+    derivatives(g, 0.5, 1)
     derivatives(g, 0.5, 2)
     jets = dict(g._jets)
-    derivative_values(g, np.linspace(0.0, 1.0, 5), 1)
-    derivative_values(g, np.array([0.5]), 2)
-    derivative_values(g, 0.5, 1)
-    assert g._jets[2] is jets[2]
+    for _ in range(2):
+        derivative_values(g, np.linspace(0.0, 1.0, 5), 1)
+        derivative_values(g, np.array([0.5]), 2)
+        derivative_values(g, 0.5, 1)
+        derivatives(g, 0.7, 1)
+        derivatives(g, 0.7, 2)
+    assert list(g._jets) == ["duals", 2, 1]
+    assert all(g._jets[key] is run for key, run in jets.items())
     assert [order for node, order in compiled if node is g.root] == [2, 1]
+    assert derivatives(g, 0.5, 1).coefficients[1] == derivative_values(g, 0.5, 1)
+
+
+@pytest.mark.parametrize("x", [0.7, np.linspace(-2.0, 3.0, 9)], ids=["float", "array"])
+def test_an_f_prime_sample_computes_the_slope_alone(monkeypatch, x):
+    # sin's slope term reads u and u' only, so f' never computes sin itself
+    def no_value(u):
+        raise AssertionError("an f' sample computed sin's value")
+
+    monkeypatch.setitem(expr_module._CALLS, "sin", (no_value, expr_module._CALLS["sin"][1]))
+    slope = derivative_values(parse("sin(1.2*t)"), x, 1)
+    assert type(slope) is type(x)
+    assert np.asarray(slope).tobytes() == np.asarray(1.2 * np.cos(1.2 * x)).tobytes()
+
+
+_NONFINITE_T = [math.inf, -math.inf, math.nan, 1.0]
+
+# (source, f' at each point of _NONFINITE_T, None where it raises)
+_SLOPES_WHERE_T_IS_NOT_FINITE = [
+    ("3", [None, None, None, 0.0]),  # a constant's slope is t*0.0
+    ("2*t", [2.0] * 4),  # a slope that reads no t holds at every t
+    ("2*t+3", [2.0] * 4),
+    ("0*t", [0.0] * 4),
+    ("t-t", [0.0] * 4),
+    ("t", [1.0] * 4),
+    ("sin(t)", [None, None, None, float(np.cos(1.0))]),
+    ("t^2", [None, None, None, 2.0]),
+]
+
+
+@pytest.mark.parametrize("source, slopes", _SLOPES_WHERE_T_IS_NOT_FINITE)
+def test_slopes_where_t_is_not_finite(source, slopes):
+    e = parse(source)
+    for t, slope in zip(_NONFINITE_T, slopes):
+        if slope is None:
+            with pytest.raises(DomainError, match=f"non-finite derivative of .* at t={t!r}$"):
+                derivative_values(e, t, 1)
+        else:
+            assert derivative_values(e, t, 1) == slope
+    if None in slopes:
+        with pytest.raises(DomainError, match="non-finite derivative of .* on sample grid$"):
+            derivative_values(e, np.array(_NONFINITE_T), 1)
+    else:
+        assert derivative_values(e, np.array(_NONFINITE_T), 1).tolist() == slopes
 
 
 # --- round-trip stability -----------------------------------------------

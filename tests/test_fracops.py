@@ -13,10 +13,15 @@ from fraccalc import (
     caputo_derivative,
     critical_points,
     derivative_values,
+    derivative_zero_before,
+    dilation_scenario,
     f_lower,
     gamma,
     integral_on_grid,
+    mean_path_witness,
+    order_duality_check,
     parse,
+    r_alpha_curve,
     rl_derivative,
     rl_integral,
 )
@@ -381,6 +386,29 @@ def test_a_nonzero_or_nonfinite_base_value_is_refused(fa):
         warnings.simplefilter("always")
         assert repr(base_value(f, 0.0, allow_nonzero=True)) == repr(fa)
     assert [str(w.message) for w in caught] == [f"f(a) = {fa!r} != 0: result has Caputo (not Riemann-Liouville) semantics"]
+
+
+_REMEDY = "; pass allow_nonzero_base=True (CLI --allow-nonzero-base) to downgrade to Caputo semantics"
+
+
+@pytest.mark.parametrize("call, remedy", [
+    (lambda p: rl_derivative(parse("t+1"), p, 1.0), True),
+    (lambda p: critical_points(parse("t+1"), p, 2.0), True),
+    (lambda p: mean_path_witness(parse("t+1"), parse("t"), p, [1.0, 2.0]), False),
+    (lambda p: derivative_zero_before(parse("t-1"), p, 1.0), False),
+    (lambda p: dilation_scenario(parse("t+1"), p, [0.5, 1.0]), False),
+    (lambda p: r_alpha_curve(parse("0.5-(t-1)^2"), 0.0, 1.5, 1.0, 0.2, [0.5]), False),
+    (lambda p: order_duality_check(parse("t+1"), p, 1.0), False),
+], ids=["rl_derivative", "critical_points", "mean_path_witness", "derivative_zero_before",
+        "dilation_scenario", "r_alpha_curve", "order_duality_check"])
+def test_a_nonzero_base_names_its_remedy_only_where_the_caller_takes_it(call, remedy):
+    # allow_nonzero_base is a parameter of rl_derivative and critical_points
+    # alone; every other operation that needs f(a) = 0 refuses without it
+    with pytest.raises(AssumptionError) as err:
+        call(FractionalParams(0.5, 0.0, 64))
+    got = str(err.value)
+    assert got.startswith("f(a) must be 0 for this operation (got f(0.0) = ")
+    assert got.endswith(_REMEDY) is remedy and ("allow_nonzero" in got) is remedy
 
 
 # --- lowered function ---------------------------------------------------------

@@ -461,6 +461,8 @@ def test_grid_checks_refuse_the_grid_n_that_params_refuse(check, grid_n):
         check(grid_n)
 
 
-def test_convexity_refuses_an_empty_pair_sample():
-    with pytest.raises(ValueError, match="pair_samples"):
-        convexity_equivalence(parse("t^2"), 0.5, 0.5, [])
+@pytest.mark.parametrize("check", [convexity_equivalence, delta_increasing_check, property_P_check])
+def test_convexity_refuses_an_empty_pair_sample(check):
+    # a verdict on no window pair would rest on no evidence
+    with pytest.raises(ValueError, match="pair_samples must hold at least one window pair"):
+        check(parse("t^2"), 0.5, 0.4, [])
