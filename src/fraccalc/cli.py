@@ -30,7 +30,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .critical import ALPHA_MAX, ALPHA_MIN, critical_points, dilation_scenario, r_alpha_curve
+from .critical import ALPHA_MAX, ALPHA_MIN, _critical_sweep, dilation_scenario, r_alpha_curve
 from .errors import FracCalcError, ParseError
 from .expr import Expression, parse
 from .fracops import (
@@ -206,11 +206,8 @@ def _cmd_polyxi(f: Expression, alphas: List[float], args) -> Report:
 
 def _cmd_critpoints(f: Expression, alphas: List[float], args) -> Report:
     rep = Report(["alpha", "root", "residual"])
-    for al in alphas:
-        p = FractionalParams(al, args.a, args.grid_n)
-        report = critical_points(
-            f, p, args.b, args.scan_n, allow_nonzero_base=args.allow_nonzero_base
-        )
+    ps = [FractionalParams(al, args.a, args.grid_n) for al in alphas]
+    for al, report in zip(alphas, _critical_sweep(f, ps, args.b, args.scan_n, args.allow_nonzero_base)):
         if not report.roots:
             rep.comment(f"alpha={_fmt(al)}: no critical points in (a, b]")
         for root, resid in zip(report.roots, report.residuals):

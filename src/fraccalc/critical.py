@@ -11,6 +11,15 @@ of f (orders near 0) to the classical stationary point (orders near 1).
 All derivative evaluations go through the Caputo form I^(1-alpha) f', so
 the f(a) = 0 convention is enforced once per operation; root residuals
 then measure only the solver, not numerical differentiation noise.
+
+An order sweep (``critpoints`` and ``r_alpha_curve``) is one computation,
+``_critical_sweep``, of which ``critical_points`` is the one-order case: one
+f' sample on the scan grid serves every order's scan, and the root searches
+of a group of orders advance in lockstep, each round of pointwise
+quadratures (every bracket end, then one Brent step per search) evaluated
+as one batch of grid rows by ``fracops._kernel_quad_rows``.  ``dilation_scenario`` runs
+its table through the same batches.  The results, and the first failure
+raised, are those of running the orders one after another.
 """
 
 from __future__ import annotations
@@ -27,15 +36,18 @@ from .expr import Expression, derivative_values  # noqa: F401
 from .fracops import (
     FractionalParams,
     FuncLike,
+    Sampler,
     base_value,
     rl_derivative,
+    _batch_rows,
     _grid,
     _kernel_quad_grid,
+    _kernel_quad_rows,
     _prime_sampler,
     _sampler,
     _strided_integral,
 )
-from .meanval import _find_roots, check_strictly_monotone, mean_value
+from .meanval import _find_roots, _find_roots_together, _root_search, check_strictly_monotone, mean_value
 
 __all__ = [
     "CriticalPointReport",
@@ -98,25 +110,58 @@ class DilationResult:
     xi_residual: Optional[float]
 
 
-def _d_alpha(f: Expression, p: FractionalParams, allow_nonzero_base: Optional[bool] = None) -> tuple:
-    """Fast x -> D^alpha f(x) with the base-value check done once (see
-    ``base_value`` for ``allow_nonzero_base``), and
-    ``scan(b, n)``: the nodes a + (b - a) i / n, i = 1..n, with D^alpha f
-    there, read off one f' sample on k n >= grid_n panels of [a, b] (its
-    nodes k i)."""
-    base_value(f, p.a, allow_nonzero=allow_nonzero_base)
+def _scan(fp: Sampler, a: float, b: float, n: int, grid_n: int) -> tuple:
+    """The nodes a + (b - a) i / n, i = 1..n, and one f' sample fv on k n >= grid_n
+    panels of [a, b] (its nodes k i), with its step h and k: D^alpha f at the
+    nodes is ``_strided_integral(fv, h, 1 - alpha, k)``."""
+    k = -(-grid_n // n)
+    ts, h = _grid(a, b, k * n)
+    return ts[k::k], fp(ts), h, k
+
+
+def _critical_sweep(
+    f: Expression,
+    ps: Sequence[FractionalParams],
+    b: float,
+    scan_n: int,
+    allow_nonzero_base: Optional[bool] = None,
+) -> List[CriticalPointReport]:
+    """:func:`critical_points` at each of ``ps``, orders on one base point and
+    grid_n, bit for bit, computed together: f(a) is checked once, f' sampled
+    once on the scan grid, each order's scan read off that sample, and the
+    root searches advanced side by side, so that each round of pointwise
+    quadratures (first every bracket end, then one Brent step per search)
+    is one batch.  The searches go in groups of as many orders as a batch
+    has rows (one at the ``--grid-n`` cap), so the weight tables of a group
+    stay cached between its rounds.  Raises what the first order to fail
+    raises when the orders run one after another."""
+    if not ps:
+        return []
+    a, grid_n = ps[0].a, ps[0].grid_n
+    if not b > a:
+        raise ValueError(f"need b > a, got b={b!r}, a={a!r}")
+    if scan_n < 4:
+        raise ValueError("scan_n must be >= 4")
+    base_value(f, a, allow_nonzero=allow_nonzero_base)
     fp = _prime_sampler(f)
-    mu = 1.0 - p.alpha
+    xs, fv, h, k = _scan(fp, a, b, scan_n, grid_n)
 
-    def d(x: float) -> float:
-        return _kernel_quad_grid(fp, p.a, x, mu, p.grid_n)[0]
+    def search(mu):
+        return (yield from _root_search(xs, _strided_integral(fv, h, mu, k), 1e-10 * (b - a), False))
 
-    def scan(b: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        k = -(-p.grid_n // n)
-        ts, h = _grid(p.a, b, k * n)
-        return ts[k::k], _strided_integral(fp(ts), h, mu, k)
+    def group_roots(mus):
+        def evaluate(points):
+            rows = _kernel_quad_rows(fp, a, [x for _, x in points], [mus[i] for i, _ in points], grid_n)
+            return [r if isinstance(r, Exception) else r[0] for r in rows]
 
-    return d, scan
+        return _find_roots_together([search(mu) for mu in mus], evaluate)
+
+    mus, per = [1.0 - p.alpha for p in ps], _batch_rows(grid_n)
+    found = [r for i in range(0, len(mus), per) for r in group_roots(mus[i : i + per])]
+    return [
+        CriticalPointReport(p.alpha, tuple(r for r, _ in roots), tuple(abs(v) for _, v in roots))
+        for p, roots in zip(ps, found)
+    ]
 
 
 def critical_points(
@@ -130,15 +175,9 @@ def critical_points(
     """Roots of D^alpha f on (a, b], bracketed on a scan and refined by Brent.
 
     A caller that offers no ``allow_nonzero_base`` of its own passes None,
-    so the refusal of a nonzero f(a) does not name it."""
-    if not b > p.a:
-        raise ValueError(f"need b > a, got b={b!r}, a={p.a!r}")
-    if scan_n < 4:
-        raise ValueError("scan_n must be >= 4")
-    d, scan = _d_alpha(f, p, allow_nonzero_base)
-    xs, vals = scan(b, scan_n)
-    found = _find_roots(xs, vals, d, 1e-10 * (b - p.a), exact=False)
-    return CriticalPointReport(p.alpha, tuple(r for r, _ in found), tuple(abs(v) for _, v in found))
+    so the refusal of a nonzero f(a) does not name it.  An order sweep runs
+    as one computation through ``_critical_sweep``."""
+    return _critical_sweep(f, [p], b, scan_n, allow_nonzero_base)[0]
 
 
 def order_duality_check(f: FuncLike, p: FractionalParams, x: float) -> OrderDualityResult:
@@ -181,13 +220,17 @@ def derivative_zero_before(
     fx = _sampler(f)(x_zero)
     if abs(fx) > zero_tol:
         raise HypothesisError(f"f(x_zero) = {fx!r} is not 0 within {zero_tol!r}")
-    d, scan = _d_alpha(f, p)
+    base_value(f, p.a)
+    fp = _prime_sampler(f)
+    mu = 1.0 - p.alpha
+    d = lambda x: _kernel_quad_grid(fp, p.a, x, mu, p.grid_n)[0]  # noqa: E731
     span = x_zero - p.a
 
     n = 96
     best_x, best_val = None, math.inf
     for _ in range(4):
-        xs, vals = scan(x_zero, n)
+        xs, fv, h, k = _scan(fp, p.a, x_zero, n, p.grid_n)
+        vals = _strided_integral(fv, h, mu, k)
         scale = float(np.max(np.abs(vals)))
         if scale <= 1e-13:
             return DerivativeZeroResult(float(xs[0]), abs(float(vals[0])), degenerate=True)
@@ -215,7 +258,7 @@ def _verify_single_extremum_and_root(f: Expression, a: float, b: float, x0: floa
     bracketed on a 2048-step scan and refined by Brent's method."""
     ts = _grid(a, b, 2048)[0][1:]
     slope = _prime_sampler(f)
-    vals = np.array(f.eval(ts))  # a copy: the sample of f = t is ts itself
+    vals = f.eval(ts)
     if abs(float(vals[-1])) <= 1e-9 * max(1.0, float(np.max(np.abs(vals)))):
         vals[-1] = 0.0  # a root on the right endpoint, on whichever side of b it rounds
     tol = 1e-12 * (b - a)
@@ -254,10 +297,9 @@ def r_alpha_curve(
         raise ValueError("eps must be > 0")
     x0_ref, x1_ref = _verify_single_extremum_and_root(f, a, b, x0)
     alphas = sorted(min(max(float(al), ALPHA_MIN), ALPHA_MAX) for al in alpha_grid)
+    ps = [FractionalParams(al, a, grid_n) for al in alphas]
     samples: List[RAlphaSample] = []
-    for al in alphas:
-        p = FractionalParams(al, a, grid_n)
-        report = critical_points(f, p, b, scan_n, allow_nonzero_base=None)
+    for al, report in zip(alphas, _critical_sweep(f, ps, b, scan_n)):
         in_ball = [r for r in report.roots if abs(r - x0) <= eps]
         samples.append(
             RAlphaSample(
@@ -285,8 +327,12 @@ def dilation_scenario(v: Expression, p: FractionalParams, t_grid: Sequence[float
     ts = [float(t) for t in t_grid]
     if any(t <= p.a for t in ts):
         raise ValueError("t_grid must lie strictly right of the base point")
-    d, _ = _d_alpha(v, p)
-    rows = tuple((t, d(t)) for t in ts)
+    base_value(v, p.a)
+    rows = []
+    for t, out in zip(ts, _kernel_quad_rows(_prime_sampler(v), p.a, ts, [1.0 - p.alpha] * len(ts), p.grid_n)):
+        if isinstance(out, Exception):
+            raise out
+        rows.append((t, out[0]))
 
     sample = _sampler(v)
     vvals = sample(np.asarray(ts))
@@ -294,7 +340,7 @@ def dilation_scenario(v: Expression, p: FractionalParams, t_grid: Sequence[float
     vvals[np.abs(vvals) <= 1e-10 * vscale] = 0.0  # a grid point where v vanishes
     zeros = _find_roots(ts, vvals, sample, 1e-12 * (ts[-1] - p.a))
     if not zeros:
-        return DilationResult(rows, None, None, None)
+        return DilationResult(tuple(rows), None, None, None)
     zero_time = zeros[0][0]
     res = derivative_zero_before(v, p, zero_time, zero_tol=max(1e-10, 1e-9 * vscale))
-    return DilationResult(rows, zero_time, res.xi, res.residual)
+    return DilationResult(tuple(rows), zero_time, res.xi, res.residual)

@@ -918,6 +918,8 @@ def _sample(e: Expression, t, order: int, what: str, where: str, jet: bool = Fal
         out = list(coeffs) if jet and order else [coeffs] if order < 2 else [coeffs[order] * math.factorial(order)]
     if array and not isinstance(out[0], np.ndarray):  # a slope that reads no t, such as 2*t's
         out = [np.full(x.shape, out[0])[()]]  # [()]: a scalar at a 0-d t, as numpy arithmetic gives
+    elif array and out[0] is x:  # the value of t itself, or of t^1: a copy, never the caller's array
+        out = [x.copy()[()]]
     for c in out:
         if not (np.isfinite(c).all() if array else math.isfinite(c)):
             raise DomainError(f"non-finite {what} {_format(e.root)} " + where.format(t))

@@ -90,13 +90,12 @@ class PolynomialEstimate:
     reliable: bool = True
 
 
-def _bisect(
-    fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float, tol: float
-) -> Tuple[float, float]:
-    """Brent's method (Brent 1973, ch. 4) on a bracket; assumes fn(lo) = flo
-    and fn(hi) = fhi, of opposite signs.  Locates the root to within tol/2,
-    as a bisection stopped at width tol does, mostly by secant and inverse
-    quadratic steps, and returns it with fn there."""
+def _brent(lo: float, hi: float, flo: float, fhi: float, tol: float):
+    """Brent's method (Brent 1973, ch. 4) on a bracket with fn(lo) = flo and
+    fn(hi) = fhi of opposite signs, as a generator: it yields each point
+    where it needs fn, is sent fn there, and returns the root with fn there.
+    Locates the root to within tol/2, as a bisection stopped at width tol
+    does, mostly by secant and inverse quadratic steps."""
     a, fa, b, fb = lo, flo, hi, fhi
     c, fc, d, e = a, fa, b - a, b - a
     half = [math.inf, math.inf]  # |c - b| / 2 two steps and one step back
@@ -125,14 +124,93 @@ def _bisect(
         e, d = (d, p / q) if interpolate else (m, m)  # else bisect
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = fn(b)
+        fb = yield b
     return float(b), fb
+
+
+def _bisect(
+    fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float, tol: float
+) -> Tuple[float, float]:
+    """:func:`_brent` on a bracket, calling fn at each of its points in turn."""
+    steps = _brent(lo, hi, flo, fhi, tol)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(fn(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 def _sign_brackets(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Indices i with vals[i] == 0, and i with a sign change from vals[i] to vals[i + 1]."""
     sign = np.sign(vals)
     return np.flatnonzero(sign == 0.0), np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+
+
+def _root_search(xs: np.ndarray, vals: np.ndarray, tol: float, exact: bool, fn: Optional[Callable] = None):
+    """The search of :func:`_find_roots`, as a generator that returns its roots.
+
+    With ``fn`` it calls fn point by point and yields nothing.  Without, it
+    yields each list of points it needs fn at and is sent one outcome per
+    point, fn's value or the exception fn raises there, which is raised only
+    where the search reads that value: the search fails where and as one
+    calling fn point by point does.  Its first lists are the scan's zeros
+    and then every bracket end, then one point per step of Brent's method."""
+    xs, vals = np.asarray(xs, dtype=float), np.array(vals, dtype=float)
+    known: dict = {}
+
+    def at(j):
+        if exact:  # the scan holds fn at every node
+            return vals[j]
+        if j not in known:
+            known[j] = fn(float(xs[j]))
+        if isinstance(known[j], Exception):
+            raise known[j]
+        return known[j]
+
+    def fetch(js):
+        new = [int(j) for j in dict.fromkeys(js) if j not in known]
+        if new and fn is None:
+            known.update(zip(new, (yield [float(xs[j]) for j in new])))
+
+    def brent(*bracket):
+        if fn is not None:
+            return _bisect(fn, *bracket)
+        steps = _brent(*bracket)
+        try:
+            x = next(steps)
+            while True:
+                (fx,) = yield [x]
+                if isinstance(fx, Exception):
+                    raise fx
+                x = steps.send(fx)
+        except StopIteration as stop:
+            return stop.value
+
+    same = lambda i, j: np.sign(at(i)) == np.sign(at(j)) != 0.0  # noqa: E731
+    zeros, changes = _sign_brackets(vals)
+    if not exact:  # a zero of the scan is checked with fn, then every bracket end is
+        yield from fetch(zeros)
+        vals[zeros] = [at(j) for j in zeros]
+        zeros, changes = _sign_brackets(vals)
+        yield from fetch(j for lo in changes for j in (lo, lo + 1))
+    roots = [(float(xs[j]), at(j)) for j in zeros]
+    for lo in changes:
+        hi = lo + 1
+        if same(lo, hi):
+            lo, hi = (lo - 1, hi) if np.sign(at(lo)) != np.sign(vals[lo]) else (lo, hi + 1)
+            if lo < 0 or hi == len(xs):
+                continue
+            yield from fetch((lo, hi))
+            if same(lo, hi):
+                continue
+        if at(lo) == 0.0 or at(hi) == 0.0:
+            j = lo if at(lo) == 0.0 else hi
+            roots.append((float(xs[j]), at(j)))
+        else:
+            roots.append((yield from brent(float(xs[lo]), float(xs[hi]), at(lo), at(hi), tol)))
+    roots.sort()
+    return [r for k, r in enumerate(roots) if k == 0 or r[0] - roots[k - 1][0] > tol]
 
 
 def _find_roots(
@@ -145,31 +223,47 @@ def _find_roots(
     with the scan moves one step outwards (the bracket is dropped if fn
     still shows no sign change), and a root reached from two brackets is
     reported once."""
-    xs, vals = np.asarray(xs, dtype=float), np.array(vals, dtype=float)
-    if exact:  # the scan holds fn at every node
-        at = vals.__getitem__
-    else:
-        known: dict = {}
-        at = lambda j: known[j] if j in known else known.setdefault(j, fn(float(xs[j])))  # noqa: E731
-    same = lambda i, j: np.sign(at(i)) == np.sign(at(j)) != 0.0  # noqa: E731
-    zeros, changes = _sign_brackets(vals)
-    if not exact:  # a zero of the scan is checked with fn
-        vals[zeros] = [at(j) for j in zeros]
-        zeros, changes = _sign_brackets(vals)
-    roots = [(float(xs[j]), at(j)) for j in zeros]
-    for lo in changes:
-        hi = lo + 1
-        if same(lo, hi):
-            lo, hi = (lo - 1, hi) if np.sign(at(lo)) != np.sign(vals[lo]) else (lo, hi + 1)
-            if lo < 0 or hi == len(xs) or same(lo, hi):
-                continue
-        if at(lo) == 0.0 or at(hi) == 0.0:
-            j = lo if at(lo) == 0.0 else hi
-            roots.append((float(xs[j]), at(j)))
-        else:
-            roots.append(_bisect(fn, float(xs[lo]), float(xs[hi]), at(lo), at(hi), tol))
-    roots.sort()
-    return [r for k, r in enumerate(roots) if k == 0 or r[0] - roots[k - 1][0] > tol]
+    try:
+        next(_root_search(xs, vals, tol, exact, fn))  # with fn it asks for nothing
+    except StopIteration as stop:
+        return stop.value
+
+
+def _find_roots_together(searches: list, evaluate: Callable[[list], list]) -> list:
+    """Run :func:`_root_search` generators (without fn) side by side and return their results.
+
+    Each round hands the points that every live search waits for to
+    ``evaluate``, as (search index, point) pairs in search order; it returns
+    one outcome per pair, a value or the exception that evaluating the point
+    alone raises.  A search that fails ends the searches after it, and the
+    failure of the first failed search is raised once those before it are
+    done: the one that running the searches one after another raises."""
+    results: list = [None] * len(searches)
+    waiting: dict = {}  # search index -> the points it waits for
+    failed = [len(searches), None]  # the first failed search and its exception
+
+    def resume(i, outcomes):
+        try:
+            waiting[i] = searches[i].send(outcomes)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as exc:
+            failed[:] = [i, exc]
+
+    for i in range(len(searches)):
+        if i < failed[0]:
+            resume(i, None)
+    while waiting:
+        batch = sorted(waiting.items())
+        waiting.clear()
+        outcomes = iter(evaluate([(i, x) for i, pts in batch for x in pts]))
+        for i, pts in batch:
+            got = [next(outcomes) for _ in pts]
+            if i < failed[0]:
+                resume(i, got)
+    if failed[1] is not None:
+        raise failed[1]
+    return results
 
 
 def mean_value(

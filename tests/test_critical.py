@@ -337,18 +337,46 @@ def _record_prime_samples(monkeypatch, record):
     monkeypatch.setattr(fracops, "derivative_values", recording)
 
 
-def test_one_scan_sample_per_order_and_few_quadratures_per_root(monkeypatch):
-    calls = []
-    _record_prime_samples(monkeypatch, lambda ts: calls.append(np.size(ts)))
+def _record_quadratures(monkeypatch, points):
+    # appends (mu, x) for every pointwise quadrature of a critical-point sweep
+    from fraccalc import critical
+
+    rows = critical._kernel_quad_rows
+
+    def recording(sample, a, xs, mus, grid_n):
+        points.extend(zip(mus, xs))
+        return rows(sample, a, xs, mus, grid_n)
+
+    monkeypatch.setattr(critical, "_kernel_quad_rows", recording)
+
+
+def test_one_scan_sample_per_sweep_and_few_quadratures_per_root(monkeypatch):
+    # the sweep samples f' once on the scan grid (22 * 96 >= 2048 panels) and
+    # then once per batch of quadratures, within the element budget; with a
+    # budget that holds every round, once per round: every bracket end in
+    # the first round, one Brent step per search in each later one
+    from fraccalc import fracops
+    from fraccalc.critical import _critical_sweep
+
     f = parse("sin(1.2*t)")
-    b = 4.712 / 1.2
-    for al in (0.1, 0.3, 0.5, 0.7, 0.9):
-        calls.clear()
-        rep = critical_points(f, FractionalParams(al, 0.0, 2048), b)
-        assert len(rep.roots) == 1
-        scans = [n for n in calls if n > 2049]  # the scan grid has k * 96 >= 2048 panels
-        assert len(scans) == 1
-        assert len(calls) - len(scans) <= 15 * len(rep.roots)
+    ps = [FractionalParams(al, 0.0, 2048) for al in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    for budget in (fracops._BATCH_MAX_POINTS, 1 << 20):
+        samples, points = [], []
+        with monkeypatch.context() as m:
+            _record_prime_samples(m, lambda ts: samples.append(np.size(ts)))
+            _record_quadratures(m, points)
+            m.setattr(fracops, "_BATCH_MAX_POINTS", budget)
+            reports = _critical_sweep(f, ps, 4.712 / 1.2, 96)
+        assert samples[0] == 22 * 96 + 1
+        assert all(n % 2049 == 0 and n <= max(budget, 2049) for n in samples[1:])
+        per_order = []
+        for p, rep in zip(ps, reports):
+            assert len(rep.roots) == 1
+            xs = [x for mu, x in points if mu == 1.0 - p.alpha]
+            assert len(xs) == len(set(xs)) <= 15 * len(rep.roots)
+            per_order.append(len(xs))
+        assert sum(per_order) == len(points) == sum(samples[1:]) // 2049
+    assert len(samples) - 1 == max(per_order) - 1  # both ends of a bracket in one round
 
 
 def test_fine_grid_gives_same_root():
@@ -374,14 +402,121 @@ def test_disagreeing_scan_brackets_give_one_root():
 @pytest.mark.parametrize("source", ["sin(t)", "t^3-3*t^2+2*t"])
 def test_critical_points_runs_the_pointwise_rule_once_per_point(monkeypatch, source):
     # Brent is handed both bracket ends and returns the value at its root, so
-    # no residual or bracket end is computed twice; the pointwise rule samples
-    # f' on a grid ending at its point, the scan on one ending at b
-    ends = []
-    _record_prime_samples(monkeypatch, lambda ts: ends.append(float(ts[-1])))
-    f, p = parse(source), FractionalParams(0.5, 0.0, 1024)
-    report = critical_points(f, p, 3.0)
-    assert report.roots
-    pointwise = ends[1:]  # the first sample is the scan's
-    assert len(pointwise) == len(set(pointwise))
-    for r, res in zip(report.roots, report.residuals):
-        assert res == abs(caputo_derivative(f, p, r).value)
+    # no residual or bracket end is computed twice, at any order of a sweep
+    from fraccalc.critical import _critical_sweep
+
+    points = []
+    _record_quadratures(monkeypatch, points)
+    f = parse(source)
+    ps = [FractionalParams(al, 0.0, 1024) for al in (0.3, 0.5, 0.7)]
+    reports = _critical_sweep(f, ps, 3.0, 96)
+    for p, report in zip(ps, reports):
+        assert report.roots
+        xs = [x for mu, x in points if mu == 1.0 - p.alpha]
+        assert len(xs) == len(set(xs))
+        for r, res in zip(report.roots, report.residuals):
+            assert r in xs and res == abs(caputo_derivative(f, p, r).value)
+
+
+# --- an order sweep as one computation --------------------------------------------
+
+
+def _one_order_at_a_time(f, p, b, scan_n):
+    # critical_points as a loop of single quadratures: the scan, then the
+    # scalar root search calling the pointwise rule point by point
+    from fraccalc import critical
+    from fraccalc.fracops import _kernel_quad_grid
+    from fraccalc.meanval import _find_roots
+
+    fp, mu = critical._prime_sampler(f), 1.0 - p.alpha
+    xs, fv, h, k = critical._scan(fp, p.a, b, scan_n, p.grid_n)
+    vals = critical._strided_integral(fv, h, mu, k)
+    found = _find_roots(xs, vals, lambda x: _kernel_quad_grid(fp, p.a, x, mu, p.grid_n)[0], 1e-10 * (b - p.a),
+                        exact=False)
+    return [r for r, _ in found], [abs(v) for _, v in found]
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("source, b", [
+    ("sin(1.3*t)", 4.712 / 1.3), ("t^3-3*t^2", 3.6), ("t^2-2*t", 2.5),
+    ("sin(3*t)", 9.0), ("t*cos(2*t)", 6.0), ("t*(t-1)*(t-2)*(t-3)", 3.5), ("exp(t)-1", 2.0),
+])
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_a_sweep_equals_the_per_order_loop_bit_for_bit(monkeypatch, source, b, rows):
+    # roots and residuals of every order, several roots per order included;
+    # with batches of 1 and 3 grids (so groups of 1 and 3 orders) and the default
+    from fraccalc import fracops
+    from fraccalc.critical import _critical_sweep
+
+    if rows is not None:
+        monkeypatch.setattr(fracops, "_BATCH_MAX_POINTS", rows * 513)
+    f = parse(source)
+    ps = [FractionalParams(al, 0.0, 512) for al in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95)]
+    sweep = _critical_sweep(f, ps, b, 64)
+    for p, rep in zip(ps, sweep):
+        roots, residuals = _one_order_at_a_time(f, p, b, 64)
+        alone = critical_points(f, p, b, 64)
+        assert rep.alpha == alone.alpha == p.alpha
+        assert _bits(rep.roots) == _bits(alone.roots) == _bits(roots)
+        assert _bits(rep.residuals) == _bits(alone.residuals) == _bits(residuals)
+
+
+@pytest.mark.parametrize("bad_ends, bad_scan, want", [
+    # order 0 fails at a Brent step near its root, after order 2 failed at a bracket end
+    ({0: "root", 2: "end"}, None, (0, "root")),
+    # order 1's scan fails; order 3 fails at a bracket end in the first round
+    ({3: "end"}, 1, (1, "scan")),
+    # order 2's scan fails after order 1 failed at a Brent step
+    ({1: "root"}, 2, (1, "root")),
+    ({4: "end"}, None, (4, "end")),
+])
+@pytest.mark.parametrize("rows", [2, None])
+def test_a_sweep_raises_the_first_failure_of_the_per_order_loop(monkeypatch, bad_ends, bad_scan, want, rows):
+    # f' fails on a pointwise grid ending near a chosen root (reached by a
+    # Brent step) or on a chosen bracket end, and the scan of one order fails;
+    # the sweep raises what running the orders one after another raises, in
+    # groups of 2 orders and in one group of all 5
+    from fraccalc import critical, fracops
+    from fraccalc.errors import DomainError
+    from fraccalc.expr import derivative_values
+
+    if rows is not None:
+        monkeypatch.setattr(fracops, "_BATCH_MAX_POINTS", rows * 257)
+    f, b = parse("sin(t)"), 4.5
+    ps = [FractionalParams(al, 0.0, 256) for al in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    clean = critical._critical_sweep(f, ps, b, 32)
+    m = 257  # nodes of one pointwise grid
+    xs = critical._grid(0.0, b, 32)[0][1:]
+    windows = {}
+    for i, where in bad_ends.items():
+        r = clean[i].roots[0]
+        x = r if where == "root" else float(xs[np.searchsorted(xs, r)])
+        windows[(i, where)] = (x - 1e-6, x + 1e-6)
+
+    def fprime(ts):
+        if ts.size % m == 0:  # rows of pointwise grids; their last nodes are their points
+            for x in ts[m - 1 :: m]:
+                for key, (lo, hi) in windows.items():
+                    if lo < x < hi:
+                        raise DomainError(f"f' fails for order {key[0]} at its {key[1]}, x={x!r}")
+        return derivative_values(f, ts, 1)
+
+    strided = critical._strided_integral
+
+    def scan(fv, h, mu, k):
+        if bad_scan is not None and mu == 1.0 - ps[bad_scan].alpha:
+            raise DomainError(f"f' fails for order {bad_scan} at its scan")
+        return strided(fv, h, mu, k)
+
+    monkeypatch.setattr(critical, "_prime_sampler", lambda f: fprime)
+    monkeypatch.setattr(critical, "_strided_integral", scan)
+    with pytest.raises(DomainError) as sequential:
+        for p in ps:
+            _one_order_at_a_time(f, p, b, 32)
+    with pytest.raises(DomainError) as together:
+        critical._critical_sweep(f, ps, b, 32)
+    assert str(together.value) == str(sequential.value)
+    assert str(together.value).startswith(f"f' fails for order {want[0]} at its {want[1]}")

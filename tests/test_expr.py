@@ -26,6 +26,18 @@ def test_identity_expression():
     assert e.eval(3.7) == 3.7
 
 
+def test_the_value_of_t_is_a_fresh_array_and_a_scalar_at_a_0d_t():
+    # like every other expression: writing into the result leaves the input
+    # alone, and a 0-d t gives a numpy scalar
+    y = np.linspace(0.0, 1.0, 5)
+    for source in ("t", "t^1", "(t)"):
+        e = parse(source)
+        out = e.eval(y)
+        assert out is not y and not np.shares_memory(out, y) and out.tobytes() == y.tobytes()
+        for sample in (e.eval(np.array(0.5)), derivative_values(e, np.array(0.5), 0)):
+            assert type(sample) is type(parse("t+1").eval(np.array(0.5))) is np.float64 and sample == 0.5
+
+
 def test_pythagorean_identity():
     e = parse("sin(t)^2 + cos(t)^2")
     assert abs(e.eval(0.3) - 1.0) < 5e-16

@@ -1,8 +1,12 @@
 import math
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fraccalc import (
     ADAPTIVE_ORACLE,
@@ -25,7 +29,10 @@ from fraccalc import (
     rl_derivative,
     rl_integral,
 )
-from fraccalc.fracops import _extrapolate, _kernel_quad_grid, _l1_sum, base_value
+import fraccalc.fracops as fracops
+from fraccalc.expr import Expression
+from fraccalc.fracops import _extrapolate, _kernel_quad_grid, _kernel_quad_rows, _l1_sum, base_value
+from test_expr import _grow, _leaves
 
 # closed forms: I^mu t^beta = G(b+1)/G(b+1+mu) x^(b+mu),
 #               D^al t^beta = G(b+1)/G(b+1-al) x^(b-al)   (math.gamma oracle)
@@ -368,6 +375,18 @@ def test_assumption_gate_and_override():
         out = rl_derivative(f, p, 1.0, allow_nonzero_base=True)
     assert any("Caputo" in str(w.message) for w in caught)
     assert out.value == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-12)
+
+
+def test_the_caputo_semantics_warning_points_at_the_callers_line():
+    # however deep below the public function the check runs
+    p, f = FractionalParams(0.5, 0.0, 128), parse("cos(t)")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = sys._getframe().f_lineno
+        rl_derivative(f, p, 1.0, allow_nonzero_base=True)
+        critical_points(f, p, 3.0, allow_nonzero_base=True)
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line + 1), (__file__, line + 2)]
+    assert all("Caputo" in str(w.message) for w in caught)
 
 
 @pytest.mark.parametrize("fa", [1.0, math.nan, math.inf, -math.inf])
@@ -898,3 +917,40 @@ def test_grid_parity_does_not_matter():
 
     assert err(17) <= 2.0 * err(16)
     assert err(33) <= 2.0 * err(32)
+
+
+# --- pointwise quadratures in batches ------------------------------------------
+
+
+def _quad_outcome(run):
+    try:
+        value, est = run()
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return np.array([value, est]).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.recursive(_leaves, _grow, max_leaves=6),
+    st.floats(-1.0, 1.0),
+    st.lists(st.tuples(st.floats(0.05, 3.0), st.floats(0.01, 0.99)), min_size=1, max_size=9),
+    st.sampled_from([2, 3, 17, 2047, 2050]),
+    st.integers(1, 10),
+)
+# log(2 - t) has no f' from t = 2 on: batches that mix failing and finite rows
+@example(parse("log(2-t)").root, 0.0, [(0.5, 0.3), (2.5, 0.5), (1.0, 0.5), (3.0, 0.9), (1.5, 0.9)], 17, 2)
+@example(parse("log(2-t)").root, 0.0, [(0.5, 0.3), (2.5, 0.5), (1.0, 0.5), (3.0, 0.9), (1.5, 0.9)], 2050, 10)
+def test_a_batch_of_quadratures_equals_one_at_a_time_bit_for_bit(root, a, pairs, grid_n, per_batch):
+    # f' of a grammar expression at (x, mu) pairs of mixed orders, in batches
+    # of per_batch rows (the element budget set to that many grids), against
+    # _kernel_quad_grid at each pair alone; a failing row fails alike
+    e = Expression(root)
+    fp = fracops._prime_sampler(e)
+    xs, mus = [a + d for d, _ in pairs], [mu for _, mu in pairs]
+    alone = [_quad_outcome(lambda x=x, mu=mu: _kernel_quad_grid(fp, a, x, mu, grid_n)) for x, mu in zip(xs, mus)]
+    assume(any(isinstance(o, bytes) for o in alone))  # f' finite on [a, x] for some x
+    with mock.patch.object(fracops, "_BATCH_MAX_POINTS", per_batch * (fracops._panels(grid_n) + 1)):
+        rows = list(_kernel_quad_rows(fp, a, xs, mus, grid_n))
+    together = [(type(r), str(r)) if isinstance(r, Exception) else np.array(r).tobytes() for r in rows]
+    assert together == alone
