@@ -1,6 +1,6 @@
 """Fractional integrals and derivatives on user-supplied expressions.
 
-Walks through the operator layer: parsing, the two quadrature backends,
+Walks through the operator layer: parsing, the product-rule quadrature,
 closed-form sanity checks, and how the derivative interpolates between
 the function itself (order near 0) and the classical derivative (order
 near 1).
@@ -9,7 +9,6 @@ near 1).
 import math
 
 from fraccalc import (
-    ADAPTIVE_ORACLE,
     FractionalParams,
     caputo_derivative,
     gamma,
@@ -28,8 +27,6 @@ p = FractionalParams(alpha=0.5, a=0.0, grid_n=2048)
 out = rl_integral(f, p, order=0.5, x=1.0)
 print("\nI^0.5 [t^2](1):")
 print(f"  grid backend     {out.value:.12f}  (est err {out.est_error:.1e})")
-out = rl_integral(f, p, order=0.5, x=1.0, backend=ADAPTIVE_ORACLE)
-print(f"  adaptive oracle  {out.value:.12f}  (est err {out.est_error:.1e})")
 print(f"  closed form      {gamma(3.0) / gamma(3.5):.12f}")
 
 # The Riemann-Liouville derivative of t at order 1/2 is 2 sqrt(x/pi).

@@ -1,8 +1,8 @@
 """Numerical engine for left-sided fractional calculus on an interval.
 
 The library parses one-variable expressions, computes Riemann-Liouville
-integrals and derivatives (plus the Caputo form) with paired grid and
-adaptive backends, locates fractional mean values and critical points,
+integrals and derivatives (plus the Caputo form) with one product rule
+on a uniform grid, locates fractional mean values and critical points,
 traces how the largest critical point migrates with the order, and runs
 sampled shape analysis (windowed monotone order, convexity bridging,
 step-monotonicity certificates, periodicity-defect measurements).

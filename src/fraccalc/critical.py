@@ -217,6 +217,8 @@ def derivative_zero_before(
     Existence is guaranteed, so an empty search is a solver failure (the
     scan is refined a few times before giving up), not a valid answer.
     """
+    if not x_zero > p.a:
+        raise ValueError(f"need x_zero > a, got x_zero={x_zero!r}, a={p.a!r}")
     fx = _sampler(f)(x_zero)
     if abs(fx) > zero_tol:
         raise HypothesisError(f"f(x_zero) = {fx!r} is not 0 within {zero_tol!r}")
@@ -325,6 +327,8 @@ def dilation_scenario(v: Expression, p: FractionalParams, t_grid: Sequence[float
     reports that earlier time xi <= t* alongside the table.
     """
     ts = [float(t) for t in t_grid]
+    if not ts:
+        raise ValueError("t_grid is empty: the table needs at least one time")
     if any(t <= p.a for t in ts):
         raise ValueError("t_grid must lie strictly right of the base point")
     base_value(v, p.a)

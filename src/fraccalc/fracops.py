@@ -1,26 +1,24 @@
 """Left-sided fractional integrals and derivatives on [a, x].
 
-Two quadrature backends compute the convolution
+One quadrature rule computes the convolution
 
     I^mu f(x) = (1/Gamma(mu)) * integral_a^x f(t) (x - t)^(mu - 1) dt
 
-for any order mu > 0 (weakly singular below 1), each with one rule for
-every order:
+for any order mu > 0 (weakly singular below 1): the piecewise-linear
+interpolant of f on a uniform grid is integrated exactly against the kernel
+(an L1-type product rule).  f is sampled once, on grid_n panels rounded up
+to a multiple of 4; ``_extrapolate`` refines the sums on that grid and its
+half and quarter slices at their measured order (one Richardson step) and
+estimates the error.  Every public operator runs this rule.
 
-``product_trapezoid``
-    The piecewise-linear interpolant of f on a uniform grid is integrated
-    exactly against the kernel (an L1-type product rule).  f is sampled once,
-    on grid_n panels rounded up to a multiple of 4; ``_extrapolate`` refines
-    the sums on that grid and its half and quarter slices at their measured
-    order (one Richardson step) and estimates the error.
-
-``adaptive_oracle``
-    Adaptive QUADPACK quadrature with the kernel as an algebraic
-    end-point weight (QAWS, modified Clenshaw-Curtis rules): f alone is
-    integrated against (x - t)^(mu - 1), with no substitution.  Used as
-    an independent cross-check for everything the grid backend produces.
-    QUADPACK asks for one point per callback and is handed the sampler
-    itself, so each callback is one float in and one float out.
+``_kernel_quad_oracle`` is an independent reference: adaptive QUADPACK
+quadrature with the kernel as an algebraic end-point weight (QAWS, modified
+Clenshaw-Curtis rules), f alone integrated against (x - t)^(mu - 1), with no
+substitution.  QUADPACK asks for one point per callback and is handed the
+sampler itself, so each callback is one float in and one float out.  Its one
+caller in the package is the window table of
+``shape.convexity_equivalence``; the tests cross-check the product rule
+against it.
 
 Derivatives come in three flavours:
 
@@ -95,6 +93,7 @@ __all__ = [
     "base_value",
 ]
 
+#: the two rules of ``shape.convexity_equivalence(backend=)``
 PRODUCT_TRAPEZOID = "product_trapezoid"
 ADAPTIVE_ORACLE = "adaptive_oracle"
 
@@ -155,13 +154,11 @@ class FractionalParams:
 
 @dataclass(frozen=True)
 class OperatorValue:
-    """On ``product_trapezoid``, ``est_error`` is |fine - half| of the unrefined
-    grid pair plus ``_extrapolate``'s floor, next to the refined value: loose, a
-    median 1,674 times the true error on a power-law corpus.  On
-    ``adaptive_oracle``, it is QUADPACK's estimate / |Gamma(mu)| + 1e-16 |value|."""
+    """``est_error`` is |fine - half| of the unrefined grid pair plus
+    ``_extrapolate``'s floor, next to the refined value: loose, a median
+    1,674 times the true error on a power-law corpus."""
 
     value: float
-    backend: str
     est_error: float
 
 
@@ -264,9 +261,9 @@ def _cache_put(key: tuple, value: np.ndarray) -> None:
     spectra go first and the whole cache only if that is not enough, so the
     weights kept are the same as in a cache that never held spectra.  That
     rule, with spectra cached only in free room, bounds the peak memory:
-    ``mono --grid-n 1048576`` peaks at 240 MB RSS, and at 287 MB when
+    ``mono --grid-n 1048576`` peaks at 210.5 MB RSS, and at 238 MB when
     spectra may evict weights through this function like any entry (2-core
-    Linux VM), over the 263.6 MB bound the test workflow sets."""
+    Linux VM), over the 231.6 MB bound the test workflow sets."""
     if value.nbytes > _WEIGHT_CACHE_MAX_BYTES:
         return
     if value.nbytes > _cache_room():
@@ -567,45 +564,27 @@ def _kernel_quad_oracle(sample: Sampler, a: float, x: float, mu: float) -> tuple
     return total, err
 
 
-def _kernel_quad(sample: Sampler, a: float, x: float, mu: float, grid_n: int, backend: str) -> OperatorValue:
-    if backend == PRODUCT_TRAPEZOID:
-        v, e = _kernel_quad_grid(sample, a, x, mu, grid_n)
-    elif backend == ADAPTIVE_ORACLE:
-        v, e = _kernel_quad_oracle(sample, a, x, mu)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+def _kernel_quad(sample: Sampler, a: float, x: float, mu: float, grid_n: int) -> OperatorValue:
+    v, e = _kernel_quad_grid(sample, a, x, mu, grid_n)
     if not math.isfinite(v):
         raise DomainError(f"non-finite quadrature value over [{a!r}, {x!r}]")
-    return OperatorValue(v, backend, e)
+    return OperatorValue(v, e)
 
 
 # ---------------------------------------------------------------------------
 # Public operators
 
 
-def rl_integral(
-    f: FuncLike,
-    p: FractionalParams,
-    order: float,
-    x: float,
-    *,
-    backend: str = PRODUCT_TRAPEZOID,
-) -> OperatorValue:
+def rl_integral(f: FuncLike, p: FractionalParams, order: float, x: float) -> OperatorValue:
     """Left fractional integral I^order of f over [p.a, x], for any finite order > 0."""
     if not (0.0 < order < math.inf):
         raise ValueError(f"rl_integral order must be finite and > 0, got {order!r}")
-    return _kernel_quad(_sampler(f), p.a, x, order, p.grid_n, backend)
+    return _kernel_quad(_sampler(f), p.a, x, order, p.grid_n)
 
 
-def caputo_derivative(
-    f: Expression,
-    p: FractionalParams,
-    x: float,
-    *,
-    backend: str = PRODUCT_TRAPEZOID,
-) -> OperatorValue:
+def caputo_derivative(f: Expression, p: FractionalParams, x: float) -> OperatorValue:
     """Caputo derivative I^(1-alpha) f' at x.  Constants differentiate to 0."""
-    return _kernel_quad(_prime_sampler(f), p.a, x, 1.0 - p.alpha, p.grid_n, backend)
+    return _kernel_quad(_prime_sampler(f), p.a, x, 1.0 - p.alpha, p.grid_n)
 
 
 def rl_derivative(
@@ -615,7 +594,6 @@ def rl_derivative(
     method: str = "caputo_form",
     *,
     allow_nonzero_base: Optional[bool] = False,
-    backend: str = PRODUCT_TRAPEZOID,
 ) -> OperatorValue:
     """Riemann-Liouville derivative D^alpha f at x.
 
@@ -625,16 +603,13 @@ def rl_derivative(
     refusal does not name it).  ``direct``
     differentiates the (1-alpha)-order integral by the one-sided difference
     (3 u_n - 4 u_(n-1) + u_(n-2)) / (2h) at the last three grid nodes,
-    samples f only on [a, x] and needs no derivative of f at all; it is a
-    product-trapezoid rule, so any other ``backend`` is a ValueError.
+    samples f only on [a, x] and needs no derivative of f at all.
     """
     if method == "caputo_form":
         base_value(f, p.a, allow_nonzero=allow_nonzero_base)
-        return caputo_derivative(f, p, x, backend=backend)
+        return caputo_derivative(f, p, x)
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    if backend != PRODUCT_TRAPEZOID:
-        raise ValueError(f"method='direct' runs only on backend={PRODUCT_TRAPEZOID!r}, got backend={backend!r}")
 
     mu = 1.0 - p.alpha
 
@@ -648,16 +623,10 @@ def rl_derivative(
     ((v, est),) = _nested(_sampler(f), p.a, [x], max(12, p.grid_n), [slope])
     if not math.isfinite(v):
         raise DomainError(f"non-finite direct derivative at x={x!r}")
-    return OperatorValue(v, PRODUCT_TRAPEZOID, est)
+    return OperatorValue(v, est)
 
 
-def f_lower(
-    f: Expression,
-    p: FractionalParams,
-    x: float,
-    *,
-    backend: str = PRODUCT_TRAPEZOID,
-) -> OperatorValue:
+def f_lower(f: Expression, p: FractionalParams, x: float) -> OperatorValue:
     """The auxiliary lowered function
 
         f_(1-alpha)(x) = ( f(a) (x-a)^(1-alpha)
@@ -667,12 +636,12 @@ def f_lower(
     primary cross-check for this routine.
     """
     if x == p.a:
-        return OperatorValue(0.0, backend, 0.0)
+        return OperatorValue(0.0, 0.0)
     fa = _sampler(f)(p.a)
     if not math.isfinite(fa):
         raise DomainError(f"f(a) = {fa!r} is not finite at a={p.a!r}")
     mu = 2.0 - p.alpha  # kernel (x-t)^(1-alpha) = (x-t)^(mu-1)
-    inner = _kernel_quad(_prime_sampler(f), p.a, x, mu, p.grid_n, backend)
+    inner = _kernel_quad(_prime_sampler(f), p.a, x, mu, p.grid_n)
     # _kernel_quad folds in 1/Gamma(mu); the target formula wants 1/Gamma(2-alpha)
     boundary = fa * (x - p.a) ** (1.0 - p.alpha) / gamma(2.0 - p.alpha)
-    return OperatorValue(boundary + inner.value, inner.backend, inner.est_error)
+    return OperatorValue(boundary + inner.value, inner.est_error)

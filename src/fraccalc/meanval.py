@@ -13,7 +13,9 @@ The full preimage f^(-1){g(x)} can be infinite; this module reports the
 finite subset it can certify: every root bracketed by a uniform sign
 scan, refined by Brent's method (bracketing is used instead of Newton
 because the crossings can be arbitrarily flat).  ``xi_sup`` is the
-largest one.  Every root search in the package uses this ``_find_roots``.
+largest one.  Every root search in the package is a ``_root_search``,
+driven point by point by ``_find_roots`` or, for the searches of an order
+sweep, side by side by ``_find_roots_together``.
 
 For smooth f the supremum near a is also approximated by the roots of an
 explicit polynomial in (xi - a) built from the Taylor coefficients of f
@@ -390,8 +392,8 @@ def xi_smoothness_profile(
     xs = [float(x) for x in x_grid]
     if len(xs) < 3:
         raise ValueError("need at least 3 grid points for slopes")
-    if sorted(xs) != xs:
-        raise ValueError("x_grid must be ascending")
+    if not all(lo < hi for lo, hi in zip(xs, xs[1:])):
+        raise ValueError("x_grid must be strictly ascending")
     check_strictly_monotone(f, p.a, xs[-1])
     xis = [mean_value(f, p, x).xi_sup for x in xs]
     if None in xis:  # a degenerate mean value has no xi

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import fracops
 from .errors import DomainError, HypothesisError, MeanValueNotFoundError
 # bench/tracing.py wraps derivative_values at each module that binds it
 from .expr import Expression, derivative_values  # noqa: F401
@@ -47,7 +48,7 @@ from .fracops import (
     _check_alpha,
     _check_grid_n,
     _grid,
-    _kernel_quad,
+    _kernel_quad_grid,
     _prime_sampler,
     _sampler,
 )
@@ -162,8 +163,9 @@ def _window_table(
     over [x0, x0 + delta] and, given ``scan_n``, the offset xi - x0 of phi's
     mean value on the window: None when degenerate, the
     MeanValueNotFoundError when no crossing brackets.  The mean value reuses
-    the window integral, so each window is integrated once.  An empty pair
-    sample is a ValueError: no verdict rests on no evidence."""
+    the window integral, so each window is integrated once, by the product
+    rule or by ``fracops._kernel_quad_oracle`` (looked up there at each call).
+    An empty pair sample is a ValueError: no verdict rests on no evidence."""
     if not pair_samples:
         raise ValueError("pair_samples must hold at least one window pair")
     table: Dict[float, tuple] = {}
@@ -171,7 +173,14 @@ def _window_table(
         if x0 in table:
             continue
         p = FractionalParams(alpha, x0, grid_n)
-        value = _kernel_quad(phi, x0, x0 + delta, 1.0 - alpha, grid_n, backend).value
+        if backend == PRODUCT_TRAPEZOID:
+            value = _kernel_quad_grid(phi, x0, x0 + delta, 1.0 - alpha, grid_n)[0]
+        elif backend == ADAPTIVE_ORACLE:
+            value = fracops._kernel_quad_oracle(phi, x0, x0 + delta, 1.0 - alpha)[0]
+        else:
+            raise ValueError(f"unknown backend {backend!r}")
+        if not math.isfinite(value):
+            raise DomainError(f"non-finite quadrature value over [{x0!r}, {x0 + delta!r}]")
         offset = None
         if scan_n is not None:
             try:
@@ -490,6 +499,8 @@ def periodicity_defect(
     if not tau > 0.0:
         raise ValueError(f"period tau must be > 0, got tau={tau!r}")
     ts = np.asarray([float(t) for t in t_grid])
+    if not len(ts):
+        raise ValueError("t_grid is empty: the defect needs at least one time")
     if np.any(ts <= 0.0):
         raise ValueError("t_grid must be positive (operators are based at 0)")
     last = float(np.max(ts))

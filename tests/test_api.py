@@ -7,6 +7,7 @@ parameters; adding, removing or re-defaulting a parameter is a decision
 this table makes visible.
 """
 
+import dataclasses
 import inspect
 import math
 import os
@@ -17,17 +18,15 @@ import pytest
 
 import fraccalc
 
-PT, ORACLE = fraccalc.PRODUCT_TRAPEZOID, fraccalc.ADAPTIVE_ORACLE
-
 DEFAULTED = {
     "parse": {},
     "derivatives": {},
     "derivative_values": {},
     "gamma": {},
-    "rl_integral": {"backend": PT},
-    "rl_derivative": {"method": "caputo_form", "allow_nonzero_base": False, "backend": PT},
-    "caputo_derivative": {"backend": PT},
-    "f_lower": {"backend": PT},
+    "rl_integral": {},
+    "rl_derivative": {"method": "caputo_form", "allow_nonzero_base": False},
+    "caputo_derivative": {},
+    "f_lower": {},
     "integral_on_grid": {},
     "mean_value": {"scan_n": 128},
     "mean_value_polynomial": {},
@@ -41,7 +40,7 @@ DEFAULTED = {
     "sample_window_pairs": {"n_pairs": 32, "seed": 0},
     "delta_increasing_check": {"grid_n": 1024},
     "property_P_check": {"grid_n": 1024, "scan_n": 96},
-    "convexity_equivalence": {"grid_n": 1024, "scan_n": 96, "backend": ORACLE},
+    "convexity_equivalence": {"grid_n": 1024, "scan_n": 96, "backend": fraccalc.ADAPTIVE_ORACLE},
     "monotonicity_certificate": {"grid_n": 2048},
     "comparison_check": {"grid_n": 1024},
     "periodicity_defect": {"grid_n": 2048},
@@ -66,11 +65,43 @@ def test_defaulted_parameters_are_pinned():
 def test_readme_names_exactly_the_functions_that_take_a_backend():
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
         quick = fh.read().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
-    listed = re.search(r"functions that take `backend=`:(.*?):\n", quick, re.S).group(1)
+    listed = re.search(r"takes? `backend=`:(.*?):\n", quick, re.S).group(1)
     named = set(re.findall(r"`(\w+)`", listed))
     public = (getattr(fraccalc, name) for name in fraccalc.__all__)
     have = {fn.__name__ for fn in public if inspect.isfunction(fn) and "backend" in inspect.signature(fn).parameters}
     assert named == have
+
+
+def test_an_operator_value_is_a_value_and_its_estimate():
+    assert [field.name for field in dataclasses.fields(fraccalc.OperatorValue)] == ["value", "est_error"]
+
+
+_P = fraccalc.FractionalParams(0.5, 0.0, 256)
+_BAD_INPUTS = {
+    "derivative_zero_before_left_of_a": (
+        lambda: fraccalc.derivative_zero_before(fraccalc.parse("t*(t+1)"), _P, -1.0),
+        "need x_zero > a, got x_zero=-1.0, a=0.0"),
+    "derivative_zero_before_at_a": (
+        lambda: fraccalc.derivative_zero_before(fraccalc.parse("t*(t+1)"), _P, 0.0),
+        "need x_zero > a, got x_zero=0.0, a=0.0"),
+    "xi_smoothness_profile_repeated_x": (
+        lambda: fraccalc.xi_smoothness_profile(fraccalc.parse("t"), _P, [1.0, 1.0, 2.0]),
+        "x_grid must be strictly ascending"),
+    "dilation_scenario_empty_grid": (
+        lambda: fraccalc.dilation_scenario(fraccalc.parse("sin(t)"), _P, []),
+        "t_grid is empty: the table needs at least one time"),
+    "periodicity_defect_empty_grid": (
+        lambda: fraccalc.periodicity_defect(fraccalc.parse("sin(2*pi*t)"), 0.5, 1.0, []),
+        "t_grid is empty: the defect needs at least one time"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_a_bad_public_input_is_a_value_error_that_names_it(case):
+    call, message = _BAD_INPUTS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_functions_that_sample_fprime_refuse_a_callable():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fraccalc
+import quadpack_oracle as oracle
 from fraccalc import (
-    ADAPTIVE_ORACLE,
-    PRODUCT_TRAPEZOID,
     AssumptionError,
     DomainError,
     FractionalParams,
@@ -140,18 +140,17 @@ def test_integral_power_law_cross_checked_with_oracle():
     p = FractionalParams(0.5, 0.0, 1024)
     f = parse("t^2")
     grid = rl_integral(f, p, 0.5, 1.0)
-    oracle = rl_integral(f, p, 0.5, 1.0, backend=ADAPTIVE_ORACLE)
+    ref = oracle.rl_integral(f, p, 0.5, 1.0)
     exact = power_integral(2.0, 0.5, 1.0)
     assert grid.value == pytest.approx(exact, rel=1e-8)
-    assert oracle.value == pytest.approx(exact, rel=1e-10)
-    assert abs(grid.value - oracle.value) <= grid.est_error + oracle.est_error
+    assert ref.value == pytest.approx(exact, rel=1e-10)
+    assert abs(grid.value - ref.value) <= grid.est_error + ref.est_error
 
 
 def test_oracle_est_error_within_requested_tolerance():
     p = FractionalParams(0.3, 0.0, 64)
-    out = rl_integral(parse("sin(t)"), p, 0.3, 2.0, backend=ADAPTIVE_ORACLE)
+    out = oracle.rl_integral(parse("sin(t)"), p, 0.3, 2.0)
     assert out.est_error <= 1e-10
-    assert out.backend == ADAPTIVE_ORACLE
 
 
 def test_oracle_samples_the_weighted_integrand_few_times():
@@ -177,7 +176,7 @@ def test_oracle_callbacks_reach_the_jet_as_floats(monkeypatch):
     from fraccalc import convexity_equivalence, sample_window_pairs
 
     points, inside = [], []
-    sample, oracle = fracops_module.derivative_values, fracops_module._kernel_quad_oracle
+    sample, quad = fracops_module.derivative_values, fracops_module._kernel_quad_oracle
 
     def recording(e, ts, order):
         if inside:
@@ -187,14 +186,14 @@ def test_oracle_callbacks_reach_the_jet_as_floats(monkeypatch):
     def marking(*args):
         inside.append(True)
         try:
-            return oracle(*args)
+            return quad(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(fracops_module, "derivative_values", recording)
     monkeypatch.setattr(fracops_module, "_kernel_quad_oracle", marking)
     f = parse("exp(0.6*t)")
-    out = caputo_derivative(f, FractionalParams(0.4, 0.0, 64), 1.5, backend=ADAPTIVE_ORACLE)
+    out = oracle.caputo_derivative(f, FractionalParams(0.4, 0.0, 64), 1.5)
     # D^0.4 exp(0.6 t) = 0.6 t^0.6 E_(1,1.6)(0.6 t)
     assert out.value == pytest.approx(0.6 * 1.5**0.6 * sum(0.9**k / math.gamma(k + 1.6) for k in range(40)))
     convexity_equivalence(f, 0.75, 0.45, sample_window_pairs(0.0, 4.0, 0.45, n_pairs=2))
@@ -207,7 +206,7 @@ def test_oracle_power_law_corpus(beta):
     f = parse(f"t^{beta}")
     for al in (0.1, 0.3, 0.5, 0.7, 0.9):
         for x in (0.5, 1.0, 2.0):
-            out = rl_integral(f, FractionalParams(al, 0.0), al, x, backend=ADAPTIVE_ORACLE)
+            out = oracle.rl_integral(f, FractionalParams(al, 0.0), al, x)
             exact = power_integral(beta, al, x)
             err = abs(out.value - exact)
             assert err <= 1e-11 * exact
@@ -235,7 +234,7 @@ def test_backend_agreement_random_corpus():
         x = float(rng.uniform(0.3, 2.5))
         p = FractionalParams(al, 0.0, 512)
         a = rl_integral(f, p, al, x)
-        b = rl_integral(f, p, al, x, backend=ADAPTIVE_ORACLE)
+        b = oracle.rl_integral(f, p, al, x)
         assert abs(a.value - b.value) <= a.est_error + b.est_error + 1e-13
 
 
@@ -299,7 +298,7 @@ def test_derivative_three_way_agreement_random_corpus():
         x = float(rng.uniform(0.4, 2.0))
         p = FractionalParams(al, 0.0, 1024)
         a = rl_derivative(f, p, x)
-        b = rl_derivative(f, p, x, backend=ADAPTIVE_ORACLE)
+        b = oracle.rl_derivative(f, p, x)
         c = rl_derivative(f, p, x, method="direct")
         assert abs(a.value - b.value) <= a.est_error + b.est_error + 1e-12
         assert abs(c.value - b.value) <= c.est_error + b.est_error + 1e-9
@@ -318,16 +317,6 @@ def test_direct_derivative_samples_only_inside_the_interval():
         out = rl_derivative(f, FractionalParams(0.5, 0.0, 2048), x, method="direct")
         assert seen and min(lo for lo, _ in seen) >= 0.0 and max(hi for _, hi in seen) <= x
         assert out.value == pytest.approx(math.gamma(1.5), rel=1e-6)
-
-
-def test_direct_derivative_refuses_the_oracle():
-    # the direct method is a product-trapezoid rule: an oracle request is
-    # refused, not silently answered with the grid value
-    p = FractionalParams(0.5, 0.0, 256)
-    with pytest.raises(ValueError, match="method='direct'.*backend='adaptive_oracle'"):
-        rl_derivative(parse("t"), p, 1.0, method="direct", backend=ADAPTIVE_ORACLE)
-    out = rl_derivative(parse("t"), p, 1.0, method="direct", backend=PRODUCT_TRAPEZOID)
-    assert out == rl_derivative(parse("t"), p, 1.0, method="direct")
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.5])
@@ -439,15 +428,14 @@ def test_f_lower_vanishes_at_base():
 
 
 @pytest.mark.parametrize("fa", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("backend", [PRODUCT_TRAPEZOID, ADAPTIVE_ORACLE])
-def test_f_lower_refuses_a_nonfinite_base_value(fa, backend):
+def test_f_lower_refuses_a_nonfinite_base_value(fa):
     p = FractionalParams(0.5, 0.0, 256)
 
     def f(t):
         return np.where(t == 0.0, fa, np.sin(t))
 
     with pytest.raises(DomainError, match=f"f\\(a\\) = {fa!r} is not finite"):
-        f_lower(f, p, 1.0, backend=backend)
+        f_lower(f, p, 1.0)
 
 
 def test_f_lower_power_law():
@@ -481,14 +469,14 @@ def test_every_operator_value_holds_python_floats():
     # a numpy scalar is a float subclass with its own repr; no path returns one
     f, p = parse("t^2"), FractionalParams(0.5, 0.0, 64)
     outs = [rl_derivative(f, p, 1.0, method="direct"), rl_derivative(np.square, p, 1.0, method="direct")]
-    for backend in (PRODUCT_TRAPEZOID, ADAPTIVE_ORACLE):
+    for ops in (fraccalc, oracle):
         outs += [
-            rl_integral(f, p, 0.5, 1.0, backend=backend),
-            rl_integral(f, p, 2.5, 1.0, backend=backend),
-            rl_derivative(f, p, 1.0, backend=backend),
-            caputo_derivative(f, p, 1.0, backend=backend),
-            f_lower(f, p, 1.0, backend=backend),
+            ops.rl_integral(f, p, 0.5, 1.0),
+            ops.rl_integral(f, p, 2.5, 1.0),
+            ops.rl_derivative(f, p, 1.0),
+            ops.caputo_derivative(f, p, 1.0),
         ]
+    outs.append(f_lower(f, p, 1.0))
     for out in outs:
         assert type(out.value) is float and type(out.est_error) is float, out
 
@@ -558,7 +546,7 @@ def test_remainder_order_integral_matches_oracle(src, n):
     top = lambda ts: derivative_values(f, ts, n + 1)  # noqa: E731
     p = FractionalParams(alpha, 0.0, 64)
     out = rl_integral(top, p, n + 2.0 - alpha, x)
-    ref = rl_integral(top, p, n + 2.0 - alpha, x, backend=ADAPTIVE_ORACLE).value
+    ref = oracle.rl_integral(top, p, n + 2.0 - alpha, x).value
     err = abs(out.value - ref)
     assert err <= 1e-6 * abs(ref)
     assert out.est_error >= err
@@ -890,8 +878,8 @@ def test_windowed_power_law_at_origin():
 
 def test_windowed_sees_shifted_slope():
     f = parse("t^2")
-    near = caputo_derivative(f, FractionalParams(0.5, 0.0, 512), 1.0, backend=ADAPTIVE_ORACLE)
-    far = caputo_derivative(f, FractionalParams(0.5, 1.0, 512), 2.0, backend=ADAPTIVE_ORACLE)
+    near = oracle.caputo_derivative(f, FractionalParams(0.5, 0.0, 512), 1.0)
+    far = oracle.caputo_derivative(f, FractionalParams(0.5, 1.0, 512), 2.0)
     # oracle closed form for the shifted window: I^(1/2) of 2t from 1 at 2
     assert far.value == pytest.approx(20.0 / (3.0 * math.sqrt(math.pi)), rel=1e-9)
     assert far.value > near.value

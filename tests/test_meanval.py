@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+import quadpack_oracle as oracle
 from fraccalc import (
-    ADAPTIVE_ORACLE,
     AssumptionError,
     DomainError,
     FractionalParams,
@@ -15,7 +15,6 @@ from fraccalc import (
     mean_value_polynomial,
     parse,
     mean_path_witness,
-    rl_integral,
     xi_smoothness_profile,
 )
 from fraccalc.meanval import _mean_value, check_strictly_monotone
@@ -24,7 +23,7 @@ from fraccalc.meanval import _mean_value, check_strictly_monotone
 def oracle_mean_value(f, p, x):
     # mean_value with its level integral taken by the QUADPACK oracle instead
     # of the product rule: an independent cross-check of the level
-    iv = rl_integral(f, p, 1.0 - p.alpha, x, backend=ADAPTIVE_ORACLE).value
+    iv = oracle.rl_integral(f, p, 1.0 - p.alpha, x).value
     return _mean_value(f.eval, p, x, iv, 128)
 
 
@@ -56,7 +55,7 @@ def test_power_law_scale_covariance():
         for x in (0.5, 1.0, 2.0):
             res = oracle_mean_value(parse(src), p, x)
             assert res.xi_sup / x == pytest.approx(power_ratio(beta, 0.5), abs=1e-8)
-    # the default grid backend on a coarser grid
+    # the product rule on a coarser grid
     res = mean_value(parse("t^2"), FractionalParams(0.5, 0.0, 512), 0.5)
     assert res.xi_sup == pytest.approx(0.5 * power_ratio(2.0, 0.5), abs=1e-8)
 
@@ -70,7 +69,7 @@ def test_defining_residual_invariant():
         p = FractionalParams(al, 0.0, 1024)
         f = parse("t*exp(-t/2)")
         res = oracle_mean_value(f, p, x)
-        iv = rl_integral(f, p, 1.0 - al, x, backend=ADAPTIVE_ORACLE).value
+        iv = oracle.rl_integral(f, p, 1.0 - al, x).value
         for xi in res.lambda_set:
             lhs = f.eval(xi) * x ** (1.0 - al) / math.gamma(2.0 - al)
             assert abs(lhs - iv) <= 1e-8 * (1.0 + abs(iv))
@@ -184,7 +183,7 @@ def test_polynomial_remainder_matches_oracle():
     # n = 8: the remainder is I^9.6 of sin^(9) = cos over [0, 2.5]
     p = FractionalParams(0.4, 0.0, 512)
     est = mean_value_polynomial(parse("sin(t)"), p, 2.5, 8)
-    ref = rl_integral(parse("cos(t)"), p, 9.6, 2.5, backend=ADAPTIVE_ORACLE).value
+    ref = oracle.rl_integral(parse("cos(t)"), p, 9.6, 2.5).value
     assert abs(est.remainder_term - ref) <= 1e-8 * abs(ref)
 
 
