@@ -18,8 +18,9 @@ f' sample on the scan grid serves every order's scan, and the root searches
 of a group of orders advance in lockstep, each round of pointwise
 quadratures (every bracket end, then one Brent step per search) evaluated
 as one batch of grid rows by ``fracops._kernel_quad_rows``.  ``dilation_scenario`` runs
-its table through the same batches.  The results, and the first failure
-raised, are those of running the orders one after another.
+its table through the same batches.  The results are those of running the
+orders one after another; a group whose lockstep run raises runs its orders
+that way, so the sweep raises what that loop raises first.
 """
 
 from __future__ import annotations
@@ -133,8 +134,9 @@ def _critical_sweep(
     quadratures (first every bracket end, then one Brent step per search)
     is one batch.  The searches go in groups of as many orders as a batch
     has rows (one at the ``--grid-n`` cap), so the weight tables of a group
-    stay cached between its rounds.  Raises what the first order to fail
-    raises when the orders run one after another."""
+    stay cached between its rounds.  A group that raises runs again order by
+    order through :func:`_find_roots`, which raises what the first order to
+    fail raises alone; later groups do not start."""
     if not ps:
         return []
     a, grid_n = ps[0].a, ps[0].grid_n
@@ -145,16 +147,24 @@ def _critical_sweep(
     base_value(f, a, allow_nonzero=allow_nonzero_base)
     fp = _prime_sampler(f)
     xs, fv, h, k = _scan(fp, a, b, scan_n, grid_n)
+    tol = 1e-10 * (b - a)
 
     def search(mu):
-        return (yield from _root_search(xs, _strided_integral(fv, h, mu, k), 1e-10 * (b - a), False))
+        return (yield from _root_search(xs, _strided_integral(fv, h, mu, k), tol, False))
+
+    def one_order(mu):
+        d = lambda x: _kernel_quad_grid(fp, a, x, mu, grid_n)[0]  # noqa: E731
+        return _find_roots(xs, _strided_integral(fv, h, mu, k), d, tol, exact=False)
 
     def group_roots(mus):
         def evaluate(points):
             rows = _kernel_quad_rows(fp, a, [x for _, x in points], [mus[i] for i, _ in points], grid_n)
-            return [r if isinstance(r, Exception) else r[0] for r in rows]
+            return [value for value, _ in rows]
 
-        return _find_roots_together([search(mu) for mu in mus], evaluate)
+        try:
+            return _find_roots_together([search(mu) for mu in mus], evaluate)
+        except Exception:  # the order-by-order loop defines which failure is raised
+            return [one_order(mu) for mu in mus]
 
     mus, per = [1.0 - p.alpha for p in ps], _batch_rows(grid_n)
     found = [r for i in range(0, len(mus), per) for r in group_roots(mus[i : i + per])]
@@ -329,14 +339,11 @@ def dilation_scenario(v: Expression, p: FractionalParams, t_grid: Sequence[float
     ts = [float(t) for t in t_grid]
     if not ts:
         raise ValueError("t_grid is empty: the table needs at least one time")
-    if any(t <= p.a for t in ts):
+    if not all(t > p.a for t in ts):
         raise ValueError("t_grid must lie strictly right of the base point")
     base_value(v, p.a)
-    rows = []
-    for t, out in zip(ts, _kernel_quad_rows(_prime_sampler(v), p.a, ts, [1.0 - p.alpha] * len(ts), p.grid_n)):
-        if isinstance(out, Exception):
-            raise out
-        rows.append((t, out[0]))
+    quads = _kernel_quad_rows(_prime_sampler(v), p.a, ts, [1.0 - p.alpha] * len(ts), p.grid_n)
+    rows = [(t, value) for t, (value, _) in zip(ts, quads)]
 
     sample = _sampler(v)
     vvals = sample(np.asarray(ts))

@@ -37,11 +37,11 @@ Derivatives come in three flavours:
 
 Many pointwise values at once, such as the Brent steps of an order sweep
 or a table of D^alpha f, are ``_kernel_quad_rows``: the grids of up to
-``_BATCH_MAX_POINTS`` nodes of pairs (x, mu) are the rows of one ``_grid``,
+``_BATCH_MAX_POINTS`` nodes of pairs (x, mu) are the rows of one array,
 sampled in one call, and each row's sums and Richardson step are those of
-``_kernel_quad_grid`` at that pair alone, bit for bit; a batch that raises is
-run again pair by pair, so each pair gets the value or the exception of its
-own call.
+``_kernel_quad_grid`` at that pair alone, bit for bit.  A batch that raises
+is run again pair by pair, so the first failing pair raises what its own call
+raises and no value is yielded past it.
 
 ``integral_on_grid`` gives I^mu at every node of a grid at once, by a
 blocked FFT convolution.  The product-trapezoid weights of each (n, mu),
@@ -436,24 +436,20 @@ def _strided_integral(samples: np.ndarray, h: float, mu: float, k: int) -> np.nd
     return out
 
 
-def _grid(a: float, x, n: int) -> tuple:
+def _grid(a: float, x: float, n: int) -> tuple:
     """The n + 1 nodes a + j*h of [a, x], h = (x - a)/n, the last exactly x; and h.
-    For a list of right ends x, a (len(x), n + 1) array of such rows and the
-    list of their steps.
 
-    Every uniform point set of the package is built here or sliced from it;
-    the nodes equal ``np.linspace(a, x, n + 1)`` bit for bit.  An interval
+    Every uniform point set of the package is built here, or as here by
+    ``_fill_grid`` (the rows of ``_nested``), or sliced from one; the nodes equal ``np.linspace(a, x, n + 1)`` bit for bit.  An interval
     whose step overflows a float is a DomainError, and the last node is not
     computed, so a grid ending near the largest float does not overflow."""
-    if isinstance(x, list):
-        ts = np.empty((len(x), n + 1))
-        return ts, [_fill_grid(row, a, v, n) for row, v in zip(ts, x)]
     ts = np.empty(n + 1)
     return ts, _fill_grid(ts, a, x, n)
 
 
 def _fill_grid(ts: np.ndarray, a: float, x: float, n: int) -> float:
-    """Write the nodes of ``_grid(a, x, n)`` into ts; return the step."""
+    """Write the nodes of ``_grid(a, x, n)`` into ts, which may be a row of a
+    larger array; return the step."""
     a, x = float(a), float(x)
     h = (x - a) / n
     if not math.isfinite(h):
@@ -485,12 +481,14 @@ def _extrapolate(v1: float, v2: float, v4: float) -> tuple:
 def _nested(sample: Sampler, a: float, xs: list, grid_n: int, rules: list) -> list:
     """``_extrapolate`` of ``rule(samples, h)`` at strides 1, 2 and 4 of one ``_panels(grid_n)`` grid
     on [a, x], for each pair of ``xs`` and ``rules``: the grids are the rows of
-    one ``_grid``, sampled in one call, and each row's sums are those of a
-    call with that row alone, bit for bit."""
+    one array, each filled as ``_grid`` fills it and all sampled in one call,
+    and each row's sums are those of a call with that row alone, bit for bit."""
     for x in xs:
         if not x > a:
             raise ValueError(f"need x > a, got x={x!r}, a={a!r}")
-    ts, hs = _grid(a, list(xs), _panels(grid_n))
+    n = _panels(grid_n)
+    ts = np.empty((len(xs), n + 1))
+    hs = [_fill_grid(row, a, x, n) for row, x in zip(ts, xs)]
     fv = sample(ts.ravel()).reshape(ts.shape)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -526,21 +524,18 @@ def _batch_rows(grid_n: int) -> int:
 
 def _kernel_quad_rows(sample: Sampler, a: float, xs: list, mus: list, grid_n: int):
     """``_kernel_quad_grid`` at each pair of ``xs`` and ``mus``, in order: yields
-    per pair its (value, estimate), or the exception that the call for that
-    pair alone raises.  Pairs go in order into batches of at most
+    per pair its (value, estimate).  Pairs go in order into batches of at most
     ``_BATCH_MAX_POINTS`` grid nodes, at least one pair each; a batch that
-    raises is run again one pair at a time."""
+    raises is run again one pair at a time, so the pairs before the first
+    failing one are yielded and that pair raises what its own call raises."""
     per = _batch_rows(grid_n)
     for i in range(0, len(xs), per):
         pairs = list(zip(xs[i : i + per], mus[i : i + per]))
         try:
-            yield from _kernel_quad_batch(sample, a, [x for x, _ in pairs], [mu for _, mu in pairs], grid_n)
-        except Exception:
-            for x, mu in pairs:
-                try:
-                    yield _kernel_quad_grid(sample, a, x, mu, grid_n)
-                except Exception as exc:
-                    yield exc
+            rows = _kernel_quad_batch(sample, a, [x for x, _ in pairs], [mu for _, mu in pairs], grid_n)
+        except Exception:  # the first pair that fails alone raises its own exception
+            rows = (_kernel_quad_grid(sample, a, x, mu, grid_n) for x, mu in pairs)
+        yield from rows
 
 
 # ---------------------------------------------------------------------------

@@ -153,11 +153,9 @@ def _root_search(xs: np.ndarray, vals: np.ndarray, tol: float, exact: bool, fn: 
     """The search of :func:`_find_roots`, as a generator that returns its roots.
 
     With ``fn`` it calls fn point by point and yields nothing.  Without, it
-    yields each list of points it needs fn at and is sent one outcome per
-    point, fn's value or the exception fn raises there, which is raised only
-    where the search reads that value: the search fails where and as one
-    calling fn point by point does.  Its first lists are the scan's zeros
-    and then every bracket end, then one point per step of Brent's method."""
+    yields each list of points it needs fn at and is sent fn's values there:
+    first the scan's zeros, then every bracket end, then one point per step
+    of Brent's method.  A driver that cannot evaluate a point drops the search."""
     xs, vals = np.asarray(xs, dtype=float), np.array(vals, dtype=float)
     known: dict = {}
 
@@ -166,8 +164,6 @@ def _root_search(xs: np.ndarray, vals: np.ndarray, tol: float, exact: bool, fn: 
             return vals[j]
         if j not in known:
             known[j] = fn(float(xs[j]))
-        if isinstance(known[j], Exception):
-            raise known[j]
         return known[j]
 
     def fetch(js):
@@ -183,8 +179,6 @@ def _root_search(xs: np.ndarray, vals: np.ndarray, tol: float, exact: bool, fn: 
             x = next(steps)
             while True:
                 (fx,) = yield [x]
-                if isinstance(fx, Exception):
-                    raise fx
                 x = steps.send(fx)
         except StopIteration as stop:
             return stop.value
@@ -236,35 +230,26 @@ def _find_roots_together(searches: list, evaluate: Callable[[list], list]) -> li
 
     Each round hands the points that every live search waits for to
     ``evaluate``, as (search index, point) pairs in search order; it returns
-    one outcome per pair, a value or the exception that evaluating the point
-    alone raises.  A search that fails ends the searches after it, and the
-    failure of the first failed search is raised once those before it are
-    done: the one that running the searches one after another raises."""
+    one value per pair.  What a search or ``evaluate`` raises ends the run; a
+    caller that needs the failure of the searches run one after another
+    reruns them with :func:`_find_roots`."""
     results: list = [None] * len(searches)
     waiting: dict = {}  # search index -> the points it waits for
-    failed = [len(searches), None]  # the first failed search and its exception
 
-    def resume(i, outcomes):
+    def resume(i, values):
         try:
-            waiting[i] = searches[i].send(outcomes)
+            waiting[i] = searches[i].send(values)
         except StopIteration as stop:
             results[i] = stop.value
-        except Exception as exc:
-            failed[:] = [i, exc]
 
     for i in range(len(searches)):
-        if i < failed[0]:
-            resume(i, None)
+        resume(i, None)
     while waiting:
         batch = sorted(waiting.items())
         waiting.clear()
-        outcomes = iter(evaluate([(i, x) for i, pts in batch for x in pts]))
+        values = iter(evaluate([(i, x) for i, pts in batch for x in pts]))
         for i, pts in batch:
-            got = [next(outcomes) for _ in pts]
-            if i < failed[0]:
-                resume(i, got)
-    if failed[1] is not None:
-        raise failed[1]
+            resume(i, [next(values) for _ in pts])
     return results
 
 
@@ -426,7 +411,9 @@ def mean_path_witness(
     A nonzero f(a) is an AssumptionError.
     """
     xs = np.asarray([float(x) for x in x_grid])
-    if np.any(xs <= p.a):
+    if not len(xs):
+        raise ValueError("x_grid is empty: the search needs at least one point")
+    if not np.all(xs > p.a):
         raise ValueError("x_grid must lie strictly right of the base point")
     a, alpha = p.a, p.alpha
     base_value(f, a)  # once: each residual is a Caputo derivative

@@ -137,6 +137,8 @@ def sample_window_pairs(
     Strata are permuted with a seeded generator, so a fixed seed yields a
     reproducible, deterministic pair set.
     """
+    if not delta > 0.0:
+        raise ValueError("delta must be > 0")
     gap = 1e-3 * delta
     span = hi - lo - 2.0 * delta - gap
     if span <= 0.0:
@@ -436,6 +438,8 @@ def comparison_check(
     """
     _check_alpha(alpha)
     _check_grid_n(grid_n)
+    if not b > 0.0:
+        raise ValueError(f"need b > 0 for the interval (0, b], got b={b!r}")
     fp, gp = _prime_sampler(f), _prime_sampler(g)
     f0 = f.eval(0.0)
     g0 = g.eval(0.0)
@@ -501,7 +505,7 @@ def periodicity_defect(
     ts = np.asarray([float(t) for t in t_grid])
     if not len(ts):
         raise ValueError("t_grid is empty: the defect needs at least one time")
-    if np.any(ts <= 0.0):
+    if not np.all(ts > 0.0):
         raise ValueError("t_grid must be positive (operators are based at 0)")
     last = float(np.max(ts))
     # the derivative's grid reaches last + tau: built first, it refuses an

@@ -93,6 +93,27 @@ _BAD_INPUTS = {
     "periodicity_defect_empty_grid": (
         lambda: fraccalc.periodicity_defect(fraccalc.parse("sin(2*pi*t)"), 0.5, 1.0, []),
         "t_grid is empty: the defect needs at least one time"),
+    "mean_path_witness_empty_grid": (
+        lambda: fraccalc.mean_path_witness(fraccalc.parse("t"), fraccalc.parse("t"), _P, []),
+        "x_grid is empty: the search needs at least one point"),
+    "comparison_check_negative_b": (
+        lambda: fraccalc.comparison_check(fraccalc.parse("t"), fraccalc.parse("t"), 0.5, -1.0),
+        "need b > 0 for the interval (0, b], got b=-1.0"),
+    "comparison_check_nan_b": (
+        lambda: fraccalc.comparison_check(fraccalc.parse("t"), fraccalc.parse("t"), 0.5, math.nan),
+        "need b > 0 for the interval (0, b], got b=nan"),
+    "sample_window_pairs_nan_delta": (
+        lambda: fraccalc.sample_window_pairs(0.0, 4.0, math.nan),
+        "delta must be > 0"),
+    "mean_path_witness_nan_point": (
+        lambda: fraccalc.mean_path_witness(fraccalc.parse("t^2"), fraccalc.parse("t"), _P, [1.0, math.nan]),
+        "x_grid must lie strictly right of the base point"),
+    "dilation_scenario_nan_time": (
+        lambda: fraccalc.dilation_scenario(fraccalc.parse("sin(t)"), _P, [1.0, math.nan]),
+        "t_grid must lie strictly right of the base point"),
+    "periodicity_defect_nan_time": (
+        lambda: fraccalc.periodicity_defect(fraccalc.parse("sin(t)"), 0.5, 2 * math.pi, [1.0, math.nan]),
+        "t_grid must be positive (operators are based at 0)"),
 }
 
 

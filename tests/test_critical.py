@@ -306,6 +306,29 @@ def test_dilation_linear_velocity_never_zero():
     assert res.zero_time is None and res.xi is None
 
 
+@pytest.mark.parametrize("rows", [1, 3, None])
+def test_a_failing_dilation_table_raises_what_the_row_at_a_time_loop_raises(monkeypatch, capsys, rows):
+    # log(2.5 - t) has no f' from t = 2.5 on, so the table fails part-way; in
+    # batches of 1 and 3 rows and the default, and through the CLI
+    from fraccalc import fracops
+    from fraccalc.cli import run
+    from fraccalc.errors import DomainError
+
+    if rows is not None:
+        monkeypatch.setattr(fracops, "_BATCH_MAX_POINTS", rows * 1025)
+    v, p = parse("log(2.5-t)-log(2.5)"), FractionalParams(0.5, 0.0, 1024)
+    ts = list(np.linspace(0.25, 3.0, 12))
+    fp = fracops._prime_sampler(v)
+    with pytest.raises(DomainError) as alone:
+        for t in ts:
+            fracops._kernel_quad_grid(fp, p.a, t, 1.0 - p.alpha, p.grid_n)
+    with pytest.raises(DomainError) as table:
+        dilation_scenario(v, p, ts)
+    assert str(table.value) == str(alone.value)
+    assert run(["dilation", "--f", "log(2.5-t)-log(2.5)", "--alpha", "0.5", "--a", "0", "--b", "3"]) == 2
+    assert capsys.readouterr().err == f"computation error: {alone.value}\n"
+
+
 def test_dilation_high_order_matches_classical_rate():
     p = FractionalParams(0.99, 0.0, 2048)
     res = dilation_scenario(parse("sin(t)"), p, list(np.linspace(0.3, 3.0, 8)))
@@ -464,7 +487,7 @@ def test_a_sweep_equals_the_per_order_loop_bit_for_bit(monkeypatch, source, b, r
         assert _bits(rep.residuals) == _bits(alone.residuals) == _bits(residuals)
 
 
-@pytest.mark.parametrize("bad_ends, bad_scan, want", [
+_SWEEP_FAILURES = [
     # order 0 fails at a Brent step near its root, after order 2 failed at a bracket end
     ({0: "root", 2: "end"}, None, (0, "root")),
     # order 1's scan fails; order 3 fails at a bracket end in the first round
@@ -472,7 +495,10 @@ def test_a_sweep_equals_the_per_order_loop_bit_for_bit(monkeypatch, source, b, r
     # order 2's scan fails after order 1 failed at a Brent step
     ({1: "root"}, 2, (1, "root")),
     ({4: "end"}, None, (4, "end")),
-])
+]
+
+
+@pytest.mark.parametrize("bad_ends, bad_scan, want", _SWEEP_FAILURES)
 @pytest.mark.parametrize("rows", [2, None])
 def test_a_sweep_raises_the_first_failure_of_the_per_order_loop(monkeypatch, bad_ends, bad_scan, want, rows):
     # f' fails on a pointwise grid ending near a chosen root (reached by a
@@ -520,3 +546,26 @@ def test_a_sweep_raises_the_first_failure_of_the_per_order_loop(monkeypatch, bad
         critical._critical_sweep(f, ps, b, 32)
     assert str(together.value) == str(sequential.value)
     assert str(together.value).startswith(f"f' fails for order {want[0]} at its {want[1]}")
+
+
+@pytest.mark.parametrize("bad_ends, bad_scan, want", _SWEEP_FAILURES)
+def test_a_failing_group_reruns_only_its_own_orders(monkeypatch, bad_ends, bad_scan, want):
+    # with the failures of the test above, in groups of 2 orders: the group
+    # of the first failing order runs its searches again order by order up
+    # to that order (whose search never starts when its scan fails), and no
+    # other order's search runs again
+    from fraccalc import critical
+
+    ps = [FractionalParams(al, 0.0, 256) for al in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    xs, fv, h, k = critical._scan(critical._prime_sampler(parse("sin(t)")), 0.0, 4.5, 32, 256)
+    order_of = {_bits(critical._strided_integral(fv, h, 1.0 - p.alpha, k)): i for i, p in enumerate(ps)}
+    reran = []
+    find_roots = critical._find_roots
+
+    def recording(xs, vals, *args, **kwargs):
+        reran.append(order_of[_bits(vals)])
+        return find_roots(xs, vals, *args, **kwargs)
+
+    monkeypatch.setattr(critical, "_find_roots", recording)
+    test_a_sweep_raises_the_first_failure_of_the_per_order_loop(monkeypatch, bad_ends, bad_scan, want, 2)
+    assert reran == list(range(want[0] // 2 * 2, want[0] + (want[1] != "scan")))
