@@ -34,7 +34,12 @@ jet runs on a float or on a numpy array of points: ``eval`` and
 ``derivative_values`` map a float to a float (a QUADPACK or root-finder
 callback is a jet of floats) and an array, of any size, to an array.  numpy
 ufuncs are called on floats too, so a one-point sample equals the same
-point of a grid bit for bit.
+point of a grid bit for bit.  A sample silences floating-point warnings
+and checks its result instead: under an ``np.errstate`` of its own, or
+inside a ``_scalar_loop`` under the loop's.  The QUADPACK call of
+``fracops._kernel_quad_oracle`` and each root search of
+``meanval._find_roots`` are such loops, so each of their callbacks and
+Brent steps runs its compiled map and its finiteness check alone.
 
 Domain rules; a value (order 0) needs less than a derivative (order >= 1):
 
@@ -56,6 +61,8 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Union
@@ -894,6 +901,28 @@ def check_order(n: int) -> None:
         raise ValueError(f"derivative order must be in [0, {MAX_ORDER}], got {n!r}")
 
 
+#: True while a ``_scalar_loop`` holds the errstate that float samples share
+_IN_SCALAR_LOOP = ContextVar("fraccalc_scalar_loop", default=False)
+
+
+@contextmanager
+def _scalar_loop():
+    """Hold ``np.errstate(all="ignore")`` once around a loop of one-point
+    samples, such as the callbacks of one QUADPACK call or the steps of one
+    root search; a float sample inside it runs its compiled map and its
+    finiteness check without entering an errstate of its own.
+
+    Enter it only around code that runs the whole loop before it returns,
+    never across a ``yield``: the context variable, like numpy's errstate,
+    set inside a suspended generator holds in the code that drives it."""
+    token = _IN_SCALAR_LOOP.set(True)
+    try:
+        with np.errstate(all="ignore"):
+            yield
+    finally:
+        _IN_SCALAR_LOOP.reset(token)
+
+
 def _sample(e: Expression, t, order: int, what: str, where: str, jet: bool = False) -> list:
     """One pass of ``e``'s compiled map seeded at ``t`` to ``order``: at a
     float, or at every point of an array.
@@ -901,7 +930,18 @@ def _sample(e: Expression, t, order: int, what: str, where: str, jet: bool = Fal
     Returns ``[f^(order)]``, or with ``jet`` every scaled coefficient, each
     a float or shaped like ``t``; raises DomainError unless all of them are
     finite.  The whole order-1 jet has its own map, under the key "duals".
+    Floating-point warnings are silenced by the errstate of the enclosing
+    ``_scalar_loop``, or outside one by an errstate of the sample's own.
     """
+    if _IN_SCALAR_LOOP.get():
+        return _sample_silenced(e, t, order, what, where, jet)
+    with np.errstate(all="ignore"):
+        return _sample_silenced(e, t, order, what, where, jet)
+
+
+def _sample_silenced(e: Expression, t, order: int, what: str, where: str, jet: bool) -> list:
+    """:func:`_sample` under an errstate that silences every floating-point
+    warning, held by its caller."""
     array = isinstance(t, np.ndarray)
     x = t if array else float(t)
     if order == 0:
@@ -909,13 +949,12 @@ def _sample(e: Expression, t, order: int, what: str, where: str, jet: bool = Fal
     else:
         seed = (x, 1.0) if order == 1 else [x, 1.0] + [np.zeros_like(x) if array else 0.0] * (order - 1)
     key = "duals" if jet and order == 1 else order  # derivatives() reads the value beside the slope
-    with np.errstate(all="ignore"):  # folding constants at compile time computes too
-        run = e._jets.get(key)
-        if run is None:
-            run = e._jets[key] = _map(e.root, _Duals) if key == "duals" else _compile(e.root, order)
-        coeffs = run(seed)
-        # a finite scaled coefficient times order! may overflow: checked below
-        out = list(coeffs) if jet and order else [coeffs] if order < 2 else [coeffs[order] * math.factorial(order)]
+    run = e._jets.get(key)
+    if run is None:  # compiled under the same errstate: folding constants computes too
+        run = e._jets[key] = _map(e.root, _Duals) if key == "duals" else _compile(e.root, order)
+    coeffs = run(seed)
+    # a finite scaled coefficient times order! may overflow: checked below
+    out = list(coeffs) if jet and order else [coeffs] if order < 2 else [coeffs[order] * math.factorial(order)]
     if array and not isinstance(out[0], np.ndarray):  # a slope that reads no t, such as 2*t's
         out = [np.full(x.shape, out[0])[()]]  # [()]: a scalar at a 0-d t, as numpy arithmetic gives
     elif array and out[0] is x:  # the value of t itself, or of t^1: a copy, never the caller's array

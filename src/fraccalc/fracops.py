@@ -15,10 +15,12 @@ estimates the error.  Every public operator runs this rule.
 quadrature with the kernel as an algebraic end-point weight (QAWS, modified
 Clenshaw-Curtis rules), f alone integrated against (x - t)^(mu - 1), with no
 substitution.  QUADPACK asks for one point per callback and is handed the
-sampler itself, so each callback is one float in and one float out.  Its one
-caller in the package is the window table of
-``shape.convexity_equivalence``; the tests cross-check the product rule
-against it.
+sampler itself, so each callback is one float in and one float out.  The
+call holds one ``np.errstate`` (``expr._scalar_loop``) for all of its
+callbacks, so an expression's callback runs its compiled jet and its
+finiteness check and enters no errstate of its own.  Its one caller in the
+package is the window table of ``shape.convexity_equivalence``; the tests
+cross-check the product rule against it.
 
 Derivatives come in three flavours:
 
@@ -59,8 +61,10 @@ Internally both become a ``Sampler``, built only by ``_sampler`` and
 ``_prime_sampler``: it maps a float to a float and an array to an array.
 An expression's sampler is ``eval`` or ``derivative_values``, which take
 either; a callable's sampler hands it a single point as a 1-element array,
-the one place where a point is wrapped.  Code below a public function
-passes its sampler on and never wraps it again.
+the one place where a point is wrapped, and refuses a non-finite value with
+a DomainError that names the first point where it was sampled, as an
+expression's sample does.  Code below a public function passes its sampler
+on and never wraps it again.
 
 f' comes only from an expression's Taylor jets (``derivative_values``), so
 every function that samples f' refuses a callable f with a TypeError.  A
@@ -79,7 +83,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import AssumptionError, DomainError
-from .expr import Expression, Scalar, derivative_values
+from .expr import Expression, Scalar, _scalar_loop, derivative_values
 
 __all__ = [
     "FractionalParams",
@@ -171,9 +175,13 @@ def _sampler(f: FuncLike) -> Sampler:
         return f.eval
 
     def sample(ts: Scalar) -> Scalar:
-        if isinstance(ts, np.ndarray):
-            return np.asarray(f(ts), dtype=float)
-        return float(np.asarray(f(np.array([ts], dtype=float)), dtype=float)[0])
+        points = ts if isinstance(ts, np.ndarray) else np.array([ts], dtype=float)
+        values = np.asarray(f(points), dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            t = float(points.flat[np.argmin(finite)])  # the first point whose value is not finite
+            raise DomainError(f"non-finite value from the callable f at t={t!r}")
+        return values if points is ts else float(values[0])
 
     return sample
 
@@ -549,7 +557,7 @@ def _kernel_quad_oracle(sample: Sampler, a: float, x: float, mu: float) -> tuple
     from scipy import integrate as _scipy_integrate  # only the oracle needs scipy
 
     g = gamma(mu)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _scalar_loop():
         warnings.simplefilter("ignore", _scipy_integrate.IntegrationWarning)
         v, e = _scipy_integrate.quad(
             sample, a, x, weight="alg", wvar=(0.0, mu - 1.0), epsabs=_ORACLE_TOL, epsrel=_ORACLE_TOL, limit=200
@@ -633,8 +641,6 @@ def f_lower(f: Expression, p: FractionalParams, x: float) -> OperatorValue:
     if x == p.a:
         return OperatorValue(0.0, 0.0)
     fa = _sampler(f)(p.a)
-    if not math.isfinite(fa):
-        raise DomainError(f"f(a) = {fa!r} is not finite at a={p.a!r}")
     mu = 2.0 - p.alpha  # kernel (x-t)^(1-alpha) = (x-t)^(mu-1)
     inner = _kernel_quad(_prime_sampler(f), p.a, x, mu, p.grid_n)
     # _kernel_quad folds in 1/Gamma(mu); the target formula wants 1/Gamma(2-alpha)

@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, HypothesisError, MeanValueNotFoundError
-from .expr import Expression, check_order, derivative_values, derivatives
+from .expr import Expression, _scalar_loop, check_order, derivative_values, derivatives
 from .fracops import (
     FractionalParams,
     FuncLike,
@@ -218,11 +218,13 @@ def _find_roots(
     zeros and bracket ends are checked with fn, an end whose sign disagrees
     with the scan moves one step outwards (the bracket is dropped if fn
     still shows no sign change), and a root reached from two brackets is
-    reported once."""
-    try:
-        next(_root_search(xs, vals, tol, exact, fn))  # with fn it asks for nothing
-    except StopIteration as stop:
-        return stop.value
+    reported once.  fn's points are evaluated one after another under one
+    ``np.errstate`` (``expr._scalar_loop``), not one per point."""
+    with _scalar_loop():
+        try:
+            next(_root_search(xs, vals, tol, exact, fn))  # with fn it asks for nothing
+        except StopIteration as stop:
+            return stop.value
 
 
 def _find_roots_together(searches: list, evaluate: Callable[[list], list]) -> list:

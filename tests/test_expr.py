@@ -369,6 +369,45 @@ def test_first_order_jets_match_the_recurrences(root, ts):
         assert derivative_values(e, grid, 1).tolist() == [c[1] for c in jets.values()]
 
 
+def _float_sample(e, t, order):
+    try:
+        return np.float64(e.eval(t) if order == 0 else derivative_values(e, t, 1)).tobytes()
+    except FracCalcError as exc:
+        return type(exc), str(exc)
+
+
+def _inside_and_outside_a_scalar_loop(root, t, order):
+    """A float sample in a ``_scalar_loop`` and outside one, with every
+    RuntimeWarning an error; each expression is compiled where it samples."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outside = _float_sample(Expression(root), t, order)
+        with expr_module._scalar_loop():
+            inside = _float_sample(Expression(root), t, order)
+    return inside, outside
+
+
+@settings(max_examples=300, deadline=500, derandomize=True, database=None)
+@given(st.recursive(_leaves, _grow, max_leaves=8), st.floats(-3.0, 3.0), st.integers(0, 1))
+@example(parse("exp(800*t)").root, 2.0, 0)
+@example(parse("exp(-exp(800*t))").root, 2.0, 1)
+def test_a_float_sample_in_a_scalar_loop_equals_one_outside_it(root, t, order):
+    # the loop's errstate stands in for the sample's own: the same bits, or
+    # the same DomainError with the same message
+    inside, outside = _inside_and_outside_a_scalar_loop(root, t, order)
+    assert inside == outside
+
+
+@pytest.mark.parametrize("source, order, outcome", [
+    ("exp(800*t)", 0, (DomainError, "non-finite value from exp(800.0*t) at t=2.0")),
+    ("exp(800*t)", 1, (DomainError, "non-finite derivative of exp(800.0*t) at t=2.0")),
+    ("exp(-exp(800*t))", 0, np.float64(0.0).tobytes()),  # exp(-inf): no warning
+    ("exp(-exp(800*t))", 1, (DomainError, "non-finite derivative of exp(-exp(800.0*t)) at t=2.0")),
+])
+def test_an_overflow_inside_a_sample_is_silent_in_and_out_of_a_scalar_loop(source, order, outcome):
+    assert _inside_and_outside_a_scalar_loop(parse(source).root, 2.0, order) == (outcome, outcome)
+
+
 @pytest.mark.parametrize(
     "source, value",
     [("sqrt(t)", 0.0), ("abs(t)", 0.0), ("t^0.5", 0.0), ("t^-0.5", None), ("t^-2", None), ("log(t)", None)],

@@ -380,12 +380,19 @@ def test_the_caputo_semantics_warning_points_at_the_callers_line():
 
 @pytest.mark.parametrize("fa", [1.0, math.nan, math.inf, -math.inf])
 def test_a_nonzero_or_nonfinite_base_value_is_refused(fa):
-    # abs(nan) > 1e-12 is False, so the gate must read "not |f(a)| <= 1e-12"
+    # a nonzero f(a) fails the base-value gate; a non-finite one never
+    # reaches it: the callable's sample refuses it, as an Expression's does
     p = FractionalParams(0.5, 0.0, 256)
 
     def f(t):
         return np.where(t == 0.0, fa, np.sin(t))
 
+    if not math.isfinite(fa):
+        for call in (lambda: rl_derivative(f, p, 1.0), lambda: critical_points(f, p, 4.0),
+                     lambda: base_value(f, 0.0, allow_nonzero=True)):
+            with pytest.raises(DomainError, match=r"^non-finite value from the callable f at t=0\.0$"):
+                call()
+        return
     with pytest.raises(AssumptionError, match="f\\(a\\) must be 0"):
         rl_derivative(f, p, 1.0)
     with pytest.raises(AssumptionError, match="f\\(a\\) must be 0"):
@@ -434,8 +441,23 @@ def test_f_lower_refuses_a_nonfinite_base_value(fa):
     def f(t):
         return np.where(t == 0.0, fa, np.sin(t))
 
-    with pytest.raises(DomainError, match=f"f\\(a\\) = {fa!r} is not finite"):
+    with pytest.raises(DomainError, match=r"^non-finite value from the callable f at t=0\.0$"):
         f_lower(f, p, 1.0)
+
+
+@pytest.mark.parametrize("case", ["float", "array"])
+def test_a_callable_is_refused_where_it_is_not_finite(case):
+    # at the sample that reads it, naming the point, as an Expression is:
+    # a Brent step's float lands on the nan ...
+    p = FractionalParams(0.5, 0.0, 256)
+    if case == "float":
+        f, at = (lambda ts: np.where(abs(ts - 0.6667) < 2e-4, np.nan, ts)), 2.0 / 3.0
+    else:  # ... or the quadrature grid holds it: its first such node is named
+        f, at = (lambda ts: np.where(ts > 0.5, np.inf, ts)), 129 / 256
+    with pytest.raises(DomainError, match=f"^non-finite value from the callable f at t={at!r}$"):
+        fraccalc.mean_value(f, p, 1.0, 128)
+    with pytest.raises(DomainError, match=f"^non-finite value from the callable f at t={at!r}$"):
+        fracops._sampler(f)(at if case == "float" else np.linspace(0.0, 1.0, 257))
 
 
 def test_f_lower_power_law():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -412,6 +413,67 @@ def test_convexity_integrates_each_window_once(monkeypatch):
     # windowed derivative of f and the mean-value level of f'
     assert len(calls) == 16
     assert len(set(calls)) == 16
+
+
+def _count_scalar_loops(monkeypatch):
+    """Count the oracle calls and root searches, the np.errstate entries
+    made inside them and the one-point f' samples."""
+    import fraccalc.fracops as fracops
+    import fraccalc.meanval as meanval
+
+    counts = {"loops": 0, "depth": 0, "errstates inside": 0, "float samples": 0}
+    errstate, derivative_values = np.errstate, fracops.derivative_values
+
+    def counted_errstate(*args, **kwargs):
+        counts["errstates inside"] += counts["depth"] > 0
+        return errstate(*args, **kwargs)
+
+    def counted_samples(e, ts, order):
+        counts["float samples"] += not isinstance(ts, np.ndarray)
+        return derivative_values(e, ts, order)
+
+    def loop(fn):
+        def run(*args, **kwargs):
+            counts["loops"] += 1
+            counts["depth"] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counts["depth"] -= 1
+
+        return run
+
+    monkeypatch.setattr(np, "errstate", counted_errstate)
+    monkeypatch.setattr(fracops, "derivative_values", counted_samples)
+    monkeypatch.setattr(fracops, "_kernel_quad_oracle", loop(fracops._kernel_quad_oracle))
+    monkeypatch.setattr(meanval, "_find_roots", loop(meanval._find_roots))
+    return counts
+
+
+def test_convexity_enters_one_errstate_per_oracle_call_and_root_search(monkeypatch):
+    # grid_shape's exp(0.6*t) input: each QUADPACK call's callbacks and each
+    # root search's Brent steps share one errstate, not one per point
+    import scipy.integrate  # noqa: F401  here, not in the oracle's first call: importing it enters errstates
+
+    counts = _count_scalar_loops(monkeypatch)
+    pairs = sample_window_pairs(0.0, 4.0, 0.45, n_pairs=8, seed=0)
+    convexity_equivalence(parse("exp(0.6*t)"), 0.75, 0.45, pairs)
+    assert counts["loops"] == 32  # 16 windows, each integrated and searched once
+    assert counts["errstates inside"] <= counts["loops"]
+    assert counts["float samples"] > 10 * counts["loops"]
+
+
+def test_a_domain_error_that_escapes_the_oracle_leaves_no_errstate_behind():
+    before = np.geterr()
+    pairs = sample_window_pairs(0.0, 4.0, 0.45, n_pairs=8, seed=0)
+    with pytest.raises(fraccalc.DomainError, match=r"^non-finite derivative of exp\(800\.0\*t\) at t=2\.687"):
+        convexity_equivalence(parse("exp(800*t)"), 0.5, 0.45, pairs)
+    assert np.geterr() == before
+    # a float sample outside any loop still silences its own overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fraccalc.DomainError, match=r"^non-finite value from exp\(800\.0\*t\) at t=2\.0$"):
+            parse("exp(800*t)").eval(2.0)
 
 
 @pytest.mark.parametrize("src", ["t^2", "-t^2", "exp(t)-1-t"])
