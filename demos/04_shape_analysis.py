@@ -43,8 +43,7 @@ for src in ("t", "exp(t)", "t^2"):
 # the offset-invariance gate.
 print("\nconvexity vs window order:")
 for src in ("t^2", "exp(t) - 1 - t", "t", "-t^2", "t^3"):
-    rc = convexity_equivalence(parse(src), alpha, delta,
-                               sample_window_pairs(0.1, 3.1, delta, 8, seed=1), grid_n=1024)
+    rc = convexity_equivalence(parse(src), alpha, delta, sample_window_pairs(0.1, 3.1, delta, 8, seed=1))
     print(f"  {src:15s} convex={rc.convex_sampled!s:5s} window-order={rc.delta_incr.holds!s:5s} "
           f"gate={rc.property_P_fprime.holds!s:5s} equivalence={rc.equivalence}")
 

@@ -22,8 +22,6 @@ from .errors import (
 )
 from .expr import Expression, TaylorJet, derivative_values, derivatives, parse
 from .fracops import (
-    ADAPTIVE_ORACLE,
-    PRODUCT_TRAPEZOID,
     FractionalParams,
     OperatorValue,
     caputo_derivative,
@@ -76,9 +74,8 @@ __all__ = [
     # expressions
     "Expression", "TaylorJet", "parse", "derivatives", "derivative_values",
     # operators
-    "ADAPTIVE_ORACLE", "PRODUCT_TRAPEZOID", "FractionalParams", "OperatorValue",
-    "gamma", "rl_integral", "rl_derivative", "caputo_derivative",
-    "f_lower", "integral_on_grid",
+    "FractionalParams", "OperatorValue", "gamma", "rl_integral", "rl_derivative",
+    "caputo_derivative", "f_lower", "integral_on_grid",
     # mean values
     "MeanValueResult", "PolynomialEstimate", "mean_value", "mean_value_polynomial",
     "xi_smoothness_profile", "mean_path_witness",

@@ -19,8 +19,8 @@ sampler itself, so each callback is one float in and one float out.  The
 call holds one ``np.errstate`` (``expr._scalar_loop``) for all of its
 callbacks, so an expression's callback runs its compiled jet and its
 finiteness check and enters no errstate of its own.  Its one caller in the
-package is the window table of ``shape.convexity_equivalence``; the tests
-cross-check the product rule against it.
+package is ``shape.convexity_equivalence``, which integrates every window
+with it; the tests cross-check the product rule against it.
 
 Derivatives come in three flavours:
 
@@ -56,15 +56,15 @@ with the same result.  Only a sweep that repeats an (n, mu) in the same
 process gains from them.
 
 A function argument is an :class:`~fraccalc.expr.Expression` or a
-callable that maps a numpy array of points to an array of values.
+callable that maps a numpy array of points to an array of their shape.
 Internally both become a ``Sampler``, built only by ``_sampler`` and
 ``_prime_sampler``: it maps a float to a float and an array to an array.
 An expression's sampler is ``eval`` or ``derivative_values``, which take
 either; a callable's sampler hands it a single point as a 1-element array,
-the one place where a point is wrapped, and refuses a non-finite value with
-a DomainError that names the first point where it was sampled, as an
-expression's sample does.  Code below a public function passes its sampler
-on and never wraps it again.
+the one place where a point is wrapped, refuses values of another shape
+with a ValueError and a non-finite value with a DomainError that names the
+first point where it was sampled, as an expression's sample does.  Code
+below a public function passes its sampler on and never wraps it again.
 
 f' comes only from an expression's Taylor jets (``derivative_values``), so
 every function that samples f' refuses a callable f with a TypeError.  A
@@ -96,10 +96,6 @@ __all__ = [
     "integral_on_grid",
     "base_value",
 ]
-
-#: the two rules of ``shape.convexity_equivalence(backend=)``
-PRODUCT_TRAPEZOID = "product_trapezoid"
-ADAPTIVE_ORACLE = "adaptive_oracle"
 
 #: float -> float and array -> array (see the module docstring)
 Sampler = Callable[[Scalar], Scalar]
@@ -177,6 +173,9 @@ def _sampler(f: FuncLike) -> Sampler:
     def sample(ts: Scalar) -> Scalar:
         points = ts if isinstance(ts, np.ndarray) else np.array([ts], dtype=float)
         values = np.asarray(f(points), dtype=float)
+        if values.shape != points.shape:
+            raise ValueError(f"the callable f must map an array of points to an array of the same shape: "
+                             f"points of shape {points.shape} gave values of shape {values.shape}")
         finite = np.isfinite(values)
         if not finite.all():
             t = float(points.flat[np.argmin(finite)])  # the first point whose value is not finite
@@ -378,6 +377,8 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float) -> np.ndarray:
     if not (0.0 < h < math.inf):
         raise ValueError(f"integral_on_grid step h must be finite and > 0, got {h!r}")
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1:
+        raise ValueError(f"integral_on_grid samples must be a one-dimensional array, got shape {samples.shape}")
     n = len(samples) - 1
     if n < 1:
         return np.zeros(1)
@@ -401,6 +402,9 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float) -> np.ndarray:
         out[1:] += w[n + 1 :] * samples[0]
         out[1:] *= scale
     if not np.isfinite(out).all():
+        i = int(np.argmin(np.isfinite(samples)))  # a non-finite sample makes its own sum non-finite
+        if not math.isfinite(samples[i]):
+            raise ValueError(f"integral_on_grid samples must be finite, got {float(samples[i])!r} at index {i}")
         raise DomainError(f"product-trapezoid sums for I^{mu!r} overflow a float")
     return out
 

@@ -307,8 +307,8 @@ def mean_value_polynomial(
     together with the computed tail I^(n+2-alpha) f^(n+1) at a + delta.
     For polynomial f of degree <= n the surrogate is exact.
     """
-    if n < 1:
-        raise ValueError("polynomial order n must be >= 1")
+    if not (1 <= n < math.inf and int(n) == n):
+        raise ValueError(f"polynomial order n must be an integer >= 1, got {n!r}")
     check_order(n + 1)  # the remainder samples f^(n+1)
     if not delta > 0.0:
         raise ValueError("delta must be > 0")

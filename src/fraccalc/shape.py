@@ -18,7 +18,8 @@ Each distinct window is evaluated once.  Its integral I^(1-alpha) f' over
 [x0, x0 + delta] is both the windowed derivative of f and the level that
 locates the mean value of f' on the window, so the mean value reuses it;
 the delta-increasing, property-(P), f'(xi)-monotone and bridge verdicts
-are all read off that one table.
+are all read off that one table.  Its caller hands it the quadrature: the
+product rule on ``grid_n`` panels, or in ``convexity_equivalence`` the oracle.
 
 Window convention: the derivative over a window [x0, x0 + delta] is
 ``caputo_derivative`` with base x0 evaluated at x0 + delta, i.e.
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,8 +40,6 @@ from .errors import DomainError, HypothesisError, MeanValueNotFoundError
 # bench/tracing.py wraps derivative_values at each module that binds it
 from .expr import Expression, derivative_values  # noqa: F401
 from .fracops import (
-    ADAPTIVE_ORACLE,
-    PRODUCT_TRAPEZOID,
     FractionalParams,
     FuncLike,
     Sampler,
@@ -139,6 +139,8 @@ def sample_window_pairs(
     """
     if not delta > 0.0:
         raise ValueError("delta must be > 0")
+    if not (1 <= n_pairs < math.inf and int(n_pairs) == n_pairs):
+        raise ValueError(f"n_pairs must be an integer >= 1, got {n_pairs!r}")
     gap = 1e-3 * delta
     span = hi - lo - 2.0 * delta - gap
     if span <= 0.0:
@@ -159,14 +161,14 @@ def sample_window_pairs(
 
 def _window_table(
     phi: Sampler, alpha: float, delta: float, pair_samples: Sequence[WindowPairSample],
-    grid_n: int, backend: str, scan_n: Optional[int] = None,
+    quad: Callable[[Sampler, float, float, float], tuple], scan_n: Optional[int] = None,
 ) -> Dict[float, tuple]:
     """Each distinct window start x0, in pair order, mapped to I^(1-alpha) phi
     over [x0, x0 + delta] and, given ``scan_n``, the offset xi - x0 of phi's
     mean value on the window: None when degenerate, the
     MeanValueNotFoundError when no crossing brackets.  The mean value reuses
-    the window integral, so each window is integrated once, by the product
-    rule or by ``fracops._kernel_quad_oracle`` (looked up there at each call).
+    the window integral, so each window is integrated once, by the caller's
+    ``quad(phi, x0, x0 + delta, 1 - alpha)``, which returns (value, error).
     An empty pair sample is a ValueError: no verdict rests on no evidence."""
     if not pair_samples:
         raise ValueError("pair_samples must hold at least one window pair")
@@ -174,13 +176,8 @@ def _window_table(
     for x0 in (x for pair in pair_samples for x in (pair.x0, pair.y0)):
         if x0 in table:
             continue
-        p = FractionalParams(alpha, x0, grid_n)
-        if backend == PRODUCT_TRAPEZOID:
-            value = _kernel_quad_grid(phi, x0, x0 + delta, 1.0 - alpha, grid_n)[0]
-        elif backend == ADAPTIVE_ORACLE:
-            value = fracops._kernel_quad_oracle(phi, x0, x0 + delta, 1.0 - alpha)[0]
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
+        p = FractionalParams(alpha, x0)
+        value = quad(phi, x0, x0 + delta, 1.0 - alpha)[0]
         if not math.isfinite(value):
             raise DomainError(f"non-finite quadrature value over [{x0!r}, {x0 + delta!r}]")
         offset = None
@@ -240,7 +237,8 @@ def delta_increasing_check(
     grid_n: int = 1024,
 ) -> ShapeVerdict:
     """Is the windowed derivative nondecreasing across the sampled pairs?"""
-    table = _window_table(_prime_sampler(f), alpha, delta, pair_samples, grid_n, PRODUCT_TRAPEZOID)
+    _check_grid_n(grid_n)
+    table = _window_table(_prime_sampler(f), alpha, delta, pair_samples, partial(_kernel_quad_grid, grid_n=grid_n))
     return _delta_increasing_verdict(table, pair_samples)
 
 
@@ -262,7 +260,8 @@ def property_P_check(
     nothing and counts as satisfied; a window where no crossing brackets
     makes the pair inconclusive and the verdict None.
     """
-    table = _window_table(_sampler(f), alpha, delta, pair_samples, grid_n, PRODUCT_TRAPEZOID, scan_n)
+    _check_grid_n(grid_n)
+    table = _window_table(_sampler(f), alpha, delta, pair_samples, partial(_kernel_quad_grid, grid_n=grid_n), scan_n)
     return _property_P_verdict(table, pair_samples, delta)
 
 
@@ -272,9 +271,7 @@ def convexity_equivalence(
     delta: float,
     pair_samples: Sequence[WindowPairSample],
     *,
-    grid_n: int = 1024,
     scan_n: int = 96,
-    backend: str = ADAPTIVE_ORACLE,
 ) -> ConvexityReport:
     """Three-way agreement between convexity and the windowed order.
 
@@ -283,12 +280,12 @@ def convexity_equivalence(
     values, and the largest residual of the bridging identity that links
     the two sides.  The equivalence is only asserted when f' passes the
     property-(P) gate; otherwise it is returned as None (inconclusive).
-    ``grid_n`` applies only to the product-trapezoid backend; the default
-    adaptive oracle ignores it.
+    Every window is integrated by ``fracops._kernel_quad_oracle``, looked
+    up there at each call, so no grid is involved.
     """
     fp = _prime_sampler(f)
     # windowed derivative of f and mean value of f' on every window, once
-    table = _window_table(fp, alpha, delta, pair_samples, grid_n, backend, scan_n)
+    table = _window_table(fp, alpha, delta, pair_samples, fracops._kernel_quad_oracle, scan_n)
     gate = _property_P_verdict(table, pair_samples, delta)
 
     lo = min(p.x0 for p in pair_samples)

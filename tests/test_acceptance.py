@@ -196,7 +196,7 @@ def test_criterion_08_convexity_agreement():
         pairs = sample_window_pairs(0.1, 3.1, 0.5, n_pairs=8, seed=1)
         positives = ("t^2", "exp(t) - 1 - t", "t")
         for src in positives + ("-t^2",):
-            rc = convexity_equivalence(parse(src), 0.5, 0.5, pairs, grid_n=1024)
+            rc = convexity_equivalence(parse(src), 0.5, 0.5, pairs)
             assert rc.property_P_fprime.holds is True, src
             assert rc.convex_sampled == rc.delta_incr.holds, src
             assert rc.equivalence is True, src

@@ -10,8 +10,6 @@ this table makes visible.
 import dataclasses
 import inspect
 import math
-import os
-import re
 
 import numpy as np
 import pytest
@@ -40,7 +38,7 @@ DEFAULTED = {
     "sample_window_pairs": {"n_pairs": 32, "seed": 0},
     "delta_increasing_check": {"grid_n": 1024},
     "property_P_check": {"grid_n": 1024, "scan_n": 96},
-    "convexity_equivalence": {"grid_n": 1024, "scan_n": 96, "backend": fraccalc.ADAPTIVE_ORACLE},
+    "convexity_equivalence": {"scan_n": 96},
     "monotonicity_certificate": {"grid_n": 2048},
     "comparison_check": {"grid_n": 1024},
     "periodicity_defect": {"grid_n": 2048},
@@ -62,14 +60,10 @@ def test_defaulted_parameters_are_pinned():
         assert _defaulted(getattr(fraccalc, name)) == want, name
 
 
-def test_readme_names_exactly_the_functions_that_take_a_backend():
-    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
-        quick = fh.read().split("## Library quick start", 1)[1].split("\n## ", 1)[0]
-    listed = re.search(r"takes? `backend=`:(.*?):\n", quick, re.S).group(1)
-    named = set(re.findall(r"`(\w+)`", listed))
+def test_no_public_function_takes_a_backend():
+    # one rule per job: no caller picks a quadrature
     public = (getattr(fraccalc, name) for name in fraccalc.__all__)
-    have = {fn.__name__ for fn in public if inspect.isfunction(fn) and "backend" in inspect.signature(fn).parameters}
-    assert named == have
+    assert not [fn for fn in public if inspect.isfunction(fn) and "backend" in inspect.signature(fn).parameters]
 
 
 def test_an_operator_value_is_a_value_and_its_estimate():
@@ -111,6 +105,21 @@ _BAD_INPUTS = {
     "dilation_scenario_nan_time": (
         lambda: fraccalc.dilation_scenario(fraccalc.parse("sin(t)"), _P, [1.0, math.nan]),
         "t_grid must lie strictly right of the base point"),
+    "sample_window_pairs_negative_count": (
+        lambda: fraccalc.sample_window_pairs(0.0, 4.0, 0.5, n_pairs=-1),
+        "n_pairs must be an integer >= 1, got -1"),
+    "sample_window_pairs_fractional_count": (
+        lambda: fraccalc.sample_window_pairs(0.0, 4.0, 0.5, n_pairs=2.5),
+        "n_pairs must be an integer >= 1, got 2.5"),
+    "mean_value_polynomial_fractional_order": (
+        lambda: fraccalc.mean_value_polynomial(fraccalc.parse("t"), _P, 1.0, 2.5),
+        "polynomial order n must be an integer >= 1, got 2.5"),
+    "integral_on_grid_two_dimensional_samples": (
+        lambda: fraccalc.integral_on_grid(np.ones((3, 3)), 0.1, 0.5),
+        "integral_on_grid samples must be a one-dimensional array, got shape (3, 3)"),
+    "integral_on_grid_nan_sample": (
+        lambda: fraccalc.integral_on_grid(np.array([0.0, math.nan, 1.0]), 0.1, 0.5),
+        "integral_on_grid samples must be finite, got nan at index 1"),
     "periodicity_defect_nan_time": (
         lambda: fraccalc.periodicity_defect(fraccalc.parse("sin(t)"), 0.5, 2 * math.pi, [1.0, math.nan]),
         "t_grid must be positive (operators are based at 0)"),

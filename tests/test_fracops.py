@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from unittest import mock
@@ -458,6 +459,19 @@ def test_a_callable_is_refused_where_it_is_not_finite(case):
         fraccalc.mean_value(f, p, 1.0, 128)
     with pytest.raises(DomainError, match=f"^non-finite value from the callable f at t={at!r}$"):
         fracops._sampler(f)(at if case == "float" else np.linspace(0.0, 1.0, 257))
+
+
+@pytest.mark.parametrize("f, got", [(lambda ts: 1.0, "()"), (lambda ts: ts[:-1], "(256,)")], ids=["scalar", "short"])
+def test_a_callable_whose_values_break_the_shape_contract_is_refused(f, got):
+    # an array in gives an array of its shape out: the array path (a quadrature
+    # grid) and the float path (one point, as a 1-element array) both check it
+    p = FractionalParams(0.5, 0.0, 256)
+    contract = "the callable f must map an array of points to an array of the same shape: "
+    with pytest.raises(ValueError, match=re.escape(f"{contract}points of shape (257,) gave values of shape {got}")):
+        rl_integral(f, p, 0.5, 1.0)
+    got = "(0,)" if got == "(256,)" else got
+    with pytest.raises(ValueError, match=re.escape(f"{contract}points of shape (1,) gave values of shape {got}")):
+        base_value(f, 0.0)
 
 
 def test_f_lower_power_law():

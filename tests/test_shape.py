@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,8 +8,6 @@ import pytest
 import fraccalc
 import quadpack_oracle as oracle
 from fraccalc import (
-    ADAPTIVE_ORACLE,
-    PRODUCT_TRAPEZOID,
     FractionalParams,
     HypothesisError,
     caputo_derivative,
@@ -21,7 +20,8 @@ from fraccalc import (
     property_P_check,
     sample_window_pairs,
 )
-from fraccalc.fracops import _prime_sampler, _sampler
+import fraccalc.fracops as fracops
+from fraccalc.fracops import _kernel_quad_grid, _prime_sampler, _sampler
 from fraccalc.shape import (
     WindowPairSample,
     _delta_increasing_verdict,
@@ -66,26 +66,28 @@ def test_quadratic_is_delta_increasing(pairs):
     assert vals[0] < vals[1] < vals[2]
 
 
-@pytest.mark.parametrize("backend", [PRODUCT_TRAPEZOID, ADAPTIVE_ORACLE])
-def test_window_values_are_caputo_derivatives_at_the_window_start(backend):
-    # the window [x0, x0 + delta] is caputo_derivative with base x0 at x0 + delta,
-    # and the verdicts of both window checks read exactly those values; the
-    # standalone check always runs the product rule
+@pytest.mark.parametrize("rule", ["product rule", "oracle"])
+def test_window_values_are_caputo_derivatives_at_the_window_start(rule):
+    # the window [x0, x0 + delta] is caputo_derivative with base x0 at x0 + delta
+    # on either quadrature, and the verdicts of both window checks read exactly
+    # those values: the standalone check runs the product rule, the
+    # convexity report the oracle
     f, al, delta, n = parse("exp(t)*cos(2*t)"), 0.4, 0.5, 256
     pairs = sample_window_pairs(0.0, 4.0, delta, n_pairs=4, seed=2)
-    table = _window_table(_prime_sampler(f), al, delta, pairs, n, backend)
+    quad = partial(_kernel_quad_grid, grid_n=n) if rule == "product rule" else fracops._kernel_quad_oracle
+    table = _window_table(_prime_sampler(f), al, delta, pairs, quad)
     assert set(table) == {x for p in pairs for x in (p.x0, p.y0)}
-    ops = fraccalc if backend == PRODUCT_TRAPEZOID else oracle
+    ops = fraccalc if rule == "product rule" else oracle
     for x0, (value, _) in table.items():
         assert value == ops.caputo_derivative(f, FractionalParams(al, x0, n), x0 + delta).value
     verdict = _delta_increasing_verdict(table, pairs)
     assert verdict.holds is False and verdict.witnesses
     for w in verdict.witnesses:
         assert w.margin == table[w.where[0]][0] - table[w.where[1]][0]
-    if backend == PRODUCT_TRAPEZOID:
+    if rule == "product rule":
         assert delta_increasing_check(f, al, delta, pairs, n) == verdict
-    rc = convexity_equivalence(f, al, delta, pairs, grid_n=n, backend=backend)
-    assert rc.delta_incr == verdict
+    else:
+        assert convexity_equivalence(f, al, delta, pairs).delta_incr == verdict
 
 
 def test_window_table_integrates_a_shared_start_once():
@@ -98,7 +100,7 @@ def test_window_table_integrates_a_shared_start_once():
         return fprime(ts)
 
     pairs = [WindowPairSample(0.0, 1.0, 0.5), WindowPairSample(0.0, 2.0, 0.5)]
-    table = _window_table(phi, 0.5, 0.5, pairs, 256, PRODUCT_TRAPEZOID)
+    table = _window_table(phi, 0.5, 0.5, pairs, partial(_kernel_quad_grid, grid_n=256))
     assert list(table) == starts == [0.0, 1.0, 2.0]
 
 
@@ -154,7 +156,7 @@ def pairs8():
 
 
 def test_convex_quadratic_all_positive(pairs8):
-    rc = convexity_equivalence(parse("t^2"), 0.5, 0.5, pairs8, grid_n=512)
+    rc = convexity_equivalence(parse("t^2"), 0.5, 0.5, pairs8)
     assert rc.property_P_fprime.holds is True  # f' affine passes the gate
     assert rc.convex_sampled is True
     assert rc.delta_incr.holds is True
@@ -164,7 +166,7 @@ def test_convex_quadratic_all_positive(pairs8):
 
 
 def test_concave_quadratic_negative_side_agreement(pairs8):
-    rc = convexity_equivalence(parse("-t^2"), 0.5, 0.5, pairs8, grid_n=512)
+    rc = convexity_equivalence(parse("-t^2"), 0.5, 0.5, pairs8)
     assert rc.convex_sampled is False
     assert rc.delta_incr.holds is False
     assert rc.equivalence is True  # both sides say "not convex"
@@ -172,7 +174,7 @@ def test_concave_quadratic_negative_side_agreement(pairs8):
 
 
 def test_affine_boundary_case_zero_margins(pairs8):
-    rc = convexity_equivalence(parse("t"), 0.5, 0.5, pairs8, grid_n=512)
+    rc = convexity_equivalence(parse("t"), 0.5, 0.5, pairs8)
     assert rc.convex_sampled is True
     assert rc.delta_incr.holds is True
     assert rc.fprime_xi_monotone.holds is True
@@ -183,7 +185,7 @@ def test_affine_boundary_case_zero_margins(pairs8):
 
 def test_exp_minus_linear_convex(pairs8):
     # f' = e^t - 1 passes the gate through the exponential offset structure
-    rc = convexity_equivalence(parse("exp(t) - 1 - t"), 0.5, 0.5, pairs8, grid_n=512)
+    rc = convexity_equivalence(parse("exp(t) - 1 - t"), 0.5, 0.5, pairs8)
     assert rc.property_P_fprime.holds is True
     assert rc.convex_sampled is True
     assert rc.delta_incr.holds is True
@@ -194,14 +196,14 @@ def test_exp_minus_linear_convex(pairs8):
 def test_cubic_gate_fails_inconclusive(pairs8):
     # f' = 3 t^2 does not have translation-invariant offsets, so the
     # equivalence is not asserted either way
-    rc = convexity_equivalence(parse("t^3"), 0.5, 0.5, pairs8, grid_n=512)
+    rc = convexity_equivalence(parse("t^3"), 0.5, 0.5, pairs8)
     assert rc.property_P_fprime.holds is False
     assert rc.equivalence is None
 
 
 def test_corpus_agreement_when_gate_passes(pairs8):
     for src in ("t^2", "exp(t) - 1 - t", "t", "-t^2"):
-        rc = convexity_equivalence(parse(src), 0.5, 0.5, pairs8, grid_n=512)
+        rc = convexity_equivalence(parse(src), 0.5, 0.5, pairs8)
         if rc.property_P_fprime.holds:
             assert rc.convex_sampled == rc.delta_incr.holds
             assert rc.equivalence is True
@@ -408,7 +410,7 @@ def test_convexity_integrates_each_window_once(monkeypatch):
 
     monkeypatch.setattr(fracops, "_kernel_quad_oracle", counted)
     pairs = sample_window_pairs(0.0, 4.0, 0.45, n_pairs=8, seed=0)
-    convexity_equivalence(parse("exp(0.6*t)"), 0.75, 0.45, pairs, grid_n=2048)
+    convexity_equivalence(parse("exp(0.6*t)"), 0.75, 0.45, pairs)
     # 8 pairs have 16 distinct windows; each window's integral is both the
     # windowed derivative of f and the mean-value level of f'
     assert len(calls) == 16
@@ -482,17 +484,13 @@ def test_convexity_verdicts_match_standalone_checks(pairs8, src):
 
     f = parse(src)
     fprime = lambda ts: derivative_values(f, np.asarray(ts, dtype=float), 1)  # noqa: E731
-    # the oracle-backed report against the standalone checks' verdicts on
-    # oracle window tables, sampled as those checks sample
-    rc = convexity_equivalence(f, 0.5, 0.5, pairs8, grid_n=512)
-    table = _window_table(_prime_sampler(f), 0.5, 0.5, pairs8, 512, ADAPTIVE_ORACLE)
+    # the report against the standalone checks' verdicts on oracle window
+    # tables, sampled as those checks sample
+    rc = convexity_equivalence(f, 0.5, 0.5, pairs8)
+    table = _window_table(_prime_sampler(f), 0.5, 0.5, pairs8, fracops._kernel_quad_oracle)
     assert rc.delta_incr == _delta_increasing_verdict(table, pairs8)
-    table = _window_table(_sampler(fprime), 0.5, 0.5, pairs8, 512, ADAPTIVE_ORACLE, 96)
+    table = _window_table(_sampler(fprime), 0.5, 0.5, pairs8, fracops._kernel_quad_oracle, 96)
     assert rc.property_P_fprime == _property_P_verdict(table, pairs8, 0.5)
-    # the product-rule report against the standalone checks themselves
-    rc = convexity_equivalence(f, 0.5, 0.5, pairs8, grid_n=512, backend=PRODUCT_TRAPEZOID)
-    assert rc.delta_incr == delta_increasing_check(f, 0.5, 0.5, pairs8, 512)
-    assert rc.property_P_fprime == property_P_check(fprime, 0.5, 0.5, pairs8, grid_n=512)
 
 
 def test_unbracketed_window_raises_in_convexity_inconclusive_in_gate(pairs8):
@@ -502,7 +500,7 @@ def test_unbracketed_window_raises_in_convexity_inconclusive_in_gate(pairs8):
 
     f = parse("exp(-((t-2.6)/0.01)^2)")
     with pytest.raises(MeanValueNotFoundError, match=f"on \\({pairs8[0].x0!r}, "):
-        convexity_equivalence(f, 0.5, 0.5, pairs8, grid_n=512, scan_n=16, backend="product_trapezoid")
+        convexity_equivalence(f, 0.5, 0.5, pairs8, scan_n=16)
     fprime = lambda ts: derivative_values(f, np.asarray(ts, dtype=float), 1)  # noqa: E731
     verdict = property_P_check(fprime, 0.5, 0.5, pairs8, grid_n=512, scan_n=16)
     assert verdict.holds is None
@@ -520,7 +518,9 @@ def test_periodicity_rejects_nonpositive_period():
     lambda n: monotonicity_certificate(parse("t^2"), 0.5, 0.5, 2.0, n),
     lambda n: comparison_check(parse("t"), parse("t^2"), 0.5, 2.0, n),
     lambda n: periodicity_defect(parse("sin(t)"), 0.5, 2.0 * math.pi, [1.0, 2.0], grid_n=n),
-], ids=["mono", "comparison", "periodic"])
+    lambda n: delta_increasing_check(parse("t^2"), 0.5, 0.5, sample_window_pairs(0.0, 4.0, 0.5, 2), n),
+    lambda n: property_P_check(parse("t"), 0.5, 0.5, sample_window_pairs(0.0, 4.0, 0.5, 2), grid_n=n),
+], ids=["mono", "comparison", "periodic", "delta_increasing", "property_P"])
 def test_grid_checks_refuse_the_grid_n_that_params_refuse(check, grid_n):
     with pytest.raises(ValueError, match=f"grid_n must be an integer >= 2, got {grid_n!r}"):
         check(grid_n)
