@@ -9,8 +9,10 @@ Runs with identical flags (including ``--seed``) are byte-identical.
 
 The commands are one table, ``_COMMANDS``: each row names a handler, its
 help, whether ``--alpha`` may be a sweep and the command's own flags.
-``run`` parses ``--f`` and ``--alpha`` once, calls the handler with the
-expression and its orders, and prints the ``Report`` it returns.
+A command's argv is parsed by that command's own parser alone, in one
+argparse pass; ``run`` then parses ``--f`` and ``--alpha`` once, calls the
+handler with the expression and its orders, and prints the ``Report`` it
+returns.
 
 Exit codes: 0 success, 1 usage error (bad flags or expression), 2
 computation error (domain or assumption violation), 3 self-test failure.
@@ -25,7 +27,7 @@ import io
 import math
 import sys
 import warnings
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -459,13 +461,15 @@ _COMMANDS = {
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
+    """The top-level parser and each command's own parser by name, built
+    once per process: parsing leaves them unchanged."""
     top = _Parser(prog="fraccalc", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
+    parsers = {}
     dash = "; write --f=EXPR when EXPR starts with '-'"
     for name, cmd in _COMMANDS.items():
-        sp = sub.add_parser(name, help=cmd.help)
+        sp = parsers[name] = sub.add_parser(name, help=cmd.help)
         f_default, alpha_default = cmd.preset or (None, None)
         f_help = "expression in t, e.g. 'sin(t)'" if f_default is None else f"expression in t (default {f_default!r})"
         sp.add_argument("--f", required=f_default is None, default=f_default, help=f_help + dash)
@@ -476,15 +480,29 @@ def _build_parser() -> _Parser:
         sp.add_argument("--output", choices=("table", "csv"), default="table")
         for flag, kwargs in cmd.flags:
             sp.add_argument(flag, **kwargs)
-    sp = sub.add_parser("selftest", help="closed-form and identity suite")
+    sp = parsers["selftest"] = sub.add_parser("selftest", help="closed-form and identity suite")
     sp.add_argument("--grid-n", **_GRID_N)
-    return top
+    return top, parsers
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The flags of ``argv`` as the top-level parser gives them, in one pass:
+    a known command's flags go to that command's parser alone (the top-level
+    parser hands it every token after the command anyway, after a pass of
+    its own), and any other argv (none, ``--help``, an unknown command) to
+    the top-level parser."""
+    top, parsers = _build_parser()
+    if argv and argv[0] in parsers:
+        return parsers[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return top.parse_args(argv)
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code instead of raising."""
+    """Entry point; returns the process exit code instead of raising.
+    ``argv`` (default ``sys.argv[1:]``) is parsed by ``_parse_args``: a
+    command's argv by that command's parser alone."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,6 +41,7 @@ from .fracops import (
     base_value,
     rl_derivative,
     _batch_rows,
+    _check_count,
     _grid,
     _kernel_quad_grid,
     _kernel_quad_rows,
@@ -142,8 +143,7 @@ def _critical_sweep(
     a, grid_n = ps[0].a, ps[0].grid_n
     if not b > a:
         raise ValueError(f"need b > a, got b={b!r}, a={a!r}")
-    if scan_n < 4:
-        raise ValueError("scan_n must be >= 4")
+    scan_n = _check_count("scan_n", scan_n, 4)
     base_value(f, a, allow_nonzero=allow_nonzero_base)
     fp = _prime_sampler(f)
     xs, fv, h, k = _scan(fp, a, b, scan_n, grid_n)

@@ -127,10 +127,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {alpha!r}")
 
 
-def _check_grid_n(grid_n: int) -> None:
-    """Refuse a grid resolution that is not an integer >= 2."""
-    if not (2 <= grid_n < math.inf and int(grid_n) == grid_n):
-        raise ValueError(f"grid_n must be an integer >= 2, got {grid_n!r}")
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; a ValueError naming it unless it is an integer >= minimum."""
+    if not (minimum <= value < math.inf and int(value) == value):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ class FractionalParams:
         _check_alpha(self.alpha)
         if not math.isfinite(self.a):
             raise ValueError("base point a must be finite")
-        _check_grid_n(self.grid_n)
+        _check_count("grid_n", self.grid_n, 2)
 
 
 @dataclass(frozen=True)
@@ -313,10 +314,25 @@ def _l1_weights(n: int, mu: float) -> np.ndarray:
     return w
 
 
+def _smooth_length(m: int) -> int:
+    """The least 5-smooth integer >= m >= 1: a length whose FFT splits into
+    radices 2, 3 and 5 alone."""
+    best, p5 = 1 << (m - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _block_spectra(n: int, mu: float, v: np.ndarray):
-    """Yield ``lo`` and the weight spectrum ``rfft(v[:2*lo], 3*lo)`` for each
-    FFT block [lo, 2*lo) of the n-panel sweep, lo = 64, 128, ... < n; at
-    length 3*lo nothing wraps onto the block's nodes (see
+    """Yield ``lo``, the transform length ``size`` and the weight spectrum
+    ``rfft(v[:2*lo], size)`` for each FFT block [lo, min(2*lo, n)) of the
+    n-panel sweep, lo = 64, 128, ... < n: size 3*lo, but for a last block
+    with n < 2*lo its own size, the least 5-smooth integer >= 2*n - 1 - lo.
+    At either size nothing wraps onto the block's nodes (see
     ``integral_on_grid``).
 
     The spectra depend only on (n, mu) and are built once into one packed
@@ -324,21 +340,22 @@ def _block_spectra(n: int, mu: float, v: np.ndarray):
     budget of the weight cache: caching them never evicts anything, and
     ``_cache_put`` drops them before any weights.  When it does not fit,
     each block's spectrum is built as it is read, bit for bit the same."""
-    blocks = []  # (lo, the slice of the packed array that holds block lo)
-    size, lo = 0, 64
+    blocks = []  # (lo, size, the slice of the packed array that holds block lo)
+    total, lo = 0, 64
     while lo < n:
-        blocks.append((lo, slice(size, size + 3 * lo // 2 + 1)))
-        size += 3 * lo // 2 + 1
+        size = 3 * lo if 2 * lo <= n else _smooth_length(2 * n - 1 - lo)
+        blocks.append((lo, size, slice(total, total + size // 2 + 1)))
+        total += size // 2 + 1
         lo *= 2
     key = (n, mu, "spectra")
     packed = _WEIGHT_CACHE.get(key)
-    if packed is None and 0 < 16 * size <= _cache_room():
-        packed = np.empty(size, dtype=complex)
-        for lo, at in blocks:
-            packed[at] = np.fft.rfft(v[: 2 * lo], 3 * lo)
+    if packed is None and 0 < 16 * total <= _cache_room():
+        packed = np.empty(total, dtype=complex)
+        for lo, size, at in blocks:
+            packed[at] = np.fft.rfft(v[: 2 * lo], size)
         _cache_put(key, packed)
-    for lo, at in blocks:
-        yield lo, np.fft.rfft(v[: 2 * lo], 3 * lo) if packed is None else packed[at]
+    for lo, size, at in blocks:
+        yield lo, size, np.fft.rfft(v[: 2 * lo], size) if packed is None else packed[at]
 
 
 def _power(x: float, p: float) -> float:
@@ -364,7 +381,11 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float) -> np.ndarray:
     FFT of the data up to index 2*lo and one of the block's weights, and one
     inverse FFT, all of length 3*lo: the linear convolution of two arrays of
     2*lo entries ends at index 4*lo - 2, so a circular one of length 3*lo
-    folds nothing onto the indices lo..2*lo-1 that the block keeps.
+    folds nothing onto the indices lo..2*lo-1 that the block keeps.  A last
+    block [lo, n) with n < 2*lo has its own length, the least 5-smooth one
+    >= 2*n - 1 - lo: its arrays hold n entries, so their convolution ends at
+    2*n - 2 and nothing folds onto lo..n-1.  A sweep just past a power of
+    two then costs about what the one at it does, not twice as much.
     The sweep costs O(n log n), and each node's round-off is relative to
     the data up to twice its index, not to the whole array.
     The weight spectra of all blocks are cached with the weights, so a
@@ -380,7 +401,10 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float) -> np.ndarray:
     if samples.ndim != 1:
         raise ValueError(f"integral_on_grid samples must be a one-dimensional array, got shape {samples.shape}")
     n = len(samples) - 1
-    if n < 1:
+    if n < 0:
+        raise ValueError("integral_on_grid samples must hold at least one value, got an empty array")
+    if n == 0:
+        _check_finite(samples)
         return np.zeros(1)
     w = _l1_weights(n, mu)
     scale = _power(h, mu) / gamma(mu + 2.0)
@@ -392,21 +416,26 @@ def integral_on_grid(samples: np.ndarray, h: float, mu: float) -> np.ndarray:
         out[0] = 0.0
         m = min(n, 64)
         out[1 : m + 1] = np.convolve(samples[1:65], v[:64])[:m]
-        for lo, wspec in _block_spectra(n, mu, v):
-            spec = np.fft.rfft(samples[1 : 2 * lo + 1], 3 * lo)
+        for lo, size, wspec in _block_spectra(n, mu, v):
+            spec = np.fft.rfft(samples[1 : 2 * lo + 1], size)
             spec *= wspec
             del wspec  # a spectrum built for this sweep alone is freed before the inverse FFT
             hi = min(2 * lo, n)
-            out[lo + 1 : hi + 1] = np.fft.irfft(spec, 3 * lo)[lo:hi]
+            out[lo + 1 : hi + 1] = np.fft.irfft(spec, size)[lo:hi]
             del spec  # freed before the next block's transforms claim their scratch
         out[1:] += w[n + 1 :] * samples[0]
         out[1:] *= scale
     if not np.isfinite(out).all():
-        i = int(np.argmin(np.isfinite(samples)))  # a non-finite sample makes its own sum non-finite
-        if not math.isfinite(samples[i]):
-            raise ValueError(f"integral_on_grid samples must be finite, got {float(samples[i])!r} at index {i}")
+        _check_finite(samples)  # a non-finite sample makes its own sum non-finite
         raise DomainError(f"product-trapezoid sums for I^{mu!r} overflow a float")
     return out
+
+
+def _check_finite(samples: np.ndarray) -> None:
+    """Refuse the first non-finite entry of ``integral_on_grid``'s samples, by index."""
+    i = int(np.argmin(np.isfinite(samples)))
+    if not math.isfinite(samples[i]):
+        raise ValueError(f"integral_on_grid samples must be finite, got {float(samples[i])!r} at index {i}")
 
 
 def _strided_integral(samples: np.ndarray, h: float, mu: float, k: int) -> np.ndarray:

@@ -42,6 +42,7 @@ from .fracops import (
     caputo_derivative,
     gamma,
     rl_integral,
+    _check_count,
     _grid,
     _power,
     _prime_sampler,
@@ -275,8 +276,7 @@ def _mean_value(sample: Sampler, p: FractionalParams, x: float, iv: float, scan_
     """:func:`mean_value` of the function ``sample`` samples, given
     iv = I^(1-alpha) f(x) over (p.a, x], for a caller that already holds
     that integral."""
-    if scan_n < 16:
-        raise ValueError("scan_n must be >= 16")
+    scan_n = _check_count("scan_n", scan_n, 16)
     g = gamma(2.0 - p.alpha) * iv * _power(x - p.a, p.alpha - 1.0)
     ts = _grid(p.a, x, scan_n + 2)[0][1:-1]
     vals = sample(ts) - g
@@ -307,8 +307,7 @@ def mean_value_polynomial(
     together with the computed tail I^(n+2-alpha) f^(n+1) at a + delta.
     For polynomial f of degree <= n the surrogate is exact.
     """
-    if not (1 <= n < math.inf and int(n) == n):
-        raise ValueError(f"polynomial order n must be an integer >= 1, got {n!r}")
+    n = _check_count("polynomial order n", n, 1)
     check_order(n + 1)  # the remainder samples f^(n+1)
     if not delta > 0.0:
         raise ValueError("delta must be > 0")

@@ -46,7 +46,7 @@ from .fracops import (
     gamma,
     integral_on_grid,
     _check_alpha,
-    _check_grid_n,
+    _check_count,
     _grid,
     _kernel_quad_grid,
     _prime_sampler,
@@ -139,8 +139,7 @@ def sample_window_pairs(
     """
     if not delta > 0.0:
         raise ValueError("delta must be > 0")
-    if not (1 <= n_pairs < math.inf and int(n_pairs) == n_pairs):
-        raise ValueError(f"n_pairs must be an integer >= 1, got {n_pairs!r}")
+    n_pairs = _check_count("n_pairs", n_pairs, 1)
     gap = 1e-3 * delta
     span = hi - lo - 2.0 * delta - gap
     if span <= 0.0:
@@ -237,7 +236,7 @@ def delta_increasing_check(
     grid_n: int = 1024,
 ) -> ShapeVerdict:
     """Is the windowed derivative nondecreasing across the sampled pairs?"""
-    _check_grid_n(grid_n)
+    _check_count("grid_n", grid_n, 2)
     table = _window_table(_prime_sampler(f), alpha, delta, pair_samples, partial(_kernel_quad_grid, grid_n=grid_n))
     return _delta_increasing_verdict(table, pair_samples)
 
@@ -260,7 +259,7 @@ def property_P_check(
     nothing and counts as satisfied; a window where no crossing brackets
     makes the pair inconclusive and the verdict None.
     """
-    _check_grid_n(grid_n)
+    _check_count("grid_n", grid_n, 2)
     table = _window_table(_sampler(f), alpha, delta, pair_samples, partial(_kernel_quad_grid, grid_n=grid_n), scan_n)
     return _property_P_verdict(table, pair_samples, delta)
 
@@ -359,7 +358,7 @@ def monotonicity_certificate(
     grid_n*(b - tau)] leaves no such grid and is a ValueError.
     """
     _check_alpha(alpha)
-    _check_grid_n(grid_n)
+    _check_count("grid_n", grid_n, 2)
     fp = _prime_sampler(f)
     if not (0.0 < tau < b):
         raise ValueError(f"need 0 < tau < b, got tau={tau!r}, b={b!r}")
@@ -434,7 +433,7 @@ def comparison_check(
     hypothesis yields a not-applicable verdict.
     """
     _check_alpha(alpha)
-    _check_grid_n(grid_n)
+    _check_count("grid_n", grid_n, 2)
     if not b > 0.0:
         raise ValueError(f"need b > 0 for the interval (0, b], got b={b!r}")
     fp, gp = _prime_sampler(f), _prime_sampler(g)
@@ -495,7 +494,7 @@ def periodicity_defect(
     fades as t grows.
     """
     _check_alpha(alpha)
-    _check_grid_n(grid_n)
+    _check_count("grid_n", grid_n, 2)
     fp = _prime_sampler(f)
     if not tau > 0.0:
         raise ValueError(f"period tau must be > 0, got tau={tau!r}")

@@ -120,6 +120,22 @@ _BAD_INPUTS = {
     "integral_on_grid_nan_sample": (
         lambda: fraccalc.integral_on_grid(np.array([0.0, math.nan, 1.0]), 0.1, 0.5),
         "integral_on_grid samples must be finite, got nan at index 1"),
+    "integral_on_grid_no_samples": (
+        lambda: fraccalc.integral_on_grid(np.array([]), 0.1, 0.5),
+        "integral_on_grid samples must hold at least one value, got an empty array"),
+    "integral_on_grid_one_nan_sample": (
+        lambda: fraccalc.integral_on_grid(np.array([math.nan]), 0.1, 0.5),
+        "integral_on_grid samples must be finite, got nan at index 0"),
+    "mean_value_fractional_scan_n": (
+        lambda: fraccalc.mean_value(fraccalc.parse("t"), _P, 1.0, scan_n=20.5),
+        "scan_n must be an integer >= 16, got 20.5"),
+    "convexity_equivalence_fractional_scan_n": (
+        lambda: fraccalc.convexity_equivalence(
+            fraccalc.parse("t"), 0.5, 0.5, fraccalc.sample_window_pairs(0.0, 4.0, 0.5, 2), scan_n=20.5),
+        "scan_n must be an integer >= 16, got 20.5"),
+    "critical_points_fractional_scan_n": (
+        lambda: fraccalc.critical_points(fraccalc.parse("sin(t)"), _P, 3.0, scan_n=20.5),
+        "scan_n must be an integer >= 4, got 20.5"),
     "periodicity_defect_nan_time": (
         lambda: fraccalc.periodicity_defect(fraccalc.parse("sin(t)"), 0.5, 2 * math.pi, [1.0, math.nan]),
         "t_grid must be positive (operators are based at 0)"),

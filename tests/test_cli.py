@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fraccalc.cli as cli
 from fraccalc import FractionalParams
 from fraccalc.cli import MAX_GRID_N, MAX_PAIRS, MAX_SCAN_N, MAX_SWEEP, MAX_TAYLOR_N, run
 from fraccalc.expr import BinOp, Expression, Num, Var
@@ -322,8 +324,6 @@ def test_selftest_fails_on_coarse_grid():
 def test_parser_reuse_matches_fresh_parser():
     # the parser is built once per process; a usage error in between must not
     # leave state behind that changes later runs
-    import fraccalc.cli as cli
-
     argvs = [
         ["fracderiv", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1", "--output", "csv"],
         ["fracint", "--f", "t^2", "--alpha", "0.5", "--a", "0", "--x", "1"],
@@ -346,8 +346,6 @@ def test_parser_reuse_matches_fresh_parser():
 def test_readme_and_help_name_exactly_the_commands():
     import os
     import re
-
-    import fraccalc.cli as cli
 
     commands = set(cli._COMMANDS) | {"selftest"}
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
@@ -714,3 +712,42 @@ def test_every_command_fails_cleanly_on_random_input(argv):
         code, _, err = capture(argv)
     assert code in (0, 1, 2)
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
+
+
+# --- a command's parser alone parses as the full parser ------------------------
+
+
+def _parse_outcome(parse, argv):
+    # the flags, the usage error or the exit code, and what parsing printed
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        try:
+            outcome = ("flags", vars(parse(argv)))
+        except cli._UsageError as exc:
+            outcome = ("usage error", str(exc))
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+    return outcome, printed.getvalue()
+
+
+_PARSED = ["fracint", "--f", "t", "--alpha", "0.5", "--a", "0", "--x", "1"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cli_argv(), st.integers(0, 30))
+@example([], 0)
+@example(["--help"], 1)
+@example(["nosuchcommand"], 1)
+@example(["fracint", "--help"], 2)
+@example(_PARSED + ["--gri", "64"], 11)  # an abbreviated flag
+@example(["fracderiv", "--f=-t^2", "--alpha", "0.5", "--a", "0", "--x", "1"], 7)
+@example(_PARSED[:3] + ["--"] + _PARSED[3:], 10)
+@example(_PARSED + ["--", "extra"], 11)
+@example(["--", "fracint"], 2)
+@example(["selftest"], 1)
+@example(["selftest", "--grid-n", "1"], 3)
+def test_a_commands_own_parser_parses_as_the_full_parser(argv, cut):
+    # argv cut short leaves required flags or a flag's value out
+    argv = argv[:cut]
+    top, _ = cli._build_parser()
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(top.parse_args, argv)

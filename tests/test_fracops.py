@@ -658,6 +658,43 @@ def test_strided_integral_overflow_is_one_domain_error():
             _strided_integral(fv, 1.0, 0.5, 1)
 
 
+@pytest.mark.parametrize("mu", [0.1, 0.5, 0.9, 1.5])
+@pytest.mark.parametrize("n", [65, 100, 127, 129, 130, 191, 4097, 4098, 5329, 6000])
+def test_integral_on_grid_last_block_matches_the_dot_product_per_node(n, mu):
+    # the last block [lo, n) is transformed on the least 5-smooth length >=
+    # 2n - 1 - lo; at n = 100 (lo = 64) and n = 5329 (lo = 4096) that bound,
+    # 135 and 6561, is 5-smooth itself, so the length has no slack and node lo
+    # would take the first entry past the linear convolution if it were short
+    from fraccalc.fracops import _l1_weights
+
+    h = 3.0 / n
+    fv = np.cos(2.0 * h * np.arange(n + 1)) + 0.2 * np.sin(40.0 * h * np.arange(n + 1))
+    w = _l1_weights(n, mu)
+    scale = h**mu / math.gamma(mu + 2.0)
+    loop = scale * np.array([w[n + j] * fv[0] + w[n - j + 1 : n + 1] @ fv[1 : j + 1] for j in range(1, n + 1)])
+    got = integral_on_grid(fv, h, mu)
+    assert got[0] == 0.0
+    assert np.max(np.abs(got[1:] - loop)) <= 1e-13 * np.max(np.abs(loop))
+
+
+def test_smooth_length_is_the_least_5_smooth_integer_at_or_above():
+    from fraccalc.fracops import _smooth_length
+
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    assert [_smooth_length(m) for m in (135, 6561)] == [135, 6561]
+    for m in range(1, 3000):
+        assert _smooth_length(m) == next(k for k in range(m, 2 * m + 1) if smooth(k)), m
+
+
+def test_integral_on_grid_of_one_sample_is_zero():
+    assert np.array_equal(integral_on_grid(np.array([3.0]), 0.1, 0.5), [0.0])
+
+
 def _sweep_by_direct_convolution(samples, h, mu):
     # the product-trapezoid sweep with its inner sum as one np.convolve
     n = len(samples) - 1
