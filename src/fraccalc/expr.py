@@ -34,12 +34,15 @@ jet runs on a float or on a numpy array of points: ``eval`` and
 ``derivative_values`` map a float to a float (a QUADPACK or root-finder
 callback is a jet of floats) and an array, of any size, to an array.  numpy
 ufuncs are called on floats too, so a one-point sample equals the same
-point of a grid bit for bit.  A sample silences floating-point warnings
-and checks its result instead: under an ``np.errstate`` of its own, or
-inside a ``_scalar_loop`` under the loop's.  The QUADPACK call of
-``fracops._kernel_quad_oracle`` and each root search of
-``meanval._find_roots`` are such loops, so each of their callbacks and
-Brent steps runs its compiled map and its finiteness check alone.
+point of a grid bit for bit.  At a float, each is one call into the
+expression's one-point sampler of that order (``_point_sampler``), built
+once.  A sample silences floating-point warnings and checks its result
+instead: under an ``np.errstate`` of its own, or inside a ``_scalar_loop``
+under the loop's.  The QUADPACK call of ``fracops._kernel_quad_oracle``
+and each point-by-point root search of ``meanval._find_roots`` are such
+loops, so each of their callbacks and Brent steps runs its compiled map
+and its finiteness check alone.  The root searches of the shape checks'
+window mean values run in lockstep on array samples instead.
 
 Domain rules; a value (order 0) needs less than a derivative (order >= 1):
 
@@ -61,7 +64,6 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
@@ -864,7 +866,7 @@ class Expression:
         """Evaluate at a float or elementwise over a numpy array."""
         if isinstance(t, np.ndarray):
             return _sample(self, np.asarray(t, dtype=float), 0, "value from", "on sample grid")[0]
-        return float(_sample(self, t, 0, "value from", "at t={!r}")[0])
+        return (self._points.get(0) or _point_sampler(self, 0))(t, "value from")
 
     __call__ = eval
 
@@ -879,6 +881,11 @@ class Expression:
         slope alone), and under "duals" the whole (value, slope) jet that
         ``derivatives`` reads at order 1; at other orders it shares the
         order's map."""
+        return {}
+
+    @cached_property
+    def _points(self) -> dict:
+        """Per order, the one-point sampler of :func:`_point_sampler`, built on first use."""
         return {}
 
     def __str__(self) -> str:
@@ -905,38 +912,85 @@ def check_order(n: int) -> None:
 _IN_SCALAR_LOOP = ContextVar("fraccalc_scalar_loop", default=False)
 
 
-@contextmanager
-def _scalar_loop():
+class _scalar_loop:
     """Hold ``np.errstate(all="ignore")`` once around a loop of one-point
     samples, such as the callbacks of one QUADPACK call or the steps of one
     root search; a float sample inside it runs its compiled map and its
-    finiteness check without entering an errstate of its own.
+    finiteness check without entering an errstate of its own.  Leaving it,
+    also by an exception, restores the errstate and the context variable.
 
     Enter it only around code that runs the whole loop before it returns,
     never across a ``yield``: the context variable, like numpy's errstate,
     set inside a suspended generator holds in the code that drives it."""
-    token = _IN_SCALAR_LOOP.set(True)
-    try:
-        with np.errstate(all="ignore"):
-            yield
-    finally:
-        _IN_SCALAR_LOOP.reset(token)
+
+    __slots__ = ("_errstate", "_token")
+
+    def __enter__(self) -> None:
+        self._errstate = np.errstate(all="ignore")
+        self._errstate.__enter__()
+        self._token = _IN_SCALAR_LOOP.set(True)
+
+    def __exit__(self, *exc) -> None:
+        try:
+            self._errstate.__exit__(*exc)
+        finally:
+            _IN_SCALAR_LOOP.reset(self._token)
+
+
+def _silenced(fn: Callable, *args):
+    """fn(*args) with every floating-point warning silenced: by the errstate
+    of the enclosing ``_scalar_loop``, or outside one by an errstate of its own."""
+    if _IN_SCALAR_LOOP.get():
+        return fn(*args)
+    with np.errstate(all="ignore"):
+        return fn(*args)
+
+
+def _compiled(e: Expression, key) -> Callable:
+    """``e``'s map under ``key``, an order or "duals" (the whole order-1 jet
+    that ``derivatives`` reads), compiled on first use; call it silenced:
+    folding constants computes too."""
+    run = e._jets.get(key)
+    if run is None:
+        run = e._jets[key] = _map(e.root, _Duals) if key == "duals" else _compile(e.root, key)
+    return run
+
+
+def _point_sampler(e: Expression, order: int) -> Callable[[float, str], float]:
+    """``e``'s sampler of f^(order) at one float, kept in ``e._points``:
+    ``sample(t, what)`` runs the compiled map under the errstate rule of
+    :func:`_silenced`, inlined, and checks that the result is finite, or
+    raises DomainError("non-finite {what} {e} at t={t!r}")."""
+    run = _silenced(_compiled, e, order)
+    if order >= 2:  # the recurrences give scaled coefficients
+        series, factor = run, math.factorial(order)
+        run = lambda seed: series(seed)[order] * factor  # noqa: E731
+
+    def sample(t, what: str) -> float:
+        x = float(t)
+        seed = x if order == 0 else (x, 1.0) if order == 1 else [x, 1.0] + [0.0] * (order - 1)
+        if _IN_SCALAR_LOOP.get():
+            c = run(seed)
+        else:
+            with np.errstate(all="ignore"):
+                c = run(seed)
+        if not math.isfinite(c):
+            raise DomainError(f"non-finite {what} {_format(e.root)} at t={t!r}")
+        return float(c)
+
+    e._points[order] = sample
+    return sample
 
 
 def _sample(e: Expression, t, order: int, what: str, where: str, jet: bool = False) -> list:
-    """One pass of ``e``'s compiled map seeded at ``t`` to ``order``: at a
-    float, or at every point of an array.
+    """One pass of ``e``'s compiled map seeded at ``t`` to ``order``: at every
+    point of an array, or with ``jet`` at a float.
 
     Returns ``[f^(order)]``, or with ``jet`` every scaled coefficient, each
     a float or shaped like ``t``; raises DomainError unless all of them are
     finite.  The whole order-1 jet has its own map, under the key "duals".
-    Floating-point warnings are silenced by the errstate of the enclosing
-    ``_scalar_loop``, or outside one by an errstate of the sample's own.
-    """
-    if _IN_SCALAR_LOOP.get():
-        return _sample_silenced(e, t, order, what, where, jet)
-    with np.errstate(all="ignore"):
-        return _sample_silenced(e, t, order, what, where, jet)
+    A one-point sample of f^(order) alone is :func:`_point_sampler`'s."""
+    return _silenced(_sample_silenced, e, t, order, what, where, jet)
 
 
 def _sample_silenced(e: Expression, t, order: int, what: str, where: str, jet: bool) -> list:
@@ -948,11 +1002,7 @@ def _sample_silenced(e: Expression, t, order: int, what: str, where: str, jet: b
         seed = x
     else:
         seed = (x, 1.0) if order == 1 else [x, 1.0] + [np.zeros_like(x) if array else 0.0] * (order - 1)
-    key = "duals" if jet and order == 1 else order  # derivatives() reads the value beside the slope
-    run = e._jets.get(key)
-    if run is None:  # compiled under the same errstate: folding constants computes too
-        run = e._jets[key] = _map(e.root, _Duals) if key == "duals" else _compile(e.root, order)
-    coeffs = run(seed)
+    coeffs = _compiled(e, "duals" if jet and order == 1 else order)(seed)
     # a finite scaled coefficient times order! may overflow: checked below
     out = list(coeffs) if jet and order else [coeffs] if order < 2 else [coeffs[order] * math.factorial(order)]
     if array and not isinstance(out[0], np.ndarray):  # a slope that reads no t, such as 2*t's
@@ -978,4 +1028,4 @@ def derivative_values(e: Expression, ts: Scalar, order: int) -> Scalar:
     check_order(order)
     if isinstance(ts, np.ndarray):
         return _sample(e, np.asarray(ts, dtype=float), order, "derivative of", "on sample grid")[0]
-    return float(_sample(e, ts, order, "derivative of", "at t={!r}")[0])
+    return (e._points.get(order) or _point_sampler(e, order))(ts, "derivative of")

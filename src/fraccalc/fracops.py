@@ -139,7 +139,8 @@ class FractionalParams:
     """Order, base point and grid resolution for the operators.
 
     ``alpha`` must lie strictly inside (0, 1); behaviour at the endpoints
-    is only ever probed through limits, never evaluated.
+    is only ever probed through limits, never evaluated.  ``grid_n`` is
+    kept as an int, so an integral float such as 256.0 acts as 256.
     """
 
     alpha: float
@@ -150,7 +151,7 @@ class FractionalParams:
         _check_alpha(self.alpha)
         if not math.isfinite(self.a):
             raise ValueError("base point a must be finite")
-        _check_count("grid_n", self.grid_n, 2)
+        object.__setattr__(self, "grid_n", _check_count("grid_n", self.grid_n, 2))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ scan, refined by Brent's method (bracketing is used instead of Newton
 because the crossings can be arbitrarily flat).  ``xi_sup`` is the
 largest one.  Every root search in the package is a ``_root_search``,
 driven point by point by ``_find_roots`` or, for the searches of an order
-sweep, side by side by ``_find_roots_together``.
+sweep and the mean values of a window table (``_mean_values``), side by
+side by ``_find_roots_together``.
 
 For smooth f the supremum near a is also approximated by the roots of an
 explicit polynomial in (xi - a) built from the Taylor coefficients of f
@@ -42,7 +43,9 @@ from .fracops import (
     caputo_derivative,
     gamma,
     rl_integral,
+    _BATCH_MAX_POINTS,
     _check_count,
+    _fill_grid,
     _grid,
     _power,
     _prime_sampler,
@@ -277,13 +280,72 @@ def _mean_value(sample: Sampler, p: FractionalParams, x: float, iv: float, scan_
     iv = I^(1-alpha) f(x) over (p.a, x], for a caller that already holds
     that integral."""
     scan_n = _check_count("scan_n", scan_n, 16)
-    g = gamma(2.0 - p.alpha) * iv * _power(x - p.a, p.alpha - 1.0)
-    ts = _grid(p.a, x, scan_n + 2)[0][1:-1]
-    vals = sample(ts) - g
-    if float(np.max(np.abs(vals))) <= 1e-12 * (1.0 + abs(g)):
-        return MeanValueResult(g, (), (), None, degenerate=True)
+    ((g, ts, vals, tol),) = _scans(sample, [(p, x, iv)], scan_n)
+    roots = None if vals is None else _find_roots(ts, vals, lambda s: sample(s) - g, tol)
+    return _crossings(g, roots, p, x, scan_n)
 
-    roots = _find_roots(ts, vals, lambda s: sample(s) - g, 1e-12 * (x - p.a))
+
+def _mean_values(sample: Sampler, windows: list, scan_n: int) -> list:
+    """:func:`_mean_value` of ``sample`` at each (p, x, iv) of ``windows``, bit
+    for bit, with a MeanValueNotFoundError returned, not raised; ``scan_n``
+    is an int >= 16, checked by the caller.
+
+    The windows go in order into batches of at most ``_BATCH_MAX_POINTS``
+    scan nodes, at least one window each.  A batch's scans are one sample,
+    and its root searches run in lockstep, each round of Brent steps one
+    array sample: as exact searches they ask for the points that
+    ``_find_roots`` asks fn for.  A batch whose lockstep run raises runs its
+    searches again one after another through ``_find_roots``, so its first
+    failing window raises what its one-point samples raise."""
+    per, out = max(1, _BATCH_MAX_POINTS // (scan_n + 1)), []
+    for i in range(0, len(windows), per):
+        batch = windows[i : i + per]
+        scans = _scans(sample, batch, scan_n)
+        live = [scan for scan in scans if scan[2] is not None]  # degenerate levels have no search
+        gs = np.array([g for g, _, _, _ in live])
+
+        def evaluate(points):  # f - g at each (search, point), in one sample
+            return (sample(np.array([x for _, x in points])) - gs[[k for k, _ in points]]).tolist()
+
+        try:
+            found = _find_roots_together([_root_search(ts, vals, tol, True) for _, ts, vals, tol in live], evaluate)
+        except Exception:  # the window-by-window loop defines which failure is raised
+            found = [_find_roots(ts, vals, lambda s, g=g: sample(s) - g, tol) for g, ts, vals, tol in live]
+        found = iter(found)
+        for (g, _, vals, _), (p, x, _) in zip(scans, batch):
+            try:
+                out.append(_crossings(g, None if vals is None else next(found), p, x, scan_n))
+            except MeanValueNotFoundError as exc:
+                out.append(exc)
+    return out
+
+
+def _scans(sample: Sampler, windows: list, scan_n: int) -> list:
+    """For each (p, x, iv) of ``windows``: the level g(x) of the mean value on
+    (p.a, x), the scan_n + 1 interior nodes of ``_grid(p.a, x, scan_n + 2)``,
+    f - g there, or None where the level is degenerate (f - g within
+    1e-12 * (1 + |g|) of 0 at every node), and the tolerance of the root
+    search.  The windows' grids are the rows of one array, each filled as
+    ``_grid`` fills it, and f is sampled at all their nodes in one call."""
+    gs = [gamma(2.0 - p.alpha) * iv * _power(x - p.a, p.alpha - 1.0) for p, x, iv in windows]
+    grids = np.empty((len(windows), scan_n + 3))
+    for row, (p, x, _) in zip(grids, windows):
+        _fill_grid(row, p.a, x, scan_n + 2)
+    ts = grids[:, 1:-1]
+    fv = sample(ts.ravel()).reshape(ts.shape)  # ravel: the interior nodes, copied in order
+    out = []
+    for g, row, f_row, (p, x, _) in zip(gs, ts, fv, windows):
+        vals = f_row - g
+        degenerate = float(np.max(np.abs(vals))) <= 1e-12 * (1.0 + abs(g))
+        out.append((g, row, None if degenerate else vals, 1e-12 * (x - p.a)))
+    return out
+
+
+def _crossings(g: float, roots: Optional[list], p: FractionalParams, x: float, scan_n: int) -> MeanValueResult:
+    """The mean values at level g on (p.a, x) from the roots of its search,
+    None where the level is degenerate; no root is a MeanValueNotFoundError."""
+    if roots is None:
+        return MeanValueResult(g, (), (), None, degenerate=True)
     if not roots:
         raise MeanValueNotFoundError(
             f"no crossing of the level g(x)={g!r} found on ({p.a!r}, {x!r}) "

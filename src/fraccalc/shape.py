@@ -20,6 +20,14 @@ locates the mean value of f' on the window, so the mean value reuses it;
 the delta-increasing, property-(P), f'(xi)-monotone and bridge verdicts
 are all read off that one table.  Its caller hands it the quadrature: the
 product rule on ``grid_n`` panels, or in ``convexity_equivalence`` the oracle.
+Every window is integrated first; then the mean values are located
+together, batch by batch (``meanval._mean_values``): one sample scans the
+windows of a batch, and their root searches run in lockstep, each round of
+Brent steps one array sample.  Each mean value is bit for bit the one that
+the window alone gives.  A failing table raises its first failing integral,
+else the first failure of its first failing batch, as the windows of that
+batch would meet it one after another.  f' at the mean values of all pairs
+is then one sample.
 
 Window convention: the derivative over a window [x0, x0 + delta] is
 ``caputo_derivative`` with base x0 evaluated at x0 + delta, i.e.
@@ -36,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fracops
-from .errors import DomainError, HypothesisError, MeanValueNotFoundError
+from .errors import DomainError, HypothesisError
 # bench/tracing.py wraps derivative_values at each module that binds it
 from .expr import Expression, derivative_values  # noqa: F401
 from .fracops import (
@@ -52,7 +60,7 @@ from .fracops import (
     _prime_sampler,
     _sampler,
 )
-from .meanval import _mean_value
+from .meanval import _mean_values
 
 __all__ = [
     "WindowPairSample",
@@ -168,25 +176,29 @@ def _window_table(
     MeanValueNotFoundError when no crossing brackets.  The mean value reuses
     the window integral, so each window is integrated once, by the caller's
     ``quad(phi, x0, x0 + delta, 1 - alpha)``, which returns (value, error).
-    An empty pair sample is a ValueError: no verdict rests on no evidence."""
+    Every window is integrated before any is scanned; the mean values are
+    ``meanval._mean_values``, whose batches of windows are scanned in one
+    sample each and searched in lockstep, so the first failing integral is
+    raised first, then the first failure of the first failing batch.
+    An empty pair sample is a ValueError: no verdict rests on no evidence;
+    so is a ``scan_n`` that is not an integer >= 16, before any window."""
     if not pair_samples:
         raise ValueError("pair_samples must hold at least one window pair")
+    if scan_n is not None:
+        scan_n = _check_count("scan_n", scan_n, 16)
     table: Dict[float, tuple] = {}
-    for x0 in (x for pair in pair_samples for x in (pair.x0, pair.y0)):
-        if x0 in table:
-            continue
+    windows = []
+    for x0 in dict.fromkeys(x for pair in pair_samples for x in (pair.x0, pair.y0)):
         p = FractionalParams(alpha, x0)
         value = quad(phi, x0, x0 + delta, 1.0 - alpha)[0]
         if not math.isfinite(value):
             raise DomainError(f"non-finite quadrature value over [{x0!r}, {x0 + delta!r}]")
-        offset = None
-        if scan_n is not None:
-            try:
-                mv = _mean_value(phi, p, x0 + delta, value, scan_n)
-                offset = None if mv.degenerate else mv.xi_sup - x0
-            except MeanValueNotFoundError as exc:
-                offset = exc
-        table[x0] = (value, offset)
+        table[x0] = (value, None)
+        windows.append((p, x0 + delta, value))
+    if scan_n is not None:
+        for (p, _, value), mv in zip(windows, _mean_values(phi, windows, scan_n)):
+            offset = mv if isinstance(mv, Exception) else None if mv.degenerate else mv.xi_sup - p.a
+            table[p.a] = (value, offset)
     return table
 
 
@@ -303,18 +315,23 @@ def convexity_equivalence(
             break
 
     k = 1.0 / gamma(2.0 - alpha) * delta ** (1.0 - alpha)
-    gaps = []
-    bridge_max = 0.0
-    for pair in pair_samples:
-        (wx, ox), (wy, oy) = table[pair.x0], table[pair.y0]
+    matched = [(pair, table[pair.x0], table[pair.y0]) for pair in pair_samples]
+    for _, (_, ox), (_, oy) in matched:
         for offset in (ox, oy):
             if isinstance(offset, Exception):
                 raise offset
+    # f' at both mean values of each pair, all in one sample
+    xis = [x for pair, (_, ox), (_, oy) in matched if ox is not None and oy is not None
+           for x in (pair.x0 + ox, pair.y0 + oy)]
+    fp_xi = iter(fp(np.array(xis)).tolist())
+    gaps = []
+    bridge_max = 0.0
+    for pair, (wx, ox), (wy, oy) in matched:
         if ox is None or oy is None:
             # constant f' on the window: both sides of the bridge are equal
             bridge_max = max(bridge_max, abs(wx - wy))
             continue
-        fpx, fpy = fp(pair.x0 + ox), fp(pair.y0 + oy)
+        fpx, fpy = next(fp_xi), next(fp_xi)
         bridge_max = max(bridge_max, abs((wx - wy) - k * (fpx - fpy)))
         gaps.append((pair, fpx - fpy, 1e-8 * (1.0 + abs(fpx) + abs(fpy))))
     fxi = _order_verdict("fprime_xi_monotone", gaps)

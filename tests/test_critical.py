@@ -569,3 +569,19 @@ def test_a_failing_group_reruns_only_its_own_orders(monkeypatch, bad_ends, bad_s
     monkeypatch.setattr(critical, "_find_roots", recording)
     test_a_sweep_raises_the_first_failure_of_the_per_order_loop(monkeypatch, bad_ends, bad_scan, want, 2)
     assert reran == list(range(want[0] // 2 * 2, want[0] + (want[1] != "scan")))
+
+
+def test_an_integral_float_grid_n_acts_as_the_int():
+    # FractionalParams keeps grid_n as the int its check returns, so the scan
+    # grid of a critical-point search is built on an int panel count
+    from fraccalc.critical import _critical_sweep
+
+    f = parse("sin(t)")
+    whole, floating = FractionalParams(0.5, 0.0, 256), FractionalParams(0.5, 0.0, 256.0)
+    assert type(floating.grid_n) is int and floating == whole
+    assert critical_points(f, floating, 3.0) == critical_points(f, whole, 3.0)
+    sweep = [FractionalParams(al, 0.0, 256.0) for al in (0.2, 0.5, 0.8)]
+    got = _critical_sweep(f, sweep, 3.0, 96)
+    want = _critical_sweep(f, [FractionalParams(al, 0.0, 256) for al in (0.2, 0.5, 0.8)], 3.0, 96)
+    assert [(_bits(r.roots), _bits(r.residuals)) for r in got] == [(_bits(r.roots), _bits(r.residuals)) for r in want]
+    assert all(r.roots for r in got)

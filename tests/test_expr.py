@@ -398,6 +398,22 @@ def test_a_float_sample_in_a_scalar_loop_equals_one_outside_it(root, t, order):
     assert inside == outside
 
 
+def test_a_scalar_loop_left_by_an_exception_restores_the_errstate_and_the_flag():
+    before = np.geterr()
+    with pytest.raises(DomainError, match=r"^non-finite value from exp\(800\.0\*t\) at t=2\.0$"):
+        with expr_module._scalar_loop():
+            assert expr_module._IN_SCALAR_LOOP.get() and np.geterr() == dict.fromkeys(before, "ignore")
+            with expr_module._scalar_loop():  # nested: the outer loop's state comes back
+                pass
+            assert expr_module._IN_SCALAR_LOOP.get() and np.geterr() == dict.fromkeys(before, "ignore")
+            parse("exp(800*t)").eval(2.0)
+    assert not expr_module._IN_SCALAR_LOOP.get() and np.geterr() == before
+    # a float sample after it enters its own errstate again: the overflow stays silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert parse("exp(-exp(800*t))").eval(2.0) == 0.0
+
+
 @pytest.mark.parametrize("source, order, outcome", [
     ("exp(800*t)", 0, (DomainError, "non-finite value from exp(800.0*t) at t=2.0")),
     ("exp(800*t)", 1, (DomainError, "non-finite derivative of exp(800.0*t) at t=2.0")),

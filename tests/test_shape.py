@@ -1,9 +1,12 @@
 import math
+import re
 import warnings
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fraccalc
 import quadpack_oracle as oracle
@@ -22,12 +25,15 @@ from fraccalc import (
 )
 import fraccalc.fracops as fracops
 from fraccalc.fracops import _kernel_quad_grid, _prime_sampler, _sampler
+from fraccalc.expr import BinOp, Expression, Var
+from fraccalc.meanval import _mean_value
 from fraccalc.shape import (
     WindowPairSample,
     _delta_increasing_verdict,
     _property_P_verdict,
     _window_table,
 )
+from test_expr import _grow, _leaves
 
 
 @pytest.fixture(scope="module")
@@ -418,12 +424,12 @@ def test_convexity_integrates_each_window_once(monkeypatch):
 
 
 def _count_scalar_loops(monkeypatch):
-    """Count the oracle calls and root searches, the np.errstate entries
-    made inside them and the one-point f' samples."""
+    """Count the oracle calls and one-point root searches, the np.errstate
+    entries made inside them and the one-point f' samples."""
     import fraccalc.fracops as fracops
     import fraccalc.meanval as meanval
 
-    counts = {"loops": 0, "depth": 0, "errstates inside": 0, "float samples": 0}
+    counts = {"oracle calls": 0, "root searches": 0, "depth": 0, "errstates inside": 0, "float samples": 0}
     errstate, derivative_values = np.errstate, fracops.derivative_values
 
     def counted_errstate(*args, **kwargs):
@@ -434,9 +440,9 @@ def _count_scalar_loops(monkeypatch):
         counts["float samples"] += not isinstance(ts, np.ndarray)
         return derivative_values(e, ts, order)
 
-    def loop(fn):
+    def loop(fn, name):
         def run(*args, **kwargs):
-            counts["loops"] += 1
+            counts[name] += 1
             counts["depth"] += 1
             try:
                 return fn(*args, **kwargs)
@@ -447,22 +453,24 @@ def _count_scalar_loops(monkeypatch):
 
     monkeypatch.setattr(np, "errstate", counted_errstate)
     monkeypatch.setattr(fracops, "derivative_values", counted_samples)
-    monkeypatch.setattr(fracops, "_kernel_quad_oracle", loop(fracops._kernel_quad_oracle))
-    monkeypatch.setattr(meanval, "_find_roots", loop(meanval._find_roots))
+    monkeypatch.setattr(fracops, "_kernel_quad_oracle", loop(fracops._kernel_quad_oracle, "oracle calls"))
+    monkeypatch.setattr(meanval, "_find_roots", loop(meanval._find_roots, "root searches"))
     return counts
 
 
 def test_convexity_enters_one_errstate_per_oracle_call_and_root_search(monkeypatch):
-    # grid_shape's exp(0.6*t) input: each QUADPACK call's callbacks and each
-    # root search's Brent steps share one errstate, not one per point
+    # grid_shape's exp(0.6*t) input: each QUADPACK call's callbacks share one
+    # errstate, not one per point, and the windows' mean values run in
+    # lockstep on array samples, with no one-point root search
     import scipy.integrate  # noqa: F401  here, not in the oracle's first call: importing it enters errstates
 
     counts = _count_scalar_loops(monkeypatch)
     pairs = sample_window_pairs(0.0, 4.0, 0.45, n_pairs=8, seed=0)
     convexity_equivalence(parse("exp(0.6*t)"), 0.75, 0.45, pairs)
-    assert counts["loops"] == 32  # 16 windows, each integrated and searched once
-    assert counts["errstates inside"] <= counts["loops"]
-    assert counts["float samples"] > 10 * counts["loops"]
+    assert counts["oracle calls"] == 16  # 16 windows, each integrated once
+    assert counts["root searches"] == 0
+    assert counts["errstates inside"] <= counts["oracle calls"]
+    assert counts["float samples"] > 10 * counts["oracle calls"]
 
 
 def test_a_domain_error_that_escapes_the_oracle_leaves_no_errstate_behind():
@@ -507,6 +515,88 @@ def test_unbracketed_window_raises_in_convexity_inconclusive_in_gate(pairs8):
     assert verdict.note == "2 pair(s) inconclusive: no mean value bracketed"
 
 
+def _window_by_window(phi, alpha, delta, pairs, quad, scan_n):
+    """The window table as a loop: each window integrated, then its mean
+    value located by ``_mean_value``, one window after another."""
+    table = {}
+    for x0 in dict.fromkeys(x for pair in pairs for x in (pair.x0, pair.y0)):
+        value = quad(phi, x0, x0 + delta, 1.0 - alpha)[0]
+        if not math.isfinite(value):
+            raise fraccalc.DomainError(f"non-finite quadrature value over [{x0!r}, {x0 + delta!r}]")
+        try:
+            mv = _mean_value(phi, FractionalParams(alpha, x0), x0 + delta, value, scan_n)
+            offset = None if mv.degenerate else mv.xi_sup - x0
+        except fraccalc.MeanValueNotFoundError as exc:
+            offset = exc
+        table[x0] = (value, offset)
+    return table
+
+
+def _table_outcome(make):
+    """A window table as bytes, its MeanValueNotFoundErrors as messages; or the type of what it raised."""
+    try:
+        table = make()
+    except fraccalc.FracCalcError as exc:
+        return type(exc)
+    return [(x0, np.float64(value).tobytes(),
+             offset if offset is None else str(offset) if isinstance(offset, Exception) else np.float64(offset).tobytes())
+            for x0, (value, offset) in table.items()]
+
+
+_SAMPLERS = {
+    "f' of the expression": lambda e: _prime_sampler(e),
+    "f of the expression": lambda e: _sampler(e),
+    "a callable's f'": lambda e: _sampler(lambda ts: fraccalc.derivative_values(e, ts, 1)),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.recursive(_leaves, _grow, max_leaves=6).flatmap(  # + t*t: fewer constant levels
+        lambda root: st.sampled_from([root, BinOp("+", root, BinOp("*", Var(), Var()))])),
+    st.sampled_from(sorted(_SAMPLERS)),
+    st.sampled_from(["oracle", "grid"]), st.floats(0.05, 0.95), st.floats(0.05, 0.8),
+    st.integers(1, 12), st.sampled_from([16, 33, 96, 4095, 12288]), st.integers(0, 3),
+)
+@example(parse("exp(-((t-2.6)/0.01)^2)").root, "f' of the expression", "oracle", 0.5, 0.5, 8, 16, 0)  # unbracketed
+@example(parse("2*t + 1").root, "f' of the expression", "grid", 0.5, 0.5, 8, 96, 0)  # every level degenerate
+@example(parse("sin(3*t)*t").root, "a callable's f'", "grid", 0.3, 0.4, 12, 4095, 1)  # several batches
+def test_the_window_table_equals_its_window_by_window_loop(root, sampler, rule, alpha, delta, n_pairs, scan_n, seed):
+    # the lockstep mean values against _mean_value per window, with the same
+    # quadrature: bit for bit, degenerate windows and unbracketed ones
+    # included; an input that fails raises in both (its first failure may be
+    # another window's, as the loop meets the windows in another order)
+    phi = _SAMPLERS[sampler](Expression(root))
+    quad = fracops._kernel_quad_oracle if rule == "oracle" else partial(_kernel_quad_grid, grid_n=64)
+    pairs = sample_window_pairs(0.1, 4.0, delta, n_pairs=n_pairs, seed=seed)
+    got = _table_outcome(lambda: _window_table(phi, alpha, delta, pairs, quad, scan_n))
+    assert got == _table_outcome(lambda: _window_by_window(phi, alpha, delta, pairs, quad, scan_n))
+
+
+def test_a_brent_step_that_fails_in_a_batch_raises_the_one_point_error(pairs8):
+    # phi fails within 1e-6 of the first window's mean value, between its scan
+    # nodes, where its Brent steps go, and says whether an array or one point
+    # was sampled: the batch runs again window by window, and the first window
+    # raises the error of its one-point sample
+    quad = partial(_kernel_quad_grid, grid_n=64)
+    x0 = pairs8[0].x0
+    xi = x0 + _window_table(lambda ts: ts * ts, 0.5, 0.5, pairs8, quad, 96)[x0][1]
+
+    def phi(ts):
+        if np.any(abs(np.asarray(ts) - xi) < 1e-6):
+            raise fraccalc.DomainError("an array sample" if isinstance(ts, np.ndarray) else f"one point, t={ts!r}")
+        return ts * ts
+
+    messages = []
+    for table in (_window_table, _window_by_window):
+        with pytest.raises(fraccalc.DomainError) as exc:
+            table(phi, 0.5, 0.5, pairs8, quad, 96)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("one point, t=")
+    assert abs(float(re.search(r"\d+\.\d+", messages[0]).group()) - xi) < 1e-6
+
+
 def test_periodicity_rejects_nonpositive_period():
     for tau in (0.0, -1.0):
         with pytest.raises(ValueError, match="period tau must be > 0"):
@@ -531,3 +621,11 @@ def test_convexity_refuses_an_empty_pair_sample(check):
     # a verdict on no window pair would rest on no evidence
     with pytest.raises(ValueError, match="pair_samples must hold at least one window pair"):
         check(parse("t^2"), 0.5, 0.4, [])
+
+
+@pytest.mark.parametrize("check", [convexity_equivalence, property_P_check])
+def test_a_bad_scan_n_is_refused_before_any_window_is_integrated(check):
+    # exp(800*t) overflows on the first window, so its integral would fail first
+    pairs = sample_window_pairs(0.0, 2.0, 0.2, n_pairs=4, seed=0)
+    with pytest.raises(ValueError, match="^scan_n must be an integer >= 16, got 20.5$"):
+        check(parse("exp(800*t)"), 0.5, 0.2, pairs, scan_n=20.5)
