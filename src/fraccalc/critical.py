@@ -16,11 +16,11 @@ An order sweep (``critpoints`` and ``r_alpha_curve``) is one computation,
 ``_critical_sweep``, of which ``critical_points`` is the one-order case: one
 f' sample on the scan grid serves every order's scan, and the root searches
 of a group of orders advance in lockstep, each round of pointwise
-quadratures (every bracket end, then one Brent step per search) evaluated
-as one batch of grid rows by ``fracops._kernel_quad_rows``.  ``dilation_scenario`` runs
-its table through the same batches.  The results are those of running the
-orders one after another; a group whose lockstep run raises runs its orders
-that way, so the sweep raises what that loop raises first.
+quadratures (every bracket end, then one Brent step per search) one call of
+``fracops._kernel_quad_grid``, the one pointwise rule of this module.  The
+results are those of running the orders one after another; by
+``fracops._in_batches``, a group that raises runs its orders that way, so
+the sweep raises what that loop raises first.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ from .fracops import (
     Sampler,
     base_value,
     rl_derivative,
-    _batch_rows,
     _check_count,
     _grid,
+    _in_batches,
     _kernel_quad_grid,
-    _kernel_quad_rows,
+    _panels,
     _prime_sampler,
     _sampler,
     _strided_integral,
@@ -135,9 +135,9 @@ def _critical_sweep(
     quadratures (first every bracket end, then one Brent step per search)
     is one batch.  The searches go in groups of as many orders as a batch
     has rows (one at the ``--grid-n`` cap), so the weight tables of a group
-    stay cached between its rounds.  A group that raises runs again order by
-    order through :func:`_find_roots`, which raises what the first order to
-    fail raises alone; later groups do not start."""
+    stay cached between its rounds.  By ``fracops._in_batches``, a group that
+    raises runs again order by order through :func:`_find_roots` and raises
+    what its first failing order raises alone; later groups do not start."""
     if not ps:
         return []
     a, grid_n = ps[0].a, ps[0].grid_n
@@ -153,21 +153,17 @@ def _critical_sweep(
         return (yield from _root_search(xs, _strided_integral(fv, h, mu, k), tol, False))
 
     def one_order(mu):
-        d = lambda x: _kernel_quad_grid(fp, a, x, mu, grid_n)[0]  # noqa: E731
+        d = lambda x: _kernel_quad_grid(fp, a, [x], [mu], grid_n)[0][0]  # noqa: E731
         return _find_roots(xs, _strided_integral(fv, h, mu, k), d, tol, exact=False)
 
     def group_roots(mus):
         def evaluate(points):
-            rows = _kernel_quad_rows(fp, a, [x for _, x in points], [mus[i] for i, _ in points], grid_n)
+            rows = _kernel_quad_grid(fp, a, [x for _, x in points], [mus[i] for i, _ in points], grid_n)
             return [value for value, _ in rows]
 
-        try:
-            return _find_roots_together([search(mu) for mu in mus], evaluate)
-        except Exception:  # the order-by-order loop defines which failure is raised
-            return [one_order(mu) for mu in mus]
+        return _find_roots_together([search(mu) for mu in mus], evaluate)
 
-    mus, per = [1.0 - p.alpha for p in ps], _batch_rows(grid_n)
-    found = [r for i in range(0, len(mus), per) for r in group_roots(mus[i : i + per])]
+    found = _in_batches([1.0 - p.alpha for p in ps], _panels(grid_n) + 1, group_roots, one_order)
     return [
         CriticalPointReport(p.alpha, tuple(r for r, _ in roots), tuple(abs(v) for _, v in roots))
         for p, roots in zip(ps, found)
@@ -235,7 +231,7 @@ def derivative_zero_before(
     base_value(f, p.a)
     fp = _prime_sampler(f)
     mu = 1.0 - p.alpha
-    d = lambda x: _kernel_quad_grid(fp, p.a, x, mu, p.grid_n)[0]  # noqa: E731
+    d = lambda x: _kernel_quad_grid(fp, p.a, [x], [mu], p.grid_n)[0][0]  # noqa: E731
     span = x_zero - p.a
 
     n = 96
@@ -249,9 +245,9 @@ def derivative_zero_before(
         hits = _find_roots(xs, vals, d, 1e-12 * span, exact=False)
         if hits:
             return DerivativeZeroResult(hits[-1][0], abs(hits[-1][1]))
-        k = int(np.argmin(np.abs(vals)))
-        if abs(float(vals[k])) < best_val:
-            best_x, best_val = float(xs[k]), abs(float(vals[k]))
+        i = int(np.argmin(np.abs(vals)))
+        if abs(float(vals[i])) < best_val:
+            best_x, best_val = float(xs[i]), abs(float(vals[i]))
         n *= 4
     # no sign change anywhere: accept a tangent root at the endpoint scale,
     # otherwise report the resolution failure (existence is not in doubt)
@@ -342,7 +338,7 @@ def dilation_scenario(v: Expression, p: FractionalParams, t_grid: Sequence[float
     if not all(t > p.a for t in ts):
         raise ValueError("t_grid must lie strictly right of the base point")
     base_value(v, p.a)
-    quads = _kernel_quad_rows(_prime_sampler(v), p.a, ts, [1.0 - p.alpha] * len(ts), p.grid_n)
+    quads = _kernel_quad_grid(_prime_sampler(v), p.a, ts, [1.0 - p.alpha] * len(ts), p.grid_n)
     rows = [(t, value) for t, (value, _) in zip(ts, quads)]
 
     sample = _sampler(v)

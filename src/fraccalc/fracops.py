@@ -37,13 +37,13 @@ Derivatives come in three flavours:
   The derivative over a window [x0, x0 + delta], restarted at its start,
   is ``caputo_derivative`` with base x0 evaluated at x0 + delta.
 
-Many pointwise values at once, such as the Brent steps of an order sweep
-or a table of D^alpha f, are ``_kernel_quad_rows``: the grids of up to
-``_BATCH_MAX_POINTS`` nodes of pairs (x, mu) are the rows of one array,
-sampled in one call, and each row's sums and Richardson step are those of
-``_kernel_quad_grid`` at that pair alone, bit for bit.  A batch that raises
-is run again pair by pair, so the first failing pair raises what its own call
-raises and no value is yielded past it.
+Every pointwise value, one or many, is ``_kernel_quad_grid``: the grids of
+pairs (x, mu) are the rows of one array of at most ``_BATCH_MAX_POINTS``
+nodes, sampled in one call, and each row's sums and Richardson step are
+those of that pair alone, bit for bit.  Work in batches follows one rule,
+``_in_batches``: a batch that raises is run again item by item, so the
+first failing item raises what its own call raises and no later batch
+starts.  Order sweeps and window tables use the same rule.
 
 ``integral_on_grid`` gives I^mu at every node of a grid at once, by a
 blocked FFT convolution.  The product-trapezoid weights of each (n, mu),
@@ -524,7 +524,8 @@ def _nested(sample: Sampler, a: float, xs: list, grid_n: int, rules: list) -> li
     """``_extrapolate`` of ``rule(samples, h)`` at strides 1, 2 and 4 of one ``_panels(grid_n)`` grid
     on [a, x], for each pair of ``xs`` and ``rules``: the grids are the rows of
     one array, each filled as ``_grid`` fills it and all sampled in one call,
-    and each row's sums are those of a call with that row alone, bit for bit."""
+    and each row's sums are those of a call with that row alone, bit for bit.
+    A non-finite sum, or a refined value that is not finite, is a DomainError."""
     for x in xs:
         if not x > a:
             raise ValueError(f"need x > a, got x={x!r}, a={a!r}")
@@ -540,44 +541,44 @@ def _nested(sample: Sampler, a: float, xs: list, grid_n: int, rules: list) -> li
             v1, v2, v4 = rule(row, h), rule(row[::2].copy(), 2 * h), rule(row[::4].copy(), 4 * h)
             if not all(map(math.isfinite, (v1, v2, v4))):
                 raise DomainError(f"product-trapezoid sum over [{a!r}, {x!r}] overflows a float")
-            out.append(_extrapolate(v1, v2, v4))
+            value, est = _extrapolate(v1, v2, v4)
+            if not math.isfinite(value):  # the refinement of finite sums can overflow
+                raise DomainError(f"non-finite quadrature value over [{a!r}, {x!r}]")
+            out.append((value, est))
     return out
 
 
-def _kernel_quad_batch(sample: Sampler, a: float, xs: list, mus: list, grid_n: int) -> list:
-    """``_kernel_quad_grid`` at each pair of ``xs`` and ``mus``, as one ``_nested`` call.
-
-    The fine grid's weights are built before f is sampled: at a high order
-    on many panels they overflow a float, and that is then found at once."""
-    for mu in mus:
-        _l1_weights(_panels(grid_n), mu)
-    return _nested(sample, a, xs, grid_n, [lambda fv, h, mu=mu: _l1_sum(fv, h, mu) for mu in mus])
-
-
-def _kernel_quad_grid(sample: Sampler, a: float, x: float, mu: float, grid_n: int) -> tuple:
-    """Refined product-trapezoid value of I^mu over [a, x] plus error bound."""
-    return _kernel_quad_batch(sample, a, [x], [mu], grid_n)[0]
-
-
-def _batch_rows(grid_n: int) -> int:
-    """Pointwise quadratures on ``grid_n`` panels that one batch holds."""
-    return max(1, _BATCH_MAX_POINTS // (_panels(grid_n) + 1))
-
-
-def _kernel_quad_rows(sample: Sampler, a: float, xs: list, mus: list, grid_n: int):
-    """``_kernel_quad_grid`` at each pair of ``xs`` and ``mus``, in order: yields
-    per pair its (value, estimate).  Pairs go in order into batches of at most
-    ``_BATCH_MAX_POINTS`` grid nodes, at least one pair each; a batch that
-    raises is run again one pair at a time, so the pairs before the first
-    failing one are yielded and that pair raises what its own call raises."""
-    per = _batch_rows(grid_n)
-    for i in range(0, len(xs), per):
-        pairs = list(zip(xs[i : i + per], mus[i : i + per]))
+def _in_batches(items: list, nodes: int, together: Callable, alone: Callable) -> list:
+    """``together(batch)`` of consecutive batches of ``items``, concatenated;
+    a batch holds max(1, ``_BATCH_MAX_POINTS`` // nodes) items, the budget
+    read at each call.  A batch that raises runs again as ``alone(item)``
+    item by item, so its first failing item raises what it raises alone,
+    and later batches do not start."""
+    per, out = max(1, _BATCH_MAX_POINTS // nodes), []
+    for i in range(0, len(items), per):
+        batch = items[i : i + per]
         try:
-            rows = _kernel_quad_batch(sample, a, [x for x, _ in pairs], [mu for _, mu in pairs], grid_n)
-        except Exception:  # the first pair that fails alone raises its own exception
-            rows = (_kernel_quad_grid(sample, a, x, mu, grid_n) for x, mu in pairs)
-        yield from rows
+            done = together(batch)
+        except Exception:  # the item-by-item loop defines which failure is raised
+            done = None  # it runs once the exception, and the arrays its frames hold, are freed
+        out.extend(map(alone, batch) if done is None else done)
+    return out
+
+
+def _kernel_quad_grid(sample: Sampler, a: float, xs: list, mus: list, grid_n: int) -> list:
+    """Refined product-trapezoid value of I^mu over [a, x] and its error bound
+    at each pair of ``xs`` and ``mus``, in order, as ``_nested`` rows in
+    ``_in_batches``.  The fine grid's weights are built before f is sampled:
+    at a high order on many panels they overflow a float, found at once."""
+    n = _panels(grid_n)
+
+    def together(pairs):
+        for _, mu in pairs:
+            _l1_weights(n, mu)
+        rules = [lambda fv, h, mu=mu: _l1_sum(fv, h, mu) for _, mu in pairs]
+        return _nested(sample, a, [x for x, _ in pairs], grid_n, rules)
+
+    return _in_batches(list(zip(xs, mus)), n + 1, together, lambda pair: together([pair])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +602,6 @@ def _kernel_quad_oracle(sample: Sampler, a: float, x: float, mu: float) -> tuple
     return total, err
 
 
-def _kernel_quad(sample: Sampler, a: float, x: float, mu: float, grid_n: int) -> OperatorValue:
-    v, e = _kernel_quad_grid(sample, a, x, mu, grid_n)
-    if not math.isfinite(v):
-        raise DomainError(f"non-finite quadrature value over [{a!r}, {x!r}]")
-    return OperatorValue(v, e)
-
-
 # ---------------------------------------------------------------------------
 # Public operators
 
@@ -616,12 +610,12 @@ def rl_integral(f: FuncLike, p: FractionalParams, order: float, x: float) -> Ope
     """Left fractional integral I^order of f over [p.a, x], for any finite order > 0."""
     if not (0.0 < order < math.inf):
         raise ValueError(f"rl_integral order must be finite and > 0, got {order!r}")
-    return _kernel_quad(_sampler(f), p.a, x, order, p.grid_n)
+    return OperatorValue(*_kernel_quad_grid(_sampler(f), p.a, [x], [order], p.grid_n)[0])
 
 
 def caputo_derivative(f: Expression, p: FractionalParams, x: float) -> OperatorValue:
     """Caputo derivative I^(1-alpha) f' at x.  Constants differentiate to 0."""
-    return _kernel_quad(_prime_sampler(f), p.a, x, 1.0 - p.alpha, p.grid_n)
+    return OperatorValue(*_kernel_quad_grid(_prime_sampler(f), p.a, [x], [1.0 - p.alpha], p.grid_n)[0])
 
 
 def rl_derivative(
@@ -657,10 +651,7 @@ def rl_derivative(
         return (3.0 * u2 - 4.0 * u1 + u0) / (2.0 * h)
 
     # the quarter grid needs three nodes past a
-    ((v, est),) = _nested(_sampler(f), p.a, [x], max(12, p.grid_n), [slope])
-    if not math.isfinite(v):
-        raise DomainError(f"non-finite direct derivative at x={x!r}")
-    return OperatorValue(v, est)
+    return OperatorValue(*_nested(_sampler(f), p.a, [x], max(12, p.grid_n), [slope])[0])
 
 
 def f_lower(f: Expression, p: FractionalParams, x: float) -> OperatorValue:
@@ -676,7 +667,7 @@ def f_lower(f: Expression, p: FractionalParams, x: float) -> OperatorValue:
         return OperatorValue(0.0, 0.0)
     fa = _sampler(f)(p.a)
     mu = 2.0 - p.alpha  # kernel (x-t)^(1-alpha) = (x-t)^(mu-1)
-    inner = _kernel_quad(_prime_sampler(f), p.a, x, mu, p.grid_n)
-    # _kernel_quad folds in 1/Gamma(mu); the target formula wants 1/Gamma(2-alpha)
+    ((inner, est),) = _kernel_quad_grid(_prime_sampler(f), p.a, [x], [mu], p.grid_n)
+    # the rule folds in 1/Gamma(mu); the target formula wants 1/Gamma(2-alpha)
     boundary = fa * (x - p.a) ** (1.0 - p.alpha) / gamma(2.0 - p.alpha)
-    return OperatorValue(boundary + inner.value, inner.est_error)
+    return OperatorValue(boundary + inner, est)

@@ -43,10 +43,10 @@ from .fracops import (
     caputo_derivative,
     gamma,
     rl_integral,
-    _BATCH_MAX_POINTS,
     _check_count,
     _fill_grid,
     _grid,
+    _in_batches,
     _power,
     _prime_sampler,
     _sampler,
@@ -290,16 +290,21 @@ def _mean_values(sample: Sampler, windows: list, scan_n: int) -> list:
     for bit, with a MeanValueNotFoundError returned, not raised; ``scan_n``
     is an int >= 16, checked by the caller.
 
-    The windows go in order into batches of at most ``_BATCH_MAX_POINTS``
-    scan nodes, at least one window each.  A batch's scans are one sample,
-    and its root searches run in lockstep, each round of Brent steps one
-    array sample: as exact searches they ask for the points that
-    ``_find_roots`` asks fn for.  A batch whose lockstep run raises runs its
-    searches again one after another through ``_find_roots``, so its first
-    failing window raises what its one-point samples raise."""
-    per, out = max(1, _BATCH_MAX_POINTS // (scan_n + 1)), []
-    for i in range(0, len(windows), per):
-        batch = windows[i : i + per]
+    The windows go through ``fracops._in_batches``, at most
+    ``_BATCH_MAX_POINTS`` scan nodes to a batch.  A batch's scans are one
+    sample, and its root searches run in lockstep, each round of Brent steps
+    one array sample: as exact searches they ask for the points that
+    ``_find_roots`` asks fn for.  A batch that raises runs again window by
+    window through ``_mean_value``, so its first failing window raises what
+    its one-point samples raise."""
+
+    def settled(find, *args):  # a MeanValueNotFoundError returned, not raised
+        try:
+            return find(*args)
+        except MeanValueNotFoundError as exc:
+            return exc
+
+    def together(batch):
         scans = _scans(sample, batch, scan_n)
         live = [scan for scan in scans if scan[2] is not None]  # degenerate levels have no search
         gs = np.array([g for g, _, _, _ in live])
@@ -307,17 +312,11 @@ def _mean_values(sample: Sampler, windows: list, scan_n: int) -> list:
         def evaluate(points):  # f - g at each (search, point), in one sample
             return (sample(np.array([x for _, x in points])) - gs[[k for k, _ in points]]).tolist()
 
-        try:
-            found = _find_roots_together([_root_search(ts, vals, tol, True) for _, ts, vals, tol in live], evaluate)
-        except Exception:  # the window-by-window loop defines which failure is raised
-            found = [_find_roots(ts, vals, lambda s, g=g: sample(s) - g, tol) for g, ts, vals, tol in live]
-        found = iter(found)
-        for (g, _, vals, _), (p, x, _) in zip(scans, batch):
-            try:
-                out.append(_crossings(g, None if vals is None else next(found), p, x, scan_n))
-            except MeanValueNotFoundError as exc:
-                out.append(exc)
-    return out
+        found = iter(_find_roots_together([_root_search(ts, vals, tol, True) for _, ts, vals, tol in live], evaluate))
+        return [settled(_crossings, g, None if vals is None else next(found), p, x, scan_n)
+                for (g, _, vals, _), (p, x, _) in zip(scans, batch)]
+
+    return _in_batches(windows, scan_n + 1, together, lambda window: settled(_mean_value, sample, *window, scan_n))
 
 
 def _scans(sample: Sampler, windows: list, scan_n: int) -> list:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -202,6 +201,11 @@ def _window_table(
     return table
 
 
+def _product_rule(grid_n: int) -> Callable[[Sampler, float, float, float], tuple]:
+    """``_window_table``'s quadrature by the product rule on grid_n panels: ``_kernel_quad_grid`` at one pair."""
+    return lambda phi, a, x, mu: _kernel_quad_grid(phi, a, [x], [mu], grid_n)[0]
+
+
 def _order_verdict(name: str, gaps: Sequence[Tuple[WindowPairSample, float, float]]) -> ShapeVerdict:
     """Nondecreasing across the pairs unless some (pair, gap, allowance) has a
     gap (left value minus right value) above its allowance."""
@@ -249,7 +253,7 @@ def delta_increasing_check(
 ) -> ShapeVerdict:
     """Is the windowed derivative nondecreasing across the sampled pairs?"""
     _check_count("grid_n", grid_n, 2)
-    table = _window_table(_prime_sampler(f), alpha, delta, pair_samples, partial(_kernel_quad_grid, grid_n=grid_n))
+    table = _window_table(_prime_sampler(f), alpha, delta, pair_samples, _product_rule(grid_n))
     return _delta_increasing_verdict(table, pair_samples)
 
 
@@ -272,7 +276,7 @@ def property_P_check(
     makes the pair inconclusive and the verdict None.
     """
     _check_count("grid_n", grid_n, 2)
-    table = _window_table(_sampler(f), alpha, delta, pair_samples, partial(_kernel_quad_grid, grid_n=grid_n), scan_n)
+    table = _window_table(_sampler(f), alpha, delta, pair_samples, _product_rule(grid_n), scan_n)
     return _property_P_verdict(table, pair_samples, delta)
 
 

@@ -321,7 +321,7 @@ def test_a_failing_dilation_table_raises_what_the_row_at_a_time_loop_raises(monk
     fp = fracops._prime_sampler(v)
     with pytest.raises(DomainError) as alone:
         for t in ts:
-            fracops._kernel_quad_grid(fp, p.a, t, 1.0 - p.alpha, p.grid_n)
+            fracops._kernel_quad_grid(fp, p.a, [t], [1.0 - p.alpha], p.grid_n)
     with pytest.raises(DomainError) as table:
         dilation_scenario(v, p, ts)
     assert str(table.value) == str(alone.value)
@@ -364,13 +364,13 @@ def _record_quadratures(monkeypatch, points):
     # appends (mu, x) for every pointwise quadrature of a critical-point sweep
     from fraccalc import critical
 
-    rows = critical._kernel_quad_rows
+    rows = critical._kernel_quad_grid
 
     def recording(sample, a, xs, mus, grid_n):
         points.extend(zip(mus, xs))
         return rows(sample, a, xs, mus, grid_n)
 
-    monkeypatch.setattr(critical, "_kernel_quad_rows", recording)
+    monkeypatch.setattr(critical, "_kernel_quad_grid", recording)
 
 
 def test_one_scan_sample_per_sweep_and_few_quadratures_per_root(monkeypatch):
@@ -454,7 +454,7 @@ def _one_order_at_a_time(f, p, b, scan_n):
     fp, mu = critical._prime_sampler(f), 1.0 - p.alpha
     xs, fv, h, k = critical._scan(fp, p.a, b, scan_n, p.grid_n)
     vals = critical._strided_integral(fv, h, mu, k)
-    found = _find_roots(xs, vals, lambda x: _kernel_quad_grid(fp, p.a, x, mu, p.grid_n)[0], 1e-10 * (b - p.a),
+    found = _find_roots(xs, vals, lambda x: _kernel_quad_grid(fp, p.a, [x], [mu], p.grid_n)[0][0], 1e-10 * (b - p.a),
                         exact=False)
     return [r for r, _ in found], [abs(v) for _, v in found]
 

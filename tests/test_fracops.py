@@ -32,7 +32,7 @@ from fraccalc import (
 )
 import fraccalc.fracops as fracops
 from fraccalc.expr import Expression
-from fraccalc.fracops import _extrapolate, _kernel_quad_grid, _kernel_quad_rows, _l1_sum, base_value
+from fraccalc.fracops import _extrapolate, _kernel_quad_grid, _l1_sum, base_value
 from test_expr import _grow, _leaves
 
 # closed forms: I^mu t^beta = G(b+1)/G(b+1+mu) x^(b+mu),
@@ -903,7 +903,7 @@ def test_nested_values_are_extrapolate_of_the_three_slices(grid_n):
         return [(np.ascontiguousarray(fv[::k]), k * h) for k in (1, 2, 4)]
 
     want = _extrapolate(*(_l1_sum(fv, h, mu) for fv, h in slices(grid_n)))
-    assert _kernel_quad_grid(np.sin, a, x, mu, grid_n) == want
+    assert _kernel_quad_grid(np.sin, a, [x], [mu], grid_n) == [want]
 
     def slope(fv, h):
         m = len(fv) - 1
@@ -1005,16 +1005,119 @@ def _quad_outcome(run):
 def test_a_batch_of_quadratures_equals_one_at_a_time_bit_for_bit(root, a, pairs, grid_n, per_batch):
     # f' of a grammar expression at (x, mu) pairs of mixed orders, in batches
     # of per_batch rows (the element budget set to that many grids), against
-    # _kernel_quad_grid at each pair alone: the rows before the first failing
-    # pair are equal, that pair raises its own exception, and no row follows
+    # _kernel_quad_grid at each pair alone: the rows are equal, or the batch
+    # raises the exception of the first pair that fails alone
     e = Expression(root)
     fp = fracops._prime_sampler(e)
     xs, mus = [a + d for d, _ in pairs], [mu for _, mu in pairs]
-    alone = [_quad_outcome(lambda x=x, mu=mu: _kernel_quad_grid(fp, a, x, mu, grid_n)) for x, mu in zip(xs, mus)]
+    alone = [_quad_outcome(lambda x=x, mu=mu: _kernel_quad_grid(fp, a, [x], [mu], grid_n)[0]) for x, mu in zip(xs, mus)]
     assume(any(isinstance(o, bytes) for o in alone))  # f' finite on [a, x] for some x
-    upto = next((i + 1 for i, o in enumerate(alone) if not isinstance(o, bytes)), len(alone))
+    first_failure = next((o for o in alone if not isinstance(o, bytes)), None)
     with mock.patch.object(fracops, "_BATCH_MAX_POINTS", per_batch * (fracops._panels(grid_n) + 1)):
-        rows = _kernel_quad_rows(fp, a, xs, mus, grid_n)
-        together = [_quad_outcome(lambda: next(rows)) for _ in range(upto)]
-        assert next(rows, None) is None
-    assert together == alone[:upto]
+        try:
+            together = [np.array(row).tobytes() for row in _kernel_quad_grid(fp, a, xs, mus, grid_n)]
+        except DomainError as exc:
+            together = type(exc), str(exc)
+    assert together == (alone if first_failure is None else first_failure)
+
+
+def test_a_refined_value_that_overflows_a_float_is_a_domain_error():
+    # finite sums on the fine, half and quarter grids whose Richardson step
+    # overflows: every pointwise value is checked where it is refined
+    sums = {5: 1.0e308, 3: 0.1e308, 2: -1.6e308}  # by the node count of the 4-panel grid and its slices
+    value, est = _extrapolate(*sums.values())
+    assert math.isinf(value) and math.isfinite(est)
+    with pytest.raises(DomainError, match=re.escape("non-finite quadrature value over [0.0, 1.0]")):
+        fracops._nested(np.sin, 0.0, [1.0], 4, [lambda fv, h: sums[len(fv)]])
+
+
+def test_a_failing_batch_runs_again_item_by_item(monkeypatch):
+    # items of 3 nodes, in batches of two under a budget of 6 nodes: the first
+    # batch keeps its values, the second fails together and runs item by item
+    # until its first failing item raises its own error, and the third never starts
+    calls = []
+
+    def together(batch):
+        calls.append(("together", batch))
+        if 3 in batch:
+            raise ValueError("the batch fails")
+        return [10 * item for item in batch]
+
+    def alone(item):
+        calls.append(("alone", item))
+        if item == 5:
+            raise ArithmeticError("item 5 fails")
+        return -item
+
+    monkeypatch.setattr(fracops, "_BATCH_MAX_POINTS", 6)
+    assert fracops._in_batches([0, 1, 2, 3, 4], 3, together, alone) == [0, 10, -2, -3, 40]
+    assert calls == [("together", [0, 1]), ("together", [2, 3]), ("alone", 2), ("alone", 3), ("together", [4])]
+    calls.clear()
+    with pytest.raises(ArithmeticError, match="item 5 fails"):
+        fracops._in_batches([0, 1, 5, 3, 4, 6], 3, together, alone)
+    assert calls == [("together", [0, 1]), ("together", [5, 3]), ("alone", 5)]
+    # the budget is read at each call, and a batch holds at least one item
+    for budget, batches in ((9, [[0, 1, 2], [4]]), (2, [[0], [1], [2], [4]])):
+        calls.clear()
+        monkeypatch.setattr(fracops, "_BATCH_MAX_POINTS", budget)
+        assert fracops._in_batches([0, 1, 2, 4], 3, together, alone) == [0, 10, 20, 40]
+        assert calls == [("together", batch) for batch in batches]
+
+
+
+def test_a_failed_batch_is_freed_before_its_items_run_again():
+    # the rerun of a batch does not hold what the failed call's frames held
+    # (at the --grid-n cap, a weight table that overflowed, or a sample)
+    import weakref
+
+    held = []
+
+    class Held:
+        pass
+
+    def together(batch):
+        block = Held()
+        held.append(weakref.ref(block))
+        raise ValueError("the batch fails")
+
+    def alone(item):
+        assert held[-1]() is None
+        return item
+
+    assert fracops._in_batches([1, 2], 1, together, alone) == [1, 2]
+
+_ENTRY_CALLERS = {
+    "rl_integral": lambda: rl_integral(parse("t^2"), FractionalParams(0.5, 0.0, 64), 0.5, 1.0),
+    "caputo_derivative": lambda: caputo_derivative(parse("t^2"), FractionalParams(0.5, 0.0, 64), 1.0),
+    "rl_derivative": lambda: rl_derivative(parse("t^2"), FractionalParams(0.5, 0.0, 64), 1.0),
+    "f_lower": lambda: f_lower(parse("t^2+1"), FractionalParams(0.5, 0.0, 64), 1.0),
+    "mean_value": lambda: fraccalc.mean_value(parse("t^2"), FractionalParams(0.5, 0.0, 64), 1.0),
+    "critical_points": lambda: critical_points(parse("sin(t)"), FractionalParams(0.5, 0.0, 256), 4.5),
+    "_critical_sweep": lambda: fraccalc.critical._critical_sweep(
+        parse("sin(t)"), [FractionalParams(al, 0.0, 256) for al in (0.3, 0.7)], 4.5, 96),
+    "derivative_zero_before": lambda: derivative_zero_before(parse("sin(t)"), FractionalParams(0.5, 0.0, 256), math.pi),
+    "dilation_scenario": lambda: dilation_scenario(parse("t"), FractionalParams(0.5, 0.0, 64), [0.5, 1.0]),
+    "delta_increasing_check": lambda: fraccalc.delta_increasing_check(
+        parse("t^2"), 0.5, 0.5, fraccalc.sample_window_pairs(0.0, 4.0, 0.5, n_pairs=2), 64),
+    "property_P_check": lambda: fraccalc.property_P_check(
+        parse("t^2"), 0.5, 0.5, fraccalc.sample_window_pairs(0.0, 4.0, 0.5, n_pairs=2), grid_n=64),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_ENTRY_CALLERS))
+def test_every_pointwise_quadrature_goes_through_the_one_entry(monkeypatch, caller):
+    # a recorder at every module that looks the entry up by name, as the
+    # benchmark's tracer installs it
+    entry, calls = fracops._kernel_quad_grid, []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return entry(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fraccalc":
+            for attr, value in list(vars(module).items()):
+                if value is entry:
+                    monkeypatch.setattr(module, attr, recording)
+    _ENTRY_CALLERS[caller]()
+    assert calls

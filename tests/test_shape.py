@@ -1,7 +1,6 @@
 import math
 import re
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -24,12 +23,13 @@ from fraccalc import (
     sample_window_pairs,
 )
 import fraccalc.fracops as fracops
-from fraccalc.fracops import _kernel_quad_grid, _prime_sampler, _sampler
+from fraccalc.fracops import _prime_sampler, _sampler
 from fraccalc.expr import BinOp, Expression, Var
 from fraccalc.meanval import _mean_value
 from fraccalc.shape import (
     WindowPairSample,
     _delta_increasing_verdict,
+    _product_rule,
     _property_P_verdict,
     _window_table,
 )
@@ -80,7 +80,7 @@ def test_window_values_are_caputo_derivatives_at_the_window_start(rule):
     # convexity report the oracle
     f, al, delta, n = parse("exp(t)*cos(2*t)"), 0.4, 0.5, 256
     pairs = sample_window_pairs(0.0, 4.0, delta, n_pairs=4, seed=2)
-    quad = partial(_kernel_quad_grid, grid_n=n) if rule == "product rule" else fracops._kernel_quad_oracle
+    quad = _product_rule(n) if rule == "product rule" else fracops._kernel_quad_oracle
     table = _window_table(_prime_sampler(f), al, delta, pairs, quad)
     assert set(table) == {x for p in pairs for x in (p.x0, p.y0)}
     ops = fraccalc if rule == "product rule" else oracle
@@ -106,7 +106,7 @@ def test_window_table_integrates_a_shared_start_once():
         return fprime(ts)
 
     pairs = [WindowPairSample(0.0, 1.0, 0.5), WindowPairSample(0.0, 2.0, 0.5)]
-    table = _window_table(phi, 0.5, 0.5, pairs, partial(_kernel_quad_grid, grid_n=256))
+    table = _window_table(phi, 0.5, 0.5, pairs, _product_rule(256))
     assert list(table) == starts == [0.0, 1.0, 2.0]
 
 
@@ -567,7 +567,7 @@ def test_the_window_table_equals_its_window_by_window_loop(root, sampler, rule, 
     # included; an input that fails raises in both (its first failure may be
     # another window's, as the loop meets the windows in another order)
     phi = _SAMPLERS[sampler](Expression(root))
-    quad = fracops._kernel_quad_oracle if rule == "oracle" else partial(_kernel_quad_grid, grid_n=64)
+    quad = fracops._kernel_quad_oracle if rule == "oracle" else _product_rule(64)
     pairs = sample_window_pairs(0.1, 4.0, delta, n_pairs=n_pairs, seed=seed)
     got = _table_outcome(lambda: _window_table(phi, alpha, delta, pairs, quad, scan_n))
     assert got == _table_outcome(lambda: _window_by_window(phi, alpha, delta, pairs, quad, scan_n))
@@ -578,7 +578,7 @@ def test_a_brent_step_that_fails_in_a_batch_raises_the_one_point_error(pairs8):
     # nodes, where its Brent steps go, and says whether an array or one point
     # was sampled: the batch runs again window by window, and the first window
     # raises the error of its one-point sample
-    quad = partial(_kernel_quad_grid, grid_n=64)
+    quad = _product_rule(64)
     x0 = pairs8[0].x0
     xi = x0 + _window_table(lambda ts: ts * ts, 0.5, 0.5, pairs8, quad, 96)[x0][1]
 
@@ -595,6 +595,31 @@ def test_a_brent_step_that_fails_in_a_batch_raises_the_one_point_error(pairs8):
     assert messages[0] == messages[1]
     assert messages[0].startswith("one point, t=")
     assert abs(float(re.search(r"\d+\.\d+", messages[0]).group()) - xi) < 1e-6
+
+
+def test_a_scan_that_fails_in_a_batch_raises_what_the_window_by_window_loop_raises(pairs8):
+    # phi fails near the first window's mean value, where its Brent steps go,
+    # and at a scan node of the second window: the batch fails at its scan
+    # sample and runs again window by window, so the first window's Brent
+    # step fails first, as in the loop
+    quad = _product_rule(64)
+    x0, y0 = pairs8[0].x0, pairs8[0].y0
+    xi = x0 + _window_table(lambda ts: ts * ts, 0.5, 0.5, pairs8, quad, 96)[x0][1]
+    node = fracops._grid(y0, y0 + 0.5, 98)[0][40]  # the scan of 96 interior nodes
+
+    def phi(ts):
+        if np.any(abs(np.asarray(ts) - xi) < 1e-6):
+            raise fraccalc.DomainError("a Brent step of the first window")
+        if np.any(np.asarray(ts) == node):
+            raise fraccalc.DomainError("a scan node of the second window")
+        return ts * ts
+
+    messages = []
+    for table in (_window_table, _window_by_window):
+        with pytest.raises(fraccalc.DomainError) as exc:
+            table(phi, 0.5, 0.5, pairs8, quad, 96)
+        messages.append(str(exc.value))
+    assert messages == ["a Brent step of the first window"] * 2
 
 
 def test_periodicity_rejects_nonpositive_period():
