@@ -131,13 +131,15 @@ def _critical_sweep(
     """:func:`critical_points` at each of ``ps``, orders on one base point and
     grid_n, bit for bit, computed together: f(a) is checked once, f' sampled
     once on the scan grid, each order's scan read off that sample, and the
-    root searches advanced side by side, so that each round of pointwise
-    quadratures (first every bracket end, then one Brent step per search)
-    is one batch.  The searches go in groups of as many orders as a batch
-    has rows (one at the ``--grid-n`` cap), so the weight tables of a group
-    stay cached between its rounds.  By ``fracops._in_batches``, a group that
-    raises runs again order by order through :func:`_find_roots` and raises
-    what its first failing order raises alone; later groups do not start."""
+    root searches advanced side by side, asking for the points that
+    :func:`_find_roots` asks for in the same order, so that each round of
+    pointwise quadratures (first every bracket end, then one Brent step per
+    search) is one batch.  The searches go in groups of as many orders as a
+    batch has rows (one at the ``--grid-n`` cap), so the weight tables of a
+    group stay cached between its rounds.  By ``fracops._in_batches``, a
+    group that raises runs again order by order through :func:`_find_roots`
+    and raises what its first failing order raises alone; later groups do
+    not start."""
     if not ps:
         return []
     a, grid_n = ps[0].a, ps[0].grid_n

@@ -39,10 +39,11 @@ expression's one-point sampler of that order (``_point_sampler``), built
 once.  A sample silences floating-point warnings and checks its result
 instead: under an ``np.errstate`` of its own, or inside a ``_scalar_loop``
 under the loop's.  The QUADPACK call of ``fracops._kernel_quad_oracle``
-and each point-by-point root search of ``meanval._find_roots`` are such
-loops, so each of their callbacks and Brent steps runs its compiled map
-and its finiteness check alone.  The root searches of the shape checks'
-window mean values run in lockstep on array samples instead.
+and each root search driven point by point by ``meanval._bisect`` are
+such loops, so each of their callbacks, bracket ends and Brent steps runs
+its compiled map and its finiteness check alone.  The root searches of an
+order sweep and of the shape checks' window mean values run in lockstep
+on array samples instead.
 
 Domain rules; a value (order 0) needs less than a derivative (order >= 1):
 

@@ -43,7 +43,8 @@ nodes, sampled in one call, and each row's sums and Richardson step are
 those of that pair alone, bit for bit.  Work in batches follows one rule,
 ``_in_batches``: a batch that raises is run again item by item, so the
 first failing item raises what its own call raises and no later batch
-starts.  Order sweeps and window tables use the same rule.
+starts; a batch of one pair is that pair's own call and raises at once.
+Order sweeps and window tables use the same rule.
 
 ``integral_on_grid`` gives I^mu at every node of a grid at once, by a
 blocked FFT convolution.  The product-trapezoid weights of each (n, mu),
@@ -548,20 +549,23 @@ def _nested(sample: Sampler, a: float, xs: list, grid_n: int, rules: list) -> li
     return out
 
 
-def _in_batches(items: list, nodes: int, together: Callable, alone: Callable) -> list:
+def _in_batches(items: list, nodes: int, together: Callable, alone: Optional[Callable] = None) -> list:
     """``together(batch)`` of consecutive batches of ``items``, concatenated;
     a batch holds max(1, ``_BATCH_MAX_POINTS`` // nodes) items, the budget
     read at each call.  A batch that raises runs again as ``alone(item)``
     item by item, so its first failing item raises what it raises alone,
-    and later batches do not start."""
+    and later batches do not start.  Without ``alone`` an item alone is
+    ``together([item])[0]``, so a batch of one item raises at once."""
     per, out = max(1, _BATCH_MAX_POINTS // nodes), []
     for i in range(0, len(items), per):
         batch = items[i : i + per]
         try:
             done = together(batch)
         except Exception:  # the item-by-item loop defines which failure is raised
+            if alone is None and len(batch) == 1:
+                raise  # its rerun would be this same call
             done = None  # it runs once the exception, and the arrays its frames hold, are freed
-        out.extend(map(alone, batch) if done is None else done)
+        out.extend(map(alone or (lambda item: together([item])[0]), batch) if done is None else done)
     return out
 
 
@@ -578,7 +582,7 @@ def _kernel_quad_grid(sample: Sampler, a: float, xs: list, mus: list, grid_n: in
         rules = [lambda fv, h, mu=mu: _l1_sum(fv, h, mu) for _, mu in pairs]
         return _nested(sample, a, [x for x, _ in pairs], grid_n, rules)
 
-    return _in_batches(list(zip(xs, mus)), n + 1, together, lambda pair: together([pair])[0])
+    return _in_batches(list(zip(xs, mus)), n + 1, together)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ The full preimage f^(-1){g(x)} can be infinite; this module reports the
 finite subset it can certify: every root bracketed by a uniform sign
 scan, refined by Brent's method (bracketing is used instead of Newton
 because the crossings can be arbitrarily flat).  ``xi_sup`` is the
-largest one.  Every root search in the package is a ``_root_search``,
-driven point by point by ``_find_roots`` or, for the searches of an order
-sweep and the mean values of a window table (``_mean_values``), side by
-side by ``_find_roots_together``.
+largest one.  Every root search in the package is a ``_root_search``, a
+generator of the points it needs fn at, run point by point by ``_bisect``
+(behind ``_find_roots``) or, for an order sweep and the mean values of a
+window table (``_mean_values``), side by side by ``_find_roots_together``.
 
 For smooth f the supremum near a is also approximated by the roots of an
 explicit polynomial in (xi - a) built from the Taylor coefficients of f
@@ -98,8 +98,9 @@ class PolynomialEstimate:
 
 def _brent(lo: float, hi: float, flo: float, fhi: float, tol: float):
     """Brent's method (Brent 1973, ch. 4) on a bracket with fn(lo) = flo and
-    fn(hi) = fhi of opposite signs, as a generator: it yields each point
-    where it needs fn, is sent fn there, and returns the root with fn there.
+    fn(hi) = fhi of opposite signs, as a search (see :func:`_root_search`):
+    it yields each point where it needs fn as a one-point list, is sent
+    [fn there], and returns the root with fn there.
     Locates the root to within tol/2, as a bisection stopped at width tol
     does, mostly by secant and inverse quadratic steps."""
     a, fa, b, fb = lo, flo, hi, fhi
@@ -130,21 +131,22 @@ def _brent(lo: float, hi: float, flo: float, fhi: float, tol: float):
         e, d = (d, p / q) if interpolate else (m, m)  # else bisect
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = yield b
+        (fb,) = yield [b]
     return float(b), fb
 
 
-def _bisect(
-    fn: Callable[[float], float], lo: float, hi: float, flo: float, fhi: float, tol: float
-) -> Tuple[float, float]:
-    """:func:`_brent` on a bracket, calling fn at each of its points in turn."""
-    steps = _brent(lo, hi, flo, fhi, tol)
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(fn(x))
-    except StopIteration as stop:
-        return stop.value
+def _bisect(fn: Callable[[float], float], search):
+    """Run ``search``, a :func:`_root_search` or a :func:`_brent`, calling fn
+    at each point it asks for, one after another, and return its result.
+    The points are evaluated under one ``np.errstate`` (``expr._scalar_loop``),
+    not one per point."""
+    with _scalar_loop():
+        try:
+            points = next(search)
+            while True:
+                points = search.send([fn(x) for x in points])
+        except StopIteration as stop:
+            return stop.value
 
 
 def _sign_brackets(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -153,39 +155,22 @@ def _sign_brackets(vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(sign == 0.0), np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
 
 
-def _root_search(xs: np.ndarray, vals: np.ndarray, tol: float, exact: bool, fn: Optional[Callable] = None):
+def _root_search(xs: np.ndarray, vals: np.ndarray, tol: float, exact: bool):
     """The search of :func:`_find_roots`, as a generator that returns its roots.
 
-    With ``fn`` it calls fn point by point and yields nothing.  Without, it
-    yields each list of points it needs fn at and is sent fn's values there:
-    first the scan's zeros, then every bracket end, then one point per step
-    of Brent's method.  A driver that cannot evaluate a point drops the search."""
+    It yields each list of points it needs fn at and is sent fn's values
+    there: first the scan's zeros, then every bracket end, then one point
+    per step of Brent's method.  Its drivers, :func:`_bisect` and
+    :func:`_find_roots_together`, ask fn for these points in this order.
+    A driver that cannot evaluate a point drops the search."""
     xs, vals = np.asarray(xs, dtype=float), np.array(vals, dtype=float)
     known: dict = {}
-
-    def at(j):
-        if exact:  # the scan holds fn at every node
-            return vals[j]
-        if j not in known:
-            known[j] = fn(float(xs[j]))
-        return known[j]
+    at = lambda j: vals[j] if exact else known[j]  # noqa: E731  exact: the scan holds fn at every node
 
     def fetch(js):
         new = [int(j) for j in dict.fromkeys(js) if j not in known]
-        if new and fn is None:
+        if new:
             known.update(zip(new, (yield [float(xs[j]) for j in new])))
-
-    def brent(*bracket):
-        if fn is not None:
-            return _bisect(fn, *bracket)
-        steps = _brent(*bracket)
-        try:
-            x = next(steps)
-            while True:
-                (fx,) = yield [x]
-                x = steps.send(fx)
-        except StopIteration as stop:
-            return stop.value
 
     same = lambda i, j: np.sign(at(i)) == np.sign(at(j)) != 0.0  # noqa: E731
     zeros, changes = _sign_brackets(vals)
@@ -208,7 +193,7 @@ def _root_search(xs: np.ndarray, vals: np.ndarray, tol: float, exact: bool, fn: 
             j = lo if at(lo) == 0.0 else hi
             roots.append((float(xs[j]), at(j)))
         else:
-            roots.append((yield from brent(float(xs[lo]), float(xs[hi]), at(lo), at(hi), tol)))
+            roots.append((yield from _brent(float(xs[lo]), float(xs[hi]), at(lo), at(hi), tol)))
     roots.sort()
     return [r for k, r in enumerate(roots) if k == 0 or r[0] - roots[k - 1][0] > tol]
 
@@ -217,22 +202,17 @@ def _find_roots(
     xs: np.ndarray, vals: np.ndarray, fn: Callable[[float], float], tol: float, *, exact: bool = True
 ) -> List[Tuple[float, float]]:
     """Roots of fn bracketed by its sign scan ``vals`` at ascending ``xs``,
-    each refined by :func:`_bisect` and returned with fn there, in ascending
-    order.  With ``exact=False`` the scan comes from a cheaper rule than fn:
-    zeros and bracket ends are checked with fn, an end whose sign disagrees
-    with the scan moves one step outwards (the bracket is dropped if fn
-    still shows no sign change), and a root reached from two brackets is
-    reported once.  fn's points are evaluated one after another under one
-    ``np.errstate`` (``expr._scalar_loop``), not one per point."""
-    with _scalar_loop():
-        try:
-            next(_root_search(xs, vals, tol, exact, fn))  # with fn it asks for nothing
-        except StopIteration as stop:
-            return stop.value
+    each refined by Brent's method and returned with fn there, in ascending
+    order: :func:`_root_search` driven by :func:`_bisect`.  With
+    ``exact=False`` the scan comes from a cheaper rule than fn: zeros and
+    bracket ends are checked with fn, an end whose sign disagrees with the
+    scan moves one step outwards (the bracket is dropped if fn still shows
+    no sign change), and a root reached from two brackets is reported once."""
+    return _bisect(fn, _root_search(xs, vals, tol, exact))
 
 
 def _find_roots_together(searches: list, evaluate: Callable[[list], list]) -> list:
-    """Run :func:`_root_search` generators (without fn) side by side and return their results.
+    """Run :func:`_root_search` generators side by side and return their results.
 
     Each round hands the points that every live search waits for to
     ``evaluate``, as (search index, point) pairs in search order; it returns

@@ -519,6 +519,35 @@ def test_polyxi_series_term_overflow_exits_2_with_one_line():
     assert "mean-value polynomial overflows a float" in err
 
 
+@pytest.mark.parametrize("argv, sampled, message", [
+    (["fracint", "--f", "log(0.5-t)", "--alpha", "0.5", "--a", "0", "--x", "1"], ("f", 2049),
+     "log of non-positive value in log(0.5 - t)"),
+    (["dilation", "--f", "t^0.5", "--alpha", "0.5", "--a", "0", "--b", "3", "--grid-n", str(MAX_GRID_N)],
+     ("f'", MAX_GRID_N + 1), "unbounded derivative at zero base with exponent 0.5 in t^0.5"),
+], ids=["fracint", "dilation-at-the-grid-n-cap"])
+def test_a_failing_one_pair_quadrature_samples_its_grid_once(monkeypatch, argv, sampled, message):
+    # a batch of one pointwise quadrature raises from its first attempt: run
+    # again, it would be the same call and sample the whole grid a second time
+    import fraccalc.fracops as fracops
+
+    sizes = []
+    eval_, derivative_values = Expression.eval, fracops.derivative_values
+
+    def counted_eval(e, ts):
+        sizes.append(("f", getattr(ts, "size", 1)))
+        return eval_(e, ts)
+
+    def counted_derivative_values(e, ts, order):
+        sizes.append(("f'", getattr(ts, "size", 1)))
+        return derivative_values(e, ts, order)
+
+    monkeypatch.setattr(Expression, "eval", counted_eval)
+    monkeypatch.setattr(fracops, "derivative_values", counted_derivative_values)
+    code, out, err = capture(argv)
+    assert (code, out, err) == (2, "", f"computation error: {message}\n")
+    assert [s for s in sizes if s[1] > 1000] == [sampled]
+
+
 @pytest.mark.parametrize("argv", [
     ["mono", "--f", "1e307*t^2", "--alpha", "0.5", "--b", "1.5", "--tau", "0.5"],  # FFT sweep
     ["critpoints", "--f", "1e307*t^2-1e307*t", "--alpha", "0.5", "--a", "0", "--b", "1.5"],  # strided scan sums

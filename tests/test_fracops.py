@@ -1086,6 +1086,28 @@ def test_a_failed_batch_is_freed_before_its_items_run_again():
 
     assert fracops._in_batches([1, 2], 1, together, alone) == [1, 2]
 
+
+def test_without_alone_a_failing_one_item_batch_raises_from_its_first_attempt(monkeypatch):
+    # items of 3 nodes in batches of two: a failing batch of two runs again as
+    # two batches of one, and a batch of one that fails is not run twice
+    calls = []
+
+    def together(batch):
+        calls.append(batch)
+        if 3 in batch:
+            raise ValueError(f"the batch {batch} fails")
+        return [10 * item for item in batch]
+
+    monkeypatch.setattr(fracops, "_BATCH_MAX_POINTS", 6)
+    with pytest.raises(ValueError, match=re.escape("the batch [3] fails")):
+        fracops._in_batches([0, 1, 2, 3, 4], 3, together)
+    assert calls == [[0, 1], [2, 3], [2], [3]]
+    calls.clear()
+    with pytest.raises(ValueError, match=re.escape("the batch [3] fails")):
+        fracops._in_batches([0, 1, 2, 4, 3], 3, together)
+    assert calls == [[0, 1], [2, 4], [3]]
+
+
 _ENTRY_CALLERS = {
     "rl_integral": lambda: rl_integral(parse("t^2"), FractionalParams(0.5, 0.0, 64), 0.5, 1.0),
     "caputo_derivative": lambda: caputo_derivative(parse("t^2"), FractionalParams(0.5, 0.0, 64), 1.0),

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import quadpack_oracle as oracle
 from fraccalc import (
@@ -17,7 +19,8 @@ from fraccalc import (
     mean_path_witness,
     xi_smoothness_profile,
 )
-from fraccalc.meanval import _mean_value, check_strictly_monotone
+from fraccalc.meanval import _bisect, _brent, _find_roots, _find_roots_together, _mean_value, _root_search
+from fraccalc.meanval import check_strictly_monotone
 
 
 def oracle_mean_value(f, p, x):
@@ -319,15 +322,13 @@ def test_strict_monotonicity_check_reports_the_direction():
 
 
 def test_bracket_refinement_is_fast_and_within_half_tolerance():
-    from fraccalc.meanval import _bisect
-
     evals = []
 
     def fn(x):
         evals.append(x)
         return math.cos(x) - x
 
-    root, _ = _bisect(fn, 0.0, 1.0, 1.0, fn(1.0), 1e-12)
+    root, _ = _bisect(fn, _brent(0.0, 1.0, 1.0, fn(1.0), 1e-12))
     assert abs(root - 0.7390851332151607) <= 0.5e-12
     assert len(evals) <= 12  # bisection to the same width takes 40
 
@@ -335,14 +336,77 @@ def test_bracket_refinement_is_fast_and_within_half_tolerance():
 def test_bracket_refinement_bounded_on_flat_crossing():
     # a triple root is flat: secant and inverse quadratic steps crawl towards
     # it from one side, so bisection is forced whenever the bracket stalls
-    from fraccalc.meanval import _bisect
-
     evals = []
 
     def fn(x):
         evals.append(x)
         return (x - 0.3) ** 3
 
-    root, _ = _bisect(fn, 0.0, 1.0, fn(0.0), fn(1.0), 1e-10)
+    root, _ = _bisect(fn, _brent(0.0, 1.0, fn(0.0), fn(1.0), 1e-10))
     assert abs(root - 0.3) <= 0.5e-10
     assert len(evals) <= 75  # 88 without the forced bisection steps
+
+
+@st.composite
+def _scans(draw):
+    # f = prod(x - r) on a uniform scan; with exact=False the scan is another
+    # rule's: nodes negated, zeroed or scaled, so it can disagree with f next to a root
+    n = draw(st.integers(2, 24))
+    xs = np.linspace(0.0, 1.0, n).tolist()
+    roots = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(xs)), max_size=4))
+    exact = draw(st.booleans())
+    factors = {} if exact else draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from([-1.0, 0.0, 0.5])))
+    return xs, roots, factors, exact, draw(st.sampled_from([1e-12, 1e-3]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_scans())
+# the scan of test_disagreeing_scan_brackets_give_one_root: wrong at the two nodes next to the root
+@example(([0.2, 0.4, 0.6, 0.8], [0.5], {1: -1.0, 2: -1.0}, False, 1e-12))
+@example(([0.0, 0.25, 0.5, 0.75, 1.0], [0.25, 0.6, 0.6], {}, True, 1e-12))
+def test_both_drivers_ask_for_the_same_points_and_find_the_same_roots(case):
+    # _bisect evaluates a search point by point and _find_roots_together a
+    # round at a time: the same points in the same order, the same roots
+    # and values bit for bit
+    xs, roots, factors, exact, tol = case
+
+    def f(x):
+        return math.prod(x - r for r in roots)
+
+    scan = np.array([f(x) * factors.get(j, 1.0) for j, x in enumerate(xs)])
+    alone, together = [], []
+
+    def fn(x):
+        alone.append(x)
+        return f(x)
+
+    def evaluate(points):
+        together.extend(x for _, x in points)
+        return [f(x) for _, x in points]
+
+    found = _bisect(fn, _root_search(xs, scan, tol, exact))
+    (found_together,) = _find_roots_together([_root_search(xs, scan, tol, exact)], evaluate)
+    assert alone == together
+    assert [(r.hex(), float(v).hex()) for r, v in found] == [(r.hex(), float(v).hex()) for r, v in found_together]
+
+
+def test_a_search_evaluates_every_bracket_end_before_its_first_brent_step():
+    # with exact=False both drivers check the bracket ends 0.1, 0.3, 0.5 and
+    # 0.7 before refining (0.1, 0.3), so the failure at 0.7 is raised, not
+    # that of the first Brent step at 0.225
+    xs, scan = np.array([0.1, 0.3, 0.5, 0.7, 0.9]), np.array([-1.0, 1.0, 1.0, -1.0, -1.0])
+    asked = []
+
+    def fn(x):
+        asked.append(x)
+        if 0.1 < x < 0.3 or x == 0.7:
+            raise ValueError(f"fn fails at {x!r}")
+        return (x - 0.2) * (0.6 - x)
+
+    with pytest.raises(ValueError, match=r"^fn fails at 0\.7$"):
+        _find_roots(xs, scan, fn, 1e-12, exact=False)
+    assert asked == [0.1, 0.3, 0.5, 0.7]
+    asked.clear()
+    with pytest.raises(ValueError, match=r"^fn fails at 0\.7$"):
+        _find_roots_together([_root_search(xs, scan, 1e-12, False)], lambda points: [fn(x) for _, x in points])
+    assert asked == [0.1, 0.3, 0.5, 0.7]
