@@ -241,7 +241,10 @@ def _cmd_dilation(v: Expression, alphas: List[float], args) -> Report:
         rep.add(t, val)
     if res.zero_time is not None:
         rep.comment(f"zero_time {_fmt(res.zero_time)}")
-        rep.comment(f"xi {_fmt(res.xi)} residual {_fmt(res.xi_residual)}")
+        if res.xi is None:
+            rep.comment("degenerate: |D^alpha v| <= 1e-13 at every scan node, so xi is not located")
+        else:
+            rep.comment(f"xi {_fmt(res.xi)} residual {_fmt(res.xi_residual)}")
     else:
         rep.comment("no vanishing time of v on the grid")
     return rep

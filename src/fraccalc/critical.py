@@ -12,15 +12,17 @@ All derivative evaluations go through the Caputo form I^(1-alpha) f', so
 the f(a) = 0 convention is enforced once per operation; root residuals
 then measure only the solver, not numerical differentiation noise.
 
-An order sweep (``critpoints`` and ``r_alpha_curve``) is one computation,
-``_critical_sweep``, of which ``critical_points`` is the one-order case: one
-f' sample on the scan grid serves every order's scan, and the root searches
-of a group of orders advance in lockstep, each round of pointwise
+Every search for roots of D^alpha f is one run of ``_d_alpha_roots``: the
+searches of its scans advance in lockstep, each round of pointwise
 quadratures (every bracket end, then one Brent step per search) one call of
-``fracops._kernel_quad_grid``, the one pointwise rule of this module.  The
-results are those of running the orders one after another; by
-``fracops._in_batches``, a group that raises runs its orders that way, so
-the sweep raises what that loop raises first.
+``fracops._kernel_quad_grid``, the one pointwise rule of this module.  Each
+scan level of ``derivative_zero_before`` is one such run.  An order sweep
+(``critpoints`` and ``r_alpha_curve``) is one computation,
+``_critical_sweep``, of which ``critical_points`` is the one-order case: one
+f' sample on the scan grid serves every order's scan, and a group of orders
+is one run.  The results are those of running the orders one after
+another; by ``fracops._in_batches``, a group that raises runs its orders
+that way, so the sweep raises what that loop raises first.
 """
 
 from __future__ import annotations
@@ -121,6 +123,20 @@ def _scan(fp: Sampler, a: float, b: float, n: int, grid_n: int) -> tuple:
     return ts[k::k], fp(ts), h, k
 
 
+def _d_alpha_roots(fp: Sampler, a: float, xs: np.ndarray, scans: list, grid_n: int, tol: float) -> list:
+    """The roots of D^alpha f = I^mu f' on the nodes ``xs`` for each (vals, mu)
+    of ``scans``, vals its scan there, each with D^alpha f at the root: the
+    ``_root_search(..., exact=False)`` of every scan, run in lockstep, each
+    round's points one call of ``_kernel_quad_grid`` on f' = ``fp``.  The
+    points and results are those of each search run alone."""
+
+    def evaluate(points):
+        rows = _kernel_quad_grid(fp, a, [x for _, x in points], [scans[i][1] for i, _ in points], grid_n)
+        return [value for value, _ in rows]
+
+    return _find_roots_together([_root_search(xs, vals, tol, False) for vals, _ in scans], evaluate)
+
+
 def _critical_sweep(
     f: Expression,
     ps: Sequence[FractionalParams],
@@ -131,15 +147,12 @@ def _critical_sweep(
     """:func:`critical_points` at each of ``ps``, orders on one base point and
     grid_n, bit for bit, computed together: f(a) is checked once, f' sampled
     once on the scan grid, each order's scan read off that sample, and the
-    root searches advanced side by side, asking for the points that
-    :func:`_find_roots` asks for in the same order, so that each round of
-    pointwise quadratures (first every bracket end, then one Brent step per
-    search) is one batch.  The searches go in groups of as many orders as a
-    batch has rows (one at the ``--grid-n`` cap), so the weight tables of a
-    group stay cached between its rounds.  By ``fracops._in_batches``, a
-    group that raises runs again order by order through :func:`_find_roots`
-    and raises what its first failing order raises alone; later groups do
-    not start."""
+    root searches of a group of orders one :func:`_d_alpha_roots` run.  The
+    groups hold as many orders as a batch has rows (one at the ``--grid-n``
+    cap), so the weight tables of a group stay cached between its rounds.
+    By ``fracops._in_batches``, a group that raises runs again order by
+    order and raises what its first failing order raises alone; later
+    groups do not start."""
     if not ps:
         return []
     a, grid_n = ps[0].a, ps[0].grid_n
@@ -151,21 +164,10 @@ def _critical_sweep(
     xs, fv, h, k = _scan(fp, a, b, scan_n, grid_n)
     tol = 1e-10 * (b - a)
 
-    def search(mu):
-        return (yield from _root_search(xs, _strided_integral(fv, h, mu, k), tol, False))
-
-    def one_order(mu):
-        d = lambda x: _kernel_quad_grid(fp, a, [x], [mu], grid_n)[0][0]  # noqa: E731
-        return _find_roots(xs, _strided_integral(fv, h, mu, k), d, tol, exact=False)
-
     def group_roots(mus):
-        def evaluate(points):
-            rows = _kernel_quad_grid(fp, a, [x for _, x in points], [mus[i] for i, _ in points], grid_n)
-            return [value for value, _ in rows]
+        return _d_alpha_roots(fp, a, xs, [(_strided_integral(fv, h, mu, k), mu) for mu in mus], grid_n, tol)
 
-        return _find_roots_together([search(mu) for mu in mus], evaluate)
-
-    found = _in_batches([1.0 - p.alpha for p in ps], _panels(grid_n) + 1, group_roots, one_order)
+    found = _in_batches([1.0 - p.alpha for p in ps], _panels(grid_n) + 1, group_roots)
     return [
         CriticalPointReport(p.alpha, tuple(r for r, _ in roots), tuple(abs(v) for _, v in roots))
         for p, roots in zip(ps, found)
@@ -233,7 +235,6 @@ def derivative_zero_before(
     base_value(f, p.a)
     fp = _prime_sampler(f)
     mu = 1.0 - p.alpha
-    d = lambda x: _kernel_quad_grid(fp, p.a, [x], [mu], p.grid_n)[0][0]  # noqa: E731
     span = x_zero - p.a
 
     n = 96
@@ -244,7 +245,7 @@ def derivative_zero_before(
         scale = float(np.max(np.abs(vals)))
         if scale <= 1e-13:
             return DerivativeZeroResult(float(xs[0]), abs(float(vals[0])), degenerate=True)
-        hits = _find_roots(xs, vals, d, 1e-12 * span, exact=False)
+        (hits,) = _d_alpha_roots(fp, p.a, xs, [(vals, mu)], p.grid_n, 1e-12 * span)
         if hits:
             return DerivativeZeroResult(hits[-1][0], abs(hits[-1][1]))
         i = int(np.argmin(np.abs(vals)))
@@ -254,7 +255,7 @@ def derivative_zero_before(
     # no sign change anywhere: accept a tangent root at the endpoint scale,
     # otherwise report the resolution failure (existence is not in doubt)
     if best_x is not None and best_val <= 1e-8 * scale:
-        return DerivativeZeroResult(best_x, abs(d(best_x)))
+        return DerivativeZeroResult(best_x, abs(_kernel_quad_grid(fp, p.a, [best_x], [mu], p.grid_n)[0][0]))
     raise SolverError(
         f"no root of D^alpha f found on ({p.a!r}, {x_zero!r}] after refining "
         f"to {n // 4} scan points; existence is guaranteed, so this is a "
@@ -332,7 +333,8 @@ def dilation_scenario(v: Expression, p: FractionalParams, t_grid: Sequence[float
 
     If the plain rate v vanishes at some time t* on the grid range, the
     transformed rate V is guaranteed to vanish no later; the scenario
-    reports that earlier time xi <= t* alongside the table.
+    reports that earlier time xi <= t* alongside the table, or xi = None
+    when |V| <= 1e-13 at every node of its search's scan (degenerate).
     """
     ts = [float(t) for t in t_grid]
     if not ts:
@@ -352,4 +354,6 @@ def dilation_scenario(v: Expression, p: FractionalParams, t_grid: Sequence[float
         return DilationResult(tuple(rows), None, None, None)
     zero_time = zeros[0][0]
     res = derivative_zero_before(v, p, zero_time, zero_tol=max(1e-10, 1e-9 * vscale))
+    if res.degenerate:  # its xi is the first scan node, not a vanishing time
+        return DilationResult(tuple(rows), zero_time, None, None)
     return DilationResult(tuple(rows), zero_time, res.xi, res.residual)

@@ -34,16 +34,16 @@ jet runs on a float or on a numpy array of points: ``eval`` and
 ``derivative_values`` map a float to a float (a QUADPACK or root-finder
 callback is a jet of floats) and an array, of any size, to an array.  numpy
 ufuncs are called on floats too, so a one-point sample equals the same
-point of a grid bit for bit.  At a float, each is one call into the
-expression's one-point sampler of that order (``_point_sampler``), built
-once.  A sample silences floating-point warnings and checks its result
-instead: under an ``np.errstate`` of its own, or inside a ``_scalar_loop``
-under the loop's.  The QUADPACK call of ``fracops._kernel_quad_oracle``
-and each root search driven point by point by ``meanval._bisect`` are
-such loops, so each of their callbacks, bracket ends and Brent steps runs
-its compiled map and its finiteness check alone.  The root searches of an
-order sweep and of the shape checks' window mean values run in lockstep
-on array samples instead.
+point of a grid bit for bit.  Each is one call into the expression's
+sampler of that order (``_sampler_of``), built once, which takes either.
+A sample silences floating-point warnings and checks its result instead:
+under an ``np.errstate`` of its own, or inside a ``_scalar_loop`` under
+the loop's.  The QUADPACK call of ``fracops._kernel_quad_oracle`` and each
+root search of a float function driven point by point by
+``meanval._bisect`` are such loops, so each of their callbacks, bracket
+ends and Brent steps runs its compiled map and its finiteness check
+alone.  The root searches of D^alpha f and of the shape checks' window
+mean values run in lockstep on array samples instead.
 
 Domain rules; a value (order 0) needs less than a derivative (order >= 1):
 
@@ -67,7 +67,6 @@ import math
 import operator
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -865,9 +864,7 @@ class Expression:
 
     def eval(self, t: Scalar) -> Scalar:
         """Evaluate at a float or elementwise over a numpy array."""
-        if isinstance(t, np.ndarray):
-            return _sample(self, np.asarray(t, dtype=float), 0, "value from", "on sample grid")[0]
-        return (self._points.get(0) or _point_sampler(self, 0))(t, "value from")
+        return (self._points.get(0) or _sampler_of(self, 0))(t, "value from")
 
     __call__ = eval
 
@@ -875,19 +872,14 @@ class Expression:
         """Render back to source; re-parsing reproduces the same tree."""
         return _format(self.root)
 
-    @cached_property
-    def _jets(self) -> dict:
-        """This expression's compiled maps, each on first use: per order the
-        one that ``eval`` and ``derivative_values`` run (at order 1 to the
-        slope alone), and under "duals" the whole (value, slope) jet that
-        ``derivatives`` reads at order 1; at other orders it shares the
-        order's map."""
-        return {}
-
-    @cached_property
-    def _points(self) -> dict:
-        """Per order, the one-point sampler of :func:`_point_sampler`, built on first use."""
-        return {}
+    def __post_init__(self) -> None:
+        # per order, the compiled map that ``eval`` and ``derivative_values``
+        # run (at order 1 to the slope alone), and under "duals" the whole
+        # (value, slope) jet that ``derivatives`` reads at order 1 (at other
+        # orders it shares the order's map); per order, the sampler of
+        # :func:`_sampler_of`; each built on first use
+        object.__setattr__(self, "_jets", {})
+        object.__setattr__(self, "_points", {})
 
     def __str__(self) -> str:
         return self.pretty()
@@ -957,17 +949,30 @@ def _compiled(e: Expression, key) -> Callable:
     return run
 
 
-def _point_sampler(e: Expression, order: int) -> Callable[[float, str], float]:
-    """``e``'s sampler of f^(order) at one float, kept in ``e._points``:
-    ``sample(t, what)`` runs the compiled map under the errstate rule of
-    :func:`_silenced`, inlined, and checks that the result is finite, or
-    raises DomainError("non-finite {what} {e} at t={t!r}")."""
+def _sampler_of(e: Expression, order: int) -> Callable[[Scalar, str], Scalar]:
+    """``e``'s sampler of f^(order), built once and kept in ``e._points``:
+    ``sample(t, what)`` maps a float to a float and an array to an array of
+    its shape, runs the compiled map under the errstate rule of
+    :func:`_silenced` (inlined at a float) and checks that every result is
+    finite, or raises DomainError("non-finite {what} {e} at t={t!r}"), on
+    an array "... on sample grid"."""
     run = _silenced(_compiled, e, order)
-    if order >= 2:  # the recurrences give scaled coefficients
+    if order >= 2:  # the recurrences give scaled coefficients; times order! one may overflow: checked below
         series, factor = run, math.factorial(order)
         run = lambda seed: series(seed)[order] * factor  # noqa: E731
 
-    def sample(t, what: str) -> float:
+    def sample(t, what: str) -> Scalar:
+        if isinstance(t, np.ndarray):
+            x = np.asarray(t, dtype=float)
+            c = _silenced(run, x if order == 0 else (x, 1.0) if order == 1 else
+                          [x, 1.0] + [np.zeros_like(x)] * (order - 1))
+            if not isinstance(c, np.ndarray):  # a slope that reads no t, such as 2*t's
+                c = np.full(x.shape, c)[()]  # [()]: a scalar at a 0-d t, as numpy arithmetic gives
+            elif c is x:  # the value of t itself, or of t^1: a copy, never the caller's array
+                c = x.copy()[()]
+            if not np.isfinite(c).all():
+                raise DomainError(f"non-finite {what} {_format(e.root)} on sample grid")
+            return c
         x = float(t)
         seed = x if order == 0 else (x, 1.0) if order == 1 else [x, 1.0] + [0.0] * (order - 1)
         if _IN_SCALAR_LOOP.get():
@@ -983,50 +988,19 @@ def _point_sampler(e: Expression, order: int) -> Callable[[float, str], float]:
     return sample
 
 
-def _sample(e: Expression, t, order: int, what: str, where: str, jet: bool = False) -> list:
-    """One pass of ``e``'s compiled map seeded at ``t`` to ``order``: at every
-    point of an array, or with ``jet`` at a float.
-
-    Returns ``[f^(order)]``, or with ``jet`` every scaled coefficient, each
-    a float or shaped like ``t``; raises DomainError unless all of them are
-    finite.  The whole order-1 jet has its own map, under the key "duals".
-    A one-point sample of f^(order) alone is :func:`_point_sampler`'s."""
-    return _silenced(_sample_silenced, e, t, order, what, where, jet)
-
-
-def _sample_silenced(e: Expression, t, order: int, what: str, where: str, jet: bool) -> list:
-    """:func:`_sample` under an errstate that silences every floating-point
-    warning, held by its caller."""
-    array = isinstance(t, np.ndarray)
-    x = t if array else float(t)
-    if order == 0:
-        seed = x
-    else:
-        seed = (x, 1.0) if order == 1 else [x, 1.0] + [np.zeros_like(x) if array else 0.0] * (order - 1)
-    coeffs = _compiled(e, "duals" if jet and order == 1 else order)(seed)
-    # a finite scaled coefficient times order! may overflow: checked below
-    out = list(coeffs) if jet and order else [coeffs] if order < 2 else [coeffs[order] * math.factorial(order)]
-    if array and not isinstance(out[0], np.ndarray):  # a slope that reads no t, such as 2*t's
-        out = [np.full(x.shape, out[0])[()]]  # [()]: a scalar at a 0-d t, as numpy arithmetic gives
-    elif array and out[0] is x:  # the value of t itself, or of t^1: a copy, never the caller's array
-        out = [x.copy()[()]]
-    for c in out:
-        if not (np.isfinite(c).all() if array else math.isfinite(c)):
-            raise DomainError(f"non-finite {what} {_format(e.root)} " + where.format(t))
-    return out
-
-
 def derivatives(e: Expression, center: float, n: int) -> TaylorJet:
     """Taylor jet of ``e`` at ``center`` up to order ``n`` (inclusive)."""
     check_order(n)
     center = float(center)
-    coeffs = _sample(e, center, n, "derivative of", "at {!r}", jet=True)
+    seed = center if n == 0 else (center, 1.0) if n == 1 else [center, 1.0] + [0.0] * (n - 1)
+    coeffs = _silenced(lambda: _compiled(e, "duals" if n == 1 else n)(seed))
+    coeffs = list(coeffs) if n else [coeffs]
+    if not all(math.isfinite(c) for c in coeffs):
+        raise DomainError(f"non-finite derivative of {_format(e.root)} at {center!r}")
     return TaylorJet(center, tuple(float(c) for c in coeffs))
 
 
 def derivative_values(e: Expression, ts: Scalar, order: int) -> Scalar:
     """f^(order) of ``e`` at a float, or at every point of an array in one pass."""
     check_order(order)
-    if isinstance(ts, np.ndarray):
-        return _sample(e, np.asarray(ts, dtype=float), order, "derivative of", "on sample grid")[0]
-    return (e._points.get(order) or _point_sampler(e, order))(ts, "derivative of")
+    return (e._points.get(order) or _sampler_of(e, order))(ts, "derivative of")

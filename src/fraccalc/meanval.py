@@ -15,8 +15,10 @@ scan, refined by Brent's method (bracketing is used instead of Newton
 because the crossings can be arbitrarily flat).  ``xi_sup`` is the
 largest one.  Every root search in the package is a ``_root_search``, a
 generator of the points it needs fn at, run point by point by ``_bisect``
-(behind ``_find_roots``) or, for an order sweep and the mean values of a
-window table (``_mean_values``), side by side by ``_find_roots_together``.
+(behind ``_find_roots``) for a float function, or side by side by
+``_find_roots_together`` for the roots of D^alpha f
+(``critical._d_alpha_roots``) and the mean values of a window table
+(``_mean_values``).
 
 For smooth f the supremum near a is also approximated by the roots of an
 explicit polynomial in (xi - a) built from the Taylor coefficients of f
@@ -162,7 +164,11 @@ def _root_search(xs: np.ndarray, vals: np.ndarray, tol: float, exact: bool):
     there: first the scan's zeros, then every bracket end, then one point
     per step of Brent's method.  Its drivers, :func:`_bisect` and
     :func:`_find_roots_together`, ask fn for these points in this order.
-    A driver that cannot evaluate a point drops the search."""
+    A driver that cannot evaluate a point drops the search.  Unless
+    ``exact``, the scan comes from a cheaper rule than fn: zeros and
+    bracket ends are checked with fn, an end whose sign disagrees with the
+    scan moves one step outwards (the bracket is dropped if fn still shows
+    no sign change), and a root reached from two brackets is reported once."""
     xs, vals = np.asarray(xs, dtype=float), np.array(vals, dtype=float)
     known: dict = {}
     at = lambda j: vals[j] if exact else known[j]  # noqa: E731  exact: the scan holds fn at every node
@@ -199,16 +205,12 @@ def _root_search(xs: np.ndarray, vals: np.ndarray, tol: float, exact: bool):
 
 
 def _find_roots(
-    xs: np.ndarray, vals: np.ndarray, fn: Callable[[float], float], tol: float, *, exact: bool = True
+    xs: np.ndarray, vals: np.ndarray, fn: Callable[[float], float], tol: float
 ) -> List[Tuple[float, float]]:
     """Roots of fn bracketed by its sign scan ``vals`` at ascending ``xs``,
     each refined by Brent's method and returned with fn there, in ascending
-    order: :func:`_root_search` driven by :func:`_bisect`.  With
-    ``exact=False`` the scan comes from a cheaper rule than fn: zeros and
-    bracket ends are checked with fn, an end whose sign disagrees with the
-    scan moves one step outwards (the bracket is dropped if fn still shows
-    no sign change), and a root reached from two brackets is reported once."""
-    return _bisect(fn, _root_search(xs, vals, tol, exact))
+    order: :func:`_root_search` driven by :func:`_bisect`."""
+    return _bisect(fn, _root_search(xs, vals, tol, True))
 
 
 def _find_roots_together(searches: list, evaluate: Callable[[list], list]) -> list:
@@ -218,7 +220,7 @@ def _find_roots_together(searches: list, evaluate: Callable[[list], list]) -> li
     ``evaluate``, as (search index, point) pairs in search order; it returns
     one value per pair.  What a search or ``evaluate`` raises ends the run; a
     caller that needs the failure of the searches run one after another
-    reruns them with :func:`_find_roots`."""
+    reruns them one at a time (``fracops._in_batches``)."""
     results: list = [None] * len(searches)
     waiting: dict = {}  # search index -> the points it waits for
 

@@ -165,6 +165,15 @@ def test_dilation_preset_runs_without_flags():
     assert any("xi" in c for c in comments)
 
 
+def test_dilation_of_a_degenerate_search_prints_no_xi():
+    code, out, _ = capture(["dilation", "--f", "1e-14*sin(t)", "--output", "csv"])
+    assert code == 0
+    comments = [ln for ln in out.splitlines() if ln.startswith("#")]
+    assert comments[:2] == ["# zero_time 3.1415926535897931",
+                            "# degenerate: |D^alpha v| <= 1e-13 at every scan node, so xi is not located"]
+    assert not any(c.startswith("# xi") for c in comments)
+
+
 def test_critpoints_sweep():
     code, out, _ = capture(["critpoints", "--f", "sin(t)", "--alpha", "0.3:0.7:3",
                             "--a", "0", "--b", repr(math.pi), "--grid-n", "256",

@@ -160,6 +160,107 @@ def test_existence_point_not_resolved_is_a_solver_error(monkeypatch):
     assert scans == [96, 384, 1536, 6144]
 
 
+def _zero_before_point_by_point(f, p, x_zero):
+    # derivative_zero_before with each scan level's search driven point by
+    # point, each pointwise quadrature its own call; returns (xi, residual,
+    # number of scan levels) for inputs that are not degenerate and, after
+    # the last level, accept the tangent root
+    from fraccalc import critical
+    from fraccalc.meanval import _bisect, _root_search
+
+    fp, mu = critical._prime_sampler(f), 1.0 - p.alpha
+    d = lambda x: critical._kernel_quad_grid(fp, p.a, [x], [mu], p.grid_n)[0][0]  # noqa: E731
+    best_x, best_val = None, math.inf
+    for level in range(4):
+        xs, fv, h, k = critical._scan(fp, p.a, x_zero, 96 * 4**level, p.grid_n)
+        vals = critical._strided_integral(fv, h, mu, k)
+        hits = _bisect(d, _root_search(xs, vals, 1e-12 * (x_zero - p.a), False))
+        if hits:
+            return hits[-1][0], abs(hits[-1][1]), level + 1
+        i = int(np.argmin(np.abs(vals)))
+        if abs(float(vals[i])) < best_val:
+            best_x, best_val = float(xs[i]), abs(float(vals[i]))
+    return best_x, abs(d(best_x)), 4
+
+
+@pytest.mark.parametrize("fprime, f, al, x_zero, levels", [
+    # the dip of test_existence_point_past_the_first_scan, found on the 384-node scan
+    (lambda t: 1.0 - 2.0 * np.exp(-(((t - 50.5 / 96) / 0.002) ** 2)), _zero_at_0_and_1, 0.9, 1.0, 2),
+    # the tangent root of test_existence_point_at_a_tangent_root
+    (lambda t: 1e-12 + np.maximum(t - 0.5, 0.0) ** 2, _zero_at_0_and_1, 0.5, 1.0, 4),
+    # three brackets on the first scan
+    (None, parse("sin(3*t)"), 0.5, math.pi, 1),
+], ids=["refined-scan", "tangent-root", "three-brackets"])
+def test_an_existence_search_equals_its_point_by_point_loop_bit_for_bit(monkeypatch, fprime, f, al, x_zero, levels):
+    if fprime is not None:
+        _count_scans(monkeypatch, fprime)
+    p = FractionalParams(al, 0.0, 2048)
+    xi, residual, scanned = _zero_before_point_by_point(f, p, x_zero)
+    res = derivative_zero_before(f, p, x_zero)
+    assert scanned == levels
+    assert (res.xi.hex(), res.residual.hex()) == (xi.hex(), residual.hex())
+    assert not res.degenerate
+
+
+@pytest.mark.parametrize("where", ["brent-step", "bracket-end"])
+def test_an_existence_search_that_fails_raises_the_point_by_point_error(monkeypatch, where):
+    # f' fails on the pointwise grids ending near xi, reached by a Brent step,
+    # or at the left end of the second of three brackets, which the lockstep
+    # search asks for in one call with the other five ends
+    from fraccalc import critical
+    from fraccalc.errors import DomainError
+    from fraccalc.expr import derivative_values
+
+    f, p = parse("sin(3*t)"), FractionalParams(0.5, 0.0, 256)
+    m = 257  # nodes of one pointwise grid; no scan sample has a multiple of them
+    x = derivative_zero_before(f, p, math.pi).xi if where == "brent-step" else 56 * math.pi / 96
+
+    def fprime(ts):
+        if ts.size % m == 0 and np.any(np.abs(ts[m - 1 :: m] - x) < 1e-6):  # the rows' last nodes: their points
+            raise DomainError(f"f' fails at the {where}")
+        return derivative_values(f, ts, 1)
+
+    monkeypatch.setattr(critical, "_prime_sampler", lambda f: fprime)
+    with pytest.raises(DomainError) as alone:
+        _zero_before_point_by_point(f, p, math.pi)
+    with pytest.raises(DomainError) as lockstep:
+        derivative_zero_before(f, p, math.pi)
+    assert str(lockstep.value) == str(alone.value) == f"f' fails at the {where}"
+
+
+def test_one_scan_level_asks_for_every_bracket_end_in_one_quadrature_call(monkeypatch):
+    # D^0.5 sin(3t) changes sign three times on the 96-node scan of (0, pi]:
+    # the six bracket ends are one call, and each Brent step one more
+    from fraccalc import critical
+
+    f, p = parse("sin(3*t)"), FractionalParams(0.5, 0.0, 1024)
+    calls = []
+    rows = critical._kernel_quad_grid
+
+    def recording(sample, a, xs, mus, grid_n):
+        calls.append(list(xs))
+        return rows(sample, a, xs, mus, grid_n)
+
+    monkeypatch.setattr(critical, "_kernel_quad_grid", recording)
+    derivative_zero_before(f, p, math.pi)
+    xs, fv, h, k = critical._scan(critical._prime_sampler(f), 0.0, math.pi, 96, 1024)
+    vals = critical._strided_integral(fv, h, 0.5, k)
+    changes = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
+    assert len(changes) == 3
+    assert calls[0] == [float(xs[j]) for lo in changes for j in (lo, lo + 1)]
+    assert len(calls) > 4 and all(len(points) == 1 for points in calls[1:])
+
+
+def test_a_degenerate_existence_search_gives_dilation_no_xi():
+    # |D^0.5 v| <= 1e-13 on the whole scan of (0, pi]: the search's first scan
+    # node is no vanishing time of V, so dilation reports none
+    p = FractionalParams(0.5, 0.0, 2048)
+    res = dilation_scenario(parse("1e-14*sin(t)"), p, [i * math.pi / 25 for i in range(1, 26)])
+    assert res.zero_time == pytest.approx(math.pi, abs=1e-9)
+    assert res.xi is None and res.xi_residual is None
+    assert derivative_zero_before(parse("1e-14*sin(t)"), p, res.zero_time).degenerate
+
+
 # --- order duality for monotone functions ---------------------------------------
 
 
@@ -414,10 +515,10 @@ def test_disagreeing_scan_brackets_give_one_root():
     # a scan that is wrong at two nodes next to the root 0.5 brackets it three
     # times; each bracket is repaired with the exact function, and the root is
     # reported once
-    from fraccalc.meanval import _find_roots
+    from fraccalc.meanval import _bisect, _root_search
 
     xs = np.array([0.2, 0.4, 0.6, 0.8])
-    roots = _find_roots(xs, np.array([-1.0, 1.0, -1.0, 1.0]), lambda x: x - 0.5, 1e-12, exact=False)
+    roots = _bisect(lambda x: x - 0.5, _root_search(xs, np.array([-1.0, 1.0, -1.0, 1.0]), 1e-12, False))
     assert len(roots) == 1
     assert abs(roots[0][0] - 0.5) <= 1e-12
 
@@ -449,13 +550,13 @@ def _one_order_at_a_time(f, p, b, scan_n):
     # scalar root search calling the pointwise rule point by point
     from fraccalc import critical
     from fraccalc.fracops import _kernel_quad_grid
-    from fraccalc.meanval import _find_roots
+    from fraccalc.meanval import _bisect, _root_search
 
     fp, mu = critical._prime_sampler(f), 1.0 - p.alpha
     xs, fv, h, k = critical._scan(fp, p.a, b, scan_n, p.grid_n)
     vals = critical._strided_integral(fv, h, mu, k)
-    found = _find_roots(xs, vals, lambda x: _kernel_quad_grid(fp, p.a, [x], [mu], p.grid_n)[0][0], 1e-10 * (b - p.a),
-                        exact=False)
+    found = _bisect(lambda x: _kernel_quad_grid(fp, p.a, [x], [mu], p.grid_n)[0][0],
+                    _root_search(xs, vals, 1e-10 * (b - p.a), False))
     return [r for r, _ in found], [abs(v) for _, v in found]
 
 
@@ -548,27 +649,38 @@ def test_a_sweep_raises_the_first_failure_of_the_per_order_loop(monkeypatch, bad
     assert str(together.value).startswith(f"f' fails for order {want[0]} at its {want[1]}")
 
 
+# the orders of each lockstep run of the failing sweep of each case above, in
+# groups of 2 orders: the group of the first failing order, unless a scan of
+# it fails first, then its orders again one by one up to that order (whose
+# search never starts when its scan fails); a last group of one order is
+# not run twice
+_FAILING_RUNS = {
+    (0, "root"): [[0, 1], [0]],
+    (1, "scan"): [[0]],
+    (1, "root"): [[0, 1], [0], [1]],
+    (4, "end"): [[0, 1], [2, 3], [4]],
+}
+
+
 @pytest.mark.parametrize("bad_ends, bad_scan, want", _SWEEP_FAILURES)
 def test_a_failing_group_reruns_only_its_own_orders(monkeypatch, bad_ends, bad_scan, want):
-    # with the failures of the test above, in groups of 2 orders: the group
-    # of the first failing order runs its searches again order by order up
-    # to that order (whose search never starts when its scan fails), and no
-    # other order's search runs again
+    # with the failures of the test above, after its clean sweep: no other
+    # order's search runs again
     from fraccalc import critical
 
     ps = [FractionalParams(al, 0.0, 256) for al in (0.1, 0.3, 0.5, 0.7, 0.9)]
     xs, fv, h, k = critical._scan(critical._prime_sampler(parse("sin(t)")), 0.0, 4.5, 32, 256)
     order_of = {_bits(critical._strided_integral(fv, h, 1.0 - p.alpha, k)): i for i, p in enumerate(ps)}
-    reran = []
-    find_roots = critical._find_roots
+    runs = []
+    d_alpha_roots = critical._d_alpha_roots
 
-    def recording(xs, vals, *args, **kwargs):
-        reran.append(order_of[_bits(vals)])
-        return find_roots(xs, vals, *args, **kwargs)
+    def recording(fp, a, xs, scans, *args):
+        runs.append([order_of[_bits(vals)] for vals, _ in scans])
+        return d_alpha_roots(fp, a, xs, scans, *args)
 
-    monkeypatch.setattr(critical, "_find_roots", recording)
+    monkeypatch.setattr(critical, "_d_alpha_roots", recording)
     test_a_sweep_raises_the_first_failure_of_the_per_order_loop(monkeypatch, bad_ends, bad_scan, want, 2)
-    assert reran == list(range(want[0] // 2 * 2, want[0] + (want[1] != "scan")))
+    assert runs == [[0, 1], [2, 3], [4]] + _FAILING_RUNS[want]  # the clean sweep, then the failing one
 
 
 def test_an_integral_float_grid_n_acts_as_the_int():

@@ -404,7 +404,7 @@ def test_a_search_evaluates_every_bracket_end_before_its_first_brent_step():
         return (x - 0.2) * (0.6 - x)
 
     with pytest.raises(ValueError, match=r"^fn fails at 0\.7$"):
-        _find_roots(xs, scan, fn, 1e-12, exact=False)
+        _bisect(fn, _root_search(xs, scan, 1e-12, False))
     assert asked == [0.1, 0.3, 0.5, 0.7]
     asked.clear()
     with pytest.raises(ValueError, match=r"^fn fails at 0\.7$"):
