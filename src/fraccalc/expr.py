@@ -954,8 +954,8 @@ def _sampler_of(e: Expression, order: int) -> Callable[[Scalar, str], Scalar]:
     ``sample(t, what)`` maps a float to a float and an array to an array of
     its shape, runs the compiled map under the errstate rule of
     :func:`_silenced` (inlined at a float) and checks that every result is
-    finite, or raises DomainError("non-finite {what} {e} at t={t!r}"), on
-    an array "... on sample grid"."""
+    finite, or raises DomainError("non-finite {what} {e} at t={float(t)!r}"),
+    on an array "... on sample grid"."""
     run = _silenced(_compiled, e, order)
     if order >= 2:  # the recurrences give scaled coefficients; times order! one may overflow: checked below
         series, factor = run, math.factorial(order)
@@ -981,7 +981,7 @@ def _sampler_of(e: Expression, order: int) -> Callable[[Scalar, str], Scalar]:
             with np.errstate(all="ignore"):
                 c = run(seed)
         if not math.isfinite(c):
-            raise DomainError(f"non-finite {what} {_format(e.root)} at t={t!r}")
+            raise DomainError(f"non-finite {what} {_format(e.root)} at t={x!r}")
         return float(c)
 
     e._points[order] = sample

@@ -41,10 +41,10 @@ Every pointwise value, one or many, is ``_kernel_quad_grid``: the grids of
 pairs (x, mu) are the rows of one array of at most ``_BATCH_MAX_POINTS``
 nodes, sampled in one call, and each row's sums and Richardson step are
 those of that pair alone, bit for bit.  Work in batches follows one rule,
-``_in_batches``: a batch that raises is run again item by item, so the
-first failing item raises what its own call raises and no later batch
-starts; a batch of one pair is that pair's own call and raises at once.
-Order sweeps and window tables use the same rule.
+``_in_batches``: a batch that raises is run again as batches of one item,
+so the first failing item raises what its own call raises and no later
+batch starts; a batch of one item is that item's own call and raises at
+once.  Order sweeps and mean-value windows use the same rule.
 
 ``integral_on_grid`` gives I^mu at every node of a grid at once, by a
 blocked FFT convolution.  The product-trapezoid weights of each (n, mu),
@@ -258,6 +258,10 @@ _WEIGHT_CACHE_MAX_BYTES = 64 << 20
 #: grids of 2,049 nodes: per quadrature, batches of 2-6 such grids ran 20-30%
 #: faster than one at a time, and batches of 12 barely faster (2-core VM)
 _BATCH_MAX_POINTS = 12288
+#: the longest dot product of ``_l1_sum``: OpenBLAS's x86_64 ddot kernel runs one thread for
+#: n <= 10000 and splits longer ones across threads, which moves their last bits; 8,193 elements
+#: (8,192 panels) keep every shorter grid's single dot and its bits
+_DOT_CHUNK = 8193
 
 
 def _cache_room() -> int:
@@ -369,8 +373,14 @@ def _power(x: float, p: float) -> float:
 
 
 def _l1_sum(samples: np.ndarray, h: float, mu: float) -> float:
+    """The product-trapezoid value of I^mu from samples at a + j*h, its dot
+    product taken in chunks of ``_DOT_CHUNK`` elements, added in order."""
     n = len(samples) - 1
-    return _power(h, mu) / gamma(mu + 2.0) * float(_l1_weights(n, mu)[: n + 1] @ samples)
+    w = _l1_weights(n, mu)[: n + 1]
+    dot = w[:_DOT_CHUNK] @ samples[:_DOT_CHUNK]
+    for lo in range(_DOT_CHUNK, n + 1, _DOT_CHUNK):
+        dot += w[lo : lo + _DOT_CHUNK] @ samples[lo : lo + _DOT_CHUNK]
+    return _power(h, mu) / gamma(mu + 2.0) * float(dot)
 
 
 def integral_on_grid(samples: np.ndarray, h: float, mu: float) -> np.ndarray:
@@ -549,23 +559,22 @@ def _nested(sample: Sampler, a: float, xs: list, grid_n: int, rules: list) -> li
     return out
 
 
-def _in_batches(items: list, nodes: int, together: Callable, alone: Optional[Callable] = None) -> list:
+def _in_batches(items: list, nodes: int, together: Callable) -> list:
     """``together(batch)`` of consecutive batches of ``items``, concatenated;
     a batch holds max(1, ``_BATCH_MAX_POINTS`` // nodes) items, the budget
-    read at each call.  A batch that raises runs again as ``alone(item)``
-    item by item, so its first failing item raises what it raises alone,
-    and later batches do not start.  Without ``alone`` an item alone is
-    ``together([item])[0]``, so a batch of one item raises at once."""
+    read at each call.  A batch that raises runs again as batches of one
+    item, so its first failing item raises what it raises alone, and later
+    batches do not start; a batch of one item raises at once."""
     per, out = max(1, _BATCH_MAX_POINTS // nodes), []
     for i in range(0, len(items), per):
         batch = items[i : i + per]
         try:
             done = together(batch)
         except Exception:  # the item-by-item loop defines which failure is raised
-            if alone is None and len(batch) == 1:
+            if len(batch) == 1:
                 raise  # its rerun would be this same call
             done = None  # it runs once the exception, and the arrays its frames hold, are freed
-        out.extend(map(alone or (lambda item: together([item])[0]), batch) if done is None else done)
+        out.extend([together([item])[0] for item in batch] if done is None else done)
     return out
 
 

@@ -17,8 +17,10 @@ largest one.  Every root search in the package is a ``_root_search``, a
 generator of the points it needs fn at, run point by point by ``_bisect``
 (behind ``_find_roots``) for a float function, or side by side by
 ``_find_roots_together`` for the roots of D^alpha f
-(``critical._d_alpha_roots``) and the mean values of a window table
-(``_mean_values``).
+(``critical._d_alpha_roots``).  Mean values, of one window or of a window
+table's many, are one routine, ``_mean_values``: it scans a batch of
+windows in one sample, runs a batch's one live search point by point and
+several in lockstep, asking for the same points either way.
 
 For smooth f the supremum near a is also approximated by the roots of an
 explicit polynomial in (xi - a) built from the Taylor coefficients of f
@@ -254,86 +256,71 @@ def mean_value(
     never fabricated.
     """
     iv = rl_integral(f, p, 1.0 - p.alpha, x).value  # checks x > a
-    return _mean_value(_sampler(f), p, x, iv, scan_n)
-
-
-def _mean_value(sample: Sampler, p: FractionalParams, x: float, iv: float, scan_n: int) -> MeanValueResult:
-    """:func:`mean_value` of the function ``sample`` samples, given
-    iv = I^(1-alpha) f(x) over (p.a, x], for a caller that already holds
-    that integral."""
-    scan_n = _check_count("scan_n", scan_n, 16)
-    ((g, ts, vals, tol),) = _scans(sample, [(p, x, iv)], scan_n)
-    roots = None if vals is None else _find_roots(ts, vals, lambda s: sample(s) - g, tol)
-    return _crossings(g, roots, p, x, scan_n)
+    (mv,) = _mean_values(_sampler(f), [(p, x, iv)], _check_count("scan_n", scan_n, 16))
+    if isinstance(mv, MeanValueNotFoundError):
+        raise mv
+    return mv
 
 
 def _mean_values(sample: Sampler, windows: list, scan_n: int) -> list:
-    """:func:`_mean_value` of ``sample`` at each (p, x, iv) of ``windows``, bit
-    for bit, with a MeanValueNotFoundError returned, not raised; ``scan_n``
-    is an int >= 16, checked by the caller.
+    """The mean values of the function ``sample`` samples at each (p, x, iv) of
+    ``windows``, given iv = I^(1-alpha) f(x) over (p.a, x], as
+    :func:`mean_value` finds them, with a MeanValueNotFoundError returned, not
+    raised; ``scan_n`` is an int >= 16, checked by the caller.
 
-    The windows go through ``fracops._in_batches``, at most
-    ``_BATCH_MAX_POINTS`` scan nodes to a batch.  A batch's scans are one
-    sample, and its root searches run in lockstep, each round of Brent steps
-    one array sample: as exact searches they ask for the points that
-    ``_find_roots`` asks fn for.  A batch that raises runs again window by
-    window through ``_mean_value``, so its first failing window raises what
-    its one-point samples raise."""
-
-    def settled(find, *args):  # a MeanValueNotFoundError returned, not raised
-        try:
-            return find(*args)
-        except MeanValueNotFoundError as exc:
-            return exc
+    A window's level g(x) is scanned at the scan_n + 1 interior nodes of
+    ``_grid(p.a, x, scan_n + 2)``; it is degenerate when f - g is within
+    1e-12 * (1 + |g|) of 0 at every node, and otherwise its roots are one
+    exact :func:`_root_search` to within 1e-12 * (x - p.a).  The windows go
+    through ``fracops._in_batches``, at most ``_BATCH_MAX_POINTS`` scan nodes
+    to a batch.  A batch's grids are the rows of one array, each filled as
+    ``_grid`` fills it, and f is sampled at all their nodes in one call.  One
+    live search runs point by point through :func:`_find_roots` on float samples;
+    several run in lockstep through :func:`_find_roots_together`, each round
+    one array sample, and ask for the same points.  A batch that raises runs
+    again window by window, so its first failing window raises what its
+    one-point samples raise."""
 
     def together(batch):
-        scans = _scans(sample, batch, scan_n)
-        live = [scan for scan in scans if scan[2] is not None]  # degenerate levels have no search
-        gs = np.array([g for g, _, _, _ in live])
+        gs = [gamma(2.0 - p.alpha) * iv * _power(x - p.a, p.alpha - 1.0) for p, x, iv in batch]
+        grids = np.empty((len(batch), scan_n + 3))
+        for row, (p, x, _) in zip(grids, batch):
+            _fill_grid(row, p.a, x, scan_n + 2)
+        ts = grids[:, 1:-1]
+        fv = sample(ts.ravel()).reshape(ts.shape)  # ravel: the interior nodes, copied in order
+        live = {}  # window index -> (nodes, f - g there, tol), where the level is not degenerate
+        for i, (g, row, f_row, (p, x, _)) in enumerate(zip(gs, ts, fv, batch)):
+            vals = f_row - g
+            if not float(np.max(np.abs(vals))) <= 1e-12 * (1.0 + abs(g)):
+                live[i] = (row, vals, 1e-12 * (x - p.a))
+        if len(live) == 1:
+            ((i, (row, vals, tol)),) = live.items()
+            level = gs[i]
+            found = {i: _find_roots(row, vals, lambda s: sample(s) - level, tol)}
+        else:
+            searches = {i: _root_search(row, vals, tol, True) for i, (row, vals, tol) in live.items()}
+            levels = np.array([gs[i] for i in searches])
 
-        def evaluate(points):  # f - g at each (search, point), in one sample
-            return (sample(np.array([x for _, x in points])) - gs[[k for k, _ in points]]).tolist()
+            def evaluate(points):  # f - g at each (search, point), in one sample
+                return (sample(np.array([x for _, x in points])) - levels[[k for k, _ in points]]).tolist()
 
-        found = iter(_find_roots_together([_root_search(ts, vals, tol, True) for _, ts, vals, tol in live], evaluate))
-        return [settled(_crossings, g, None if vals is None else next(found), p, x, scan_n)
-                for (g, _, vals, _), (p, x, _) in zip(scans, batch)]
+            found = dict(zip(searches, _find_roots_together(list(searches.values()), evaluate)))
+        out = []
+        for i, (g, (p, x, _)) in enumerate(zip(gs, batch)):
+            roots = found.get(i)
+            if roots is None:
+                out.append(MeanValueResult(g, (), (), None, degenerate=True))
+            elif not roots:
+                out.append(MeanValueNotFoundError(
+                    f"no crossing of the level g(x)={g!r} found on ({p.a!r}, {x!r}) "
+                    f"with {scan_n + 1} scan points"
+                ))
+            else:
+                xis = tuple(r for r, _ in roots)
+                out.append(MeanValueResult(g, xis, tuple(abs(v) for _, v in roots), xis[-1]))
+        return out
 
-    return _in_batches(windows, scan_n + 1, together, lambda window: settled(_mean_value, sample, *window, scan_n))
-
-
-def _scans(sample: Sampler, windows: list, scan_n: int) -> list:
-    """For each (p, x, iv) of ``windows``: the level g(x) of the mean value on
-    (p.a, x), the scan_n + 1 interior nodes of ``_grid(p.a, x, scan_n + 2)``,
-    f - g there, or None where the level is degenerate (f - g within
-    1e-12 * (1 + |g|) of 0 at every node), and the tolerance of the root
-    search.  The windows' grids are the rows of one array, each filled as
-    ``_grid`` fills it, and f is sampled at all their nodes in one call."""
-    gs = [gamma(2.0 - p.alpha) * iv * _power(x - p.a, p.alpha - 1.0) for p, x, iv in windows]
-    grids = np.empty((len(windows), scan_n + 3))
-    for row, (p, x, _) in zip(grids, windows):
-        _fill_grid(row, p.a, x, scan_n + 2)
-    ts = grids[:, 1:-1]
-    fv = sample(ts.ravel()).reshape(ts.shape)  # ravel: the interior nodes, copied in order
-    out = []
-    for g, row, f_row, (p, x, _) in zip(gs, ts, fv, windows):
-        vals = f_row - g
-        degenerate = float(np.max(np.abs(vals))) <= 1e-12 * (1.0 + abs(g))
-        out.append((g, row, None if degenerate else vals, 1e-12 * (x - p.a)))
-    return out
-
-
-def _crossings(g: float, roots: Optional[list], p: FractionalParams, x: float, scan_n: int) -> MeanValueResult:
-    """The mean values at level g on (p.a, x) from the roots of its search,
-    None where the level is degenerate; no root is a MeanValueNotFoundError."""
-    if roots is None:
-        return MeanValueResult(g, (), (), None, degenerate=True)
-    if not roots:
-        raise MeanValueNotFoundError(
-            f"no crossing of the level g(x)={g!r} found on ({p.a!r}, {x!r}) "
-            f"with {scan_n + 1} scan points"
-        )
-    xis = tuple(r for r, _ in roots)
-    return MeanValueResult(g, xis, tuple(abs(v) for _, v in roots), xis[-1])
+    return _in_batches(windows, scan_n + 1, together)
 
 
 def mean_value_polynomial(

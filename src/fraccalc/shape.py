@@ -20,11 +20,11 @@ locates the mean value of f' on the window, so the mean value reuses it;
 the delta-increasing, property-(P), f'(xi)-monotone and bridge verdicts
 are all read off that one table.  Its caller hands it the quadrature: the
 product rule on ``grid_n`` panels, or in ``convexity_equivalence`` the oracle.
-Every window is integrated first; then the mean values are located
-together, batch by batch (``meanval._mean_values``): one sample scans the
-windows of a batch, and their root searches run in lockstep, each round of
-Brent steps one array sample.  Each mean value is bit for bit the one that
-the window alone gives.  A failing table raises its first failing integral,
+Every window is integrated first; then the mean values are located batch
+by batch by ``meanval._mean_values``: one sample scans the windows of a
+batch, and their root searches run in lockstep, each round of Brent steps
+one array sample, or point by point if one is live.  Each mean value is
+bit for bit the one that the window alone gives.  A failing table raises its first failing integral,
 else the first failure of its first failing batch, as the windows of that
 batch would meet it one after another.  f' at the mean values of all pairs
 is then one sample.
@@ -176,9 +176,9 @@ def _window_table(
     the window integral, so each window is integrated once, by the caller's
     ``quad(phi, x0, x0 + delta, 1 - alpha)``, which returns (value, error).
     Every window is integrated before any is scanned; the mean values are
-    ``meanval._mean_values``, whose batches of windows are scanned in one
-    sample each and searched in lockstep, so the first failing integral is
-    raised first, then the first failure of the first failing batch.
+    ``meanval._mean_values`` of all windows, whose batches are scanned in one
+    sample each, so the first failing integral is raised first, then the
+    first failure of the first failing batch.
     An empty pair sample is a ValueError: no verdict rests on no evidence;
     so is a ``scan_n`` that is not an integer >= 16, before any window."""
     if not pair_samples:

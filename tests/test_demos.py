@@ -4,11 +4,11 @@ and every README command, without scipy too."""
 import glob
 import json
 import os
-import shlex
 import subprocess
 import sys
 
 import pytest
+from parity import readme_commands
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
@@ -50,17 +50,10 @@ print(json.dumps(out))
 """
 
 
-def _readme_commands():
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        section = fh.read().split("\n## Command line", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines() if line.startswith("fraccalc ")]
-
-
 def test_demos_and_readme_commands_run_without_scipy():
     # scipy serves only the QUADPACK oracle of convexity: the first three
     # demos and every README command print the same without it
-    items = DEMOS[:3] + _readme_commands()
+    items = DEMOS[:3] + readme_commands()
     assert len(items) == 13 and ["selftest"] in items
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     runs = {}

@@ -424,6 +424,15 @@ def test_an_overflow_inside_a_sample_is_silent_in_and_out_of_a_scalar_loop(sourc
     assert _inside_and_outside_a_scalar_loop(parse(source).root, 2.0, order) == (outcome, outcome)
 
 
+@pytest.mark.parametrize("t", [2.0, np.float64(2.0), 2])
+def test_a_failing_float_sample_names_its_point_as_a_float(t):
+    # whatever scalar type the caller passes, as the callable sampler does
+    e = parse("exp(800*t)")
+    for sample, what in ((e.eval, "value from"), (lambda t: derivative_values(e, t, 1), "derivative of")):
+        with pytest.raises(DomainError, match=rf"^non-finite {what} exp\(800\.0\*t\) at t=2\.0$"):
+            sample(t)
+
+
 @pytest.mark.parametrize(
     "source, value",
     [("sqrt(t)", 0.0), ("abs(t)", 0.0), ("t^0.5", 0.0), ("t^-0.5", None), ("t^-2", None), ("log(t)", None)],

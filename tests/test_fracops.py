@@ -1033,36 +1033,33 @@ def test_a_refined_value_that_overflows_a_float_is_a_domain_error():
 
 def test_a_failing_batch_runs_again_item_by_item(monkeypatch):
     # items of 3 nodes, in batches of two under a budget of 6 nodes: the first
-    # batch keeps its values, the second fails together and runs item by item
-    # until its first failing item raises its own error, and the third never starts
+    # batch keeps its values, the second fails together and runs again as
+    # batches of one until its first failing item raises its own error, and
+    # the third never starts.  A batch of one gives -item, a larger one 10 * item.
     calls = []
 
     def together(batch):
-        calls.append(("together", batch))
-        if 3 in batch:
-            raise ValueError("the batch fails")
-        return [10 * item for item in batch]
-
-    def alone(item):
-        calls.append(("alone", item))
-        if item == 5:
+        calls.append(batch)
+        if batch == [5]:
             raise ArithmeticError("item 5 fails")
-        return -item
+        if 3 in batch and len(batch) > 1:
+            raise ValueError("the batch fails")
+        return [10 * item if len(batch) > 1 else -item for item in batch]
 
     monkeypatch.setattr(fracops, "_BATCH_MAX_POINTS", 6)
-    assert fracops._in_batches([0, 1, 2, 3, 4], 3, together, alone) == [0, 10, -2, -3, 40]
-    assert calls == [("together", [0, 1]), ("together", [2, 3]), ("alone", 2), ("alone", 3), ("together", [4])]
+    assert fracops._in_batches([0, 1, 2, 3, 4], 3, together) == [0, 10, -2, -3, -4]
+    assert calls == [[0, 1], [2, 3], [2], [3], [4]]
     calls.clear()
     with pytest.raises(ArithmeticError, match="item 5 fails"):
-        fracops._in_batches([0, 1, 5, 3, 4, 6], 3, together, alone)
-    assert calls == [("together", [0, 1]), ("together", [5, 3]), ("alone", 5)]
+        fracops._in_batches([0, 1, 5, 3, 4, 6], 3, together)
+    assert calls == [[0, 1], [5, 3], [5]]
     # the budget is read at each call, and a batch holds at least one item
     for budget, batches in ((9, [[0, 1, 2], [4]]), (2, [[0], [1], [2], [4]])):
         calls.clear()
         monkeypatch.setattr(fracops, "_BATCH_MAX_POINTS", budget)
-        assert fracops._in_batches([0, 1, 2, 4], 3, together, alone) == [0, 10, 20, 40]
-        assert calls == [("together", batch) for batch in batches]
-
+        want = [10 * item if len(batch) > 1 else -item for batch in batches for item in batch]
+        assert fracops._in_batches([0, 1, 2, 4], 3, together) == want
+        assert calls == batches
 
 
 def test_a_failed_batch_is_freed_before_its_items_run_again():
@@ -1076,18 +1073,17 @@ def test_a_failed_batch_is_freed_before_its_items_run_again():
         pass
 
     def together(batch):
-        block = Held()
-        held.append(weakref.ref(block))
-        raise ValueError("the batch fails")
-
-    def alone(item):
+        if len(batch) > 1:
+            block = Held()
+            held.append(weakref.ref(block))
+            raise ValueError("the batch fails")
         assert held[-1]() is None
-        return item
+        return batch
 
-    assert fracops._in_batches([1, 2], 1, together, alone) == [1, 2]
+    assert fracops._in_batches([1, 2], 1, together) == [1, 2]
 
 
-def test_without_alone_a_failing_one_item_batch_raises_from_its_first_attempt(monkeypatch):
+def test_a_failing_one_item_batch_raises_from_its_first_attempt(monkeypatch):
     # items of 3 nodes in batches of two: a failing batch of two runs again as
     # two batches of one, and a batch of one that fails is not run twice
     calls = []

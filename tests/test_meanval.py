@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadpack_oracle as oracle
+from fraccalc import fracops, meanval
 from fraccalc import (
     AssumptionError,
     DomainError,
@@ -19,7 +20,7 @@ from fraccalc import (
     mean_path_witness,
     xi_smoothness_profile,
 )
-from fraccalc.meanval import _bisect, _brent, _find_roots, _find_roots_together, _mean_value, _root_search
+from fraccalc.meanval import _bisect, _brent, _find_roots, _find_roots_together, _mean_values, _root_search
 from fraccalc.meanval import check_strictly_monotone
 
 
@@ -27,7 +28,10 @@ def oracle_mean_value(f, p, x):
     # mean_value with its level integral taken by the QUADPACK oracle instead
     # of the product rule: an independent cross-check of the level
     iv = oracle.rl_integral(f, p, 1.0 - p.alpha, x).value
-    return _mean_value(f.eval, p, x, iv, 128)
+    (mv,) = _mean_values(f.eval, [(p, x, iv)], 128)
+    if isinstance(mv, MeanValueNotFoundError):
+        raise mv
+    return mv
 
 
 def power_ratio(beta, al):
@@ -410,3 +414,51 @@ def test_a_search_evaluates_every_bracket_end_before_its_first_brent_step():
     with pytest.raises(ValueError, match=r"^fn fails at 0\.7$"):
         _find_roots_together([_root_search(xs, scan, 1e-12, False)], lambda points: [fn(x) for _, x in points])
     assert asked == [0.1, 0.3, 0.5, 0.7]
+
+
+def _windows(phi, starts, width, alpha=0.5):
+    # phi's sampler, and (p, x, iv) of each window [x0, x0 + width] with its
+    # level integral iv by the product rule
+    sample = fracops._sampler(phi)
+    return sample, [(FractionalParams(alpha, x0), x0 + width,
+                     fracops._kernel_quad_grid(sample, x0, [x0 + width], [1.0 - alpha], 256)[0][0]) for x0 in starts]
+
+
+def test_a_failing_one_window_batch_samples_its_scan_once(monkeypatch):
+    # one window to a batch: the second window's scan meets a non-finite value
+    # of phi and raises from its one scan sample, since its rerun would be the
+    # same call
+    sample, windows = _windows(lambda ts: ts * ts, [0.0, 1.0], 1.0)
+    node = float(fracops._grid(1.0, 2.0, 18)[0][5])  # a node of the second window's scan of 17
+    scans = []
+
+    def phi(ts):
+        if len(ts) == 17:
+            scans.append(node in ts)
+        return np.where(ts == node, np.nan, ts * ts)
+
+    monkeypatch.setattr(fracops, "_BATCH_MAX_POINTS", 16)
+    with pytest.raises(DomainError, match=f"^non-finite value from the callable f at t={node!r}$"):
+        _mean_values(fracops._sampler(phi), windows, 16)
+    assert scans == [False, True]
+
+
+def test_one_live_window_among_degenerate_ones_is_searched_as_it_is_alone(monkeypatch):
+    # phi is 0 up to t = 2, so the windows there have a degenerate level: the
+    # batch's one live search runs point by point, as that window's alone
+    # does, and two live searches run in lockstep
+    sample, windows = _windows(lambda ts: np.maximum(ts - 2.0, 0.0) ** 2, [0.0, 2.5, 1.0, 2.2], 0.8)
+    searches, bisect = [], meanval._bisect
+
+    def counting(fn, search):
+        searches.append(search)
+        return bisect(fn, search)
+
+    monkeypatch.setattr(meanval, "_bisect", counting)
+    batch = _mean_values(sample, windows[:3], 64)
+    assert [mv.degenerate for mv in batch] == [True, False, True] and len(searches) == 1
+    (alone,) = _mean_values(sample, windows[1:2], 64)
+    assert len(searches) == 2
+    assert [float(v).hex() for v in (alone.target_g, *alone.lambda_set, *alone.residuals)] == \
+        [float(v).hex() for v in (batch[1].target_g, *batch[1].lambda_set, *batch[1].residuals)]
+    assert not _mean_values(sample, windows, 64)[3].degenerate and len(searches) == 2

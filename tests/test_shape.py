@@ -25,7 +25,7 @@ from fraccalc import (
 import fraccalc.fracops as fracops
 from fraccalc.fracops import _prime_sampler, _sampler
 from fraccalc.expr import BinOp, Expression, Var
-from fraccalc.meanval import _mean_value
+from fraccalc.meanval import _mean_values
 from fraccalc.shape import (
     WindowPairSample,
     _delta_increasing_verdict,
@@ -517,17 +517,15 @@ def test_unbracketed_window_raises_in_convexity_inconclusive_in_gate(pairs8):
 
 def _window_by_window(phi, alpha, delta, pairs, quad, scan_n):
     """The window table as a loop: each window integrated, then its mean
-    value located by ``_mean_value``, one window after another."""
+    value located by ``_mean_values`` of that window alone, one window after
+    another: each search runs point by point."""
     table = {}
     for x0 in dict.fromkeys(x for pair in pairs for x in (pair.x0, pair.y0)):
         value = quad(phi, x0, x0 + delta, 1.0 - alpha)[0]
         if not math.isfinite(value):
             raise fraccalc.DomainError(f"non-finite quadrature value over [{x0!r}, {x0 + delta!r}]")
-        try:
-            mv = _mean_value(phi, FractionalParams(alpha, x0), x0 + delta, value, scan_n)
-            offset = None if mv.degenerate else mv.xi_sup - x0
-        except fraccalc.MeanValueNotFoundError as exc:
-            offset = exc
+        (mv,) = _mean_values(phi, [(FractionalParams(alpha, x0), x0 + delta, value)], scan_n)
+        offset = mv if isinstance(mv, Exception) else None if mv.degenerate else mv.xi_sup - x0
         table[x0] = (value, offset)
     return table
 
@@ -562,7 +560,7 @@ _SAMPLERS = {
 @example(parse("2*t + 1").root, "f' of the expression", "grid", 0.5, 0.5, 8, 96, 0)  # every level degenerate
 @example(parse("sin(3*t)*t").root, "a callable's f'", "grid", 0.3, 0.4, 12, 4095, 1)  # several batches
 def test_the_window_table_equals_its_window_by_window_loop(root, sampler, rule, alpha, delta, n_pairs, scan_n, seed):
-    # the lockstep mean values against _mean_value per window, with the same
+    # the lockstep mean values against each window alone, with the same
     # quadrature: bit for bit, degenerate windows and unbracketed ones
     # included; an input that fails raises in both (its first failure may be
     # another window's, as the loop meets the windows in another order)
